@@ -3,13 +3,14 @@
 //! (`nf_coverage::bitmap::bytewise`) on realistic map shapes.
 //!
 //! The interesting regimes: a *sparse* raw bitmap (one exec's handful
-//! of edges — the per-exec novelty scan), a *mostly-seen* virgin map
-//! (late campaign — merges mostly skip), and a *churning* delta (the
-//! sync path). The word forms win by skipping whole words; the shapes
-//! here make the skip rates visible.
+//! of edges — the per-exec novelty scan `Corpus::observe` runs,
+//! `segments::merge_raw_marking`), a *mostly-seen* virgin map (late
+//! campaign — merges mostly skip), and a *churning* delta (the sync
+//! path). The product forms win by skipping whole blocks and words;
+//! the shapes here make the skip rates visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nf_coverage::bitmap;
+use nf_coverage::bitmap::{self, segments};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,32 +27,35 @@ fn sparse_raw(edges: usize, seed: u64) -> Vec<u8> {
     raw
 }
 
+/// The product novelty kernel, with a throwaway dirty-segment mask.
+fn observe(virgin: &mut [u8], raw: &[u8]) -> bool {
+    segments::merge_raw_marking(virgin, raw, &mut 0)
+}
+
 /// A virgin map after `execs` distinct sparse executions were merged.
 fn warmed_virgin(execs: u64) -> Vec<u8> {
     let mut virgin = vec![0xffu8; MAP_SIZE];
     for seed in 0..execs {
-        bitmap::merge_raw(&mut virgin, &sparse_raw(40, seed));
+        observe(&mut virgin, &sparse_raw(40, seed));
     }
     virgin
 }
 
 fn bench_merge_raw(c: &mut Criterion) {
-    let mut g = c.benchmark_group("merge_raw");
+    let mut g = c.benchmark_group("merge_raw_marking");
     g.sample_size(200);
     let raw = sparse_raw(40, 1);
     let virgin = warmed_virgin(50);
-    g.bench_function("words", |b| {
-        b.iter(|| bitmap::merge_raw(&mut virgin.clone(), &raw))
-    });
+    g.bench_function("blocks", |b| b.iter(|| observe(&mut virgin.clone(), &raw)));
     g.bench_function("bytewise", |b| {
         b.iter(|| bitmap::bytewise::merge_raw(&mut virgin.clone(), &raw))
     });
     // Steady state: nothing novel, the scan is pure overhead.
     let mut seen = virgin.clone();
-    bitmap::merge_raw(&mut seen, &raw);
-    g.bench_function("words_no_novelty", |b| {
+    observe(&mut seen, &raw);
+    g.bench_function("blocks_no_novelty", |b| {
         let mut v = seen.clone();
-        b.iter(|| bitmap::merge_raw(&mut v, &raw))
+        b.iter(|| observe(&mut v, &raw))
     });
     g.bench_function("bytewise_no_novelty", |b| {
         let mut v = seen.clone();
@@ -65,7 +69,7 @@ fn bench_classify(c: &mut Criterion) {
     g.sample_size(200);
     let raw = sparse_raw(40, 2);
     let mut buf = Vec::new();
-    g.bench_function("words_into", |b| {
+    g.bench_function("blocks_into", |b| {
         b.iter(|| bitmap::classify_into(&raw, &mut buf))
     });
     g.bench_function("bytewise", |b| b.iter(|| bitmap::bytewise::classify(&raw)));
@@ -77,7 +81,7 @@ fn bench_delta_and_merge(c: &mut Criterion) {
     g.sample_size(200);
     let then = warmed_virgin(50);
     let mut now = then.clone();
-    bitmap::merge_raw(&mut now, &sparse_raw(40, 3));
+    observe(&mut now, &sparse_raw(40, 3));
     let mut buf = Vec::new();
     g.bench_function("cleared_since_words_into", |b| {
         b.iter(|| bitmap::cleared_since_into(&then, &now, &mut buf))

@@ -10,7 +10,9 @@
 //!   generation, snapshot restore, a fixed L1 probe sequence, coverage
 //!   collection, and the virgin-map novelty scan. The *hotpath* mode is
 //!   the product path (`Fuzzer::next_input_into`, trace swap,
-//!   `ExecScratch` reuse, word-level `bitmap::merge_raw`); the *compat*
+//!   `ExecScratch` reuse, and `Fuzzer::report_observed`, whose
+//!   `Corpus::observe` runs the block-skipping
+//!   `bitmap::segments::merge_raw_marking`); the *compat*
 //!   mode replays the original sequence (`next_input` allocation,
 //!   `take_trace`, fresh `vec![0; MAP_SIZE]` + `LineSet` per exec,
 //!   byte-wise `bitmap::bytewise::merge_raw`). Both modes are asserted

@@ -21,7 +21,7 @@
 //! knowledge of the CR4.PAE silent-rounding quirk. All three are
 //! discovered and corrected by the oracle loop during fuzzing.
 
-use nf_silicon::vmentry::EntryFailure;
+use nf_silicon::vmentry::{EntryFailure, EntryOutcome};
 use nf_vmx::controls::{entry as ec, exit as xc, pin, proc, proc2};
 use nf_vmx::vmcb::intercept;
 use nf_vmx::{CtrlKind, MsrArea, MsrAreaEntry, Vmcb, Vmcs, VmcsField, VmxCapabilities};
@@ -640,9 +640,15 @@ impl VmStateValidator {
     }
 
     /// The Bochs-derived *prediction*: what the model believes the CPU
-    /// will do with this state. Deviations from `nf-silicon` are exactly
-    /// the seeded modeling errors.
-    pub fn predict(&self, vmcs: &Vmcs, msr_area: &MsrArea) -> Result<(), &'static str> {
+    /// will do with this state, derived from the oracle's verdict on it
+    /// (`try_vmentry` is pure, so one run serves both sides).
+    /// Deviations from `nf-silicon` are exactly the seeded modeling
+    /// errors.
+    fn predict(
+        &self,
+        vmcs: &Vmcs,
+        oracle: &Result<EntryOutcome, EntryFailure>,
+    ) -> Result<(), &'static str> {
         // Model-specific over-strictness first.
         let entryv = vmcs.read(VmcsField::VmEntryControls) as u32;
         let ia32e = entryv & ec::IA32E_MODE_GUEST != 0;
@@ -655,7 +661,7 @@ impl VmStateValidator {
                 return Err("bochs.tr_type_legacy");
             }
         }
-        match nf_silicon::try_vmentry(vmcs, &self.caps, msr_area) {
+        match oracle {
             Ok(_) => Ok(()),
             Err(failure) => {
                 let rule = failure.rule();
@@ -673,8 +679,8 @@ impl VmStateValidator {
     /// disagreement (paper §3.4: "using hardware behavior as ground
     /// truth to detect and correct modeling inaccuracies at runtime").
     pub fn verify_on_oracle(&mut self, vmcs: &Vmcs, msr_area: &MsrArea) -> OracleVerdict {
-        let prediction = self.predict(vmcs, msr_area);
         let oracle = nf_silicon::try_vmentry(vmcs, &self.caps, msr_area);
+        let prediction = self.predict(vmcs, &oracle);
         match (prediction, oracle) {
             (Ok(()), Ok(_)) => OracleVerdict::Agree,
             (Err(_), Err(_)) => OracleVerdict::Agree,

@@ -339,6 +339,12 @@ pub mod bitmap {
     //! word) — the AFL++ `has_new_bits`/`classify_counts` trick. A raw
     //! bitmap after one execution is almost entirely zero, so the word
     //! loop touches bytes on a handful of words instead of all 64 Ki.
+    //! The two raw-map scans an execution pays for —
+    //! [`segments::merge_raw_marking`] on every exec and
+    //! [`classify_into`] on promotion — first OR each
+    //! [`SKIP_BLOCK_BYTES`]-byte block and skip the all-zero ones
+    //! (one exec touches a few dozen of a 64 KiB map's 512 blocks),
+    //! running the word loop only inside non-zero blocks.
     //! Results are bit-identical to the byte-at-a-time reference
     //! implementations kept in [`bytewise`] (the compat mode of the
     //! `hotpath` bench; `crates/coverage/tests/bitmap_words.rs` holds
@@ -374,38 +380,74 @@ pub mod bitmap {
         out
     }
 
+    /// Bytes per raw-map block the per-exec scans test with one OR and
+    /// skip when all-zero.
+    pub const SKIP_BLOCK_BYTES: usize = 128;
+
+    /// The [`SKIP_BLOCK_BYTES`]-byte blocks of `raw` holding a non-zero
+    /// byte, in map order, with their start offsets (the last block is
+    /// shorter when the map length is not a multiple of the block).
+    fn nonzero_blocks(raw: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+        raw.chunks(SKIP_BLOCK_BYTES)
+            .enumerate()
+            .filter(|(_, block)| !block_is_zero(block))
+            .map(|(i, block)| (i * SKIP_BLOCK_BYTES, block))
+    }
+
+    /// `true` when every byte of `block` is zero. A full block is one
+    /// branch-free OR over a fixed-size array, which vectorizes.
+    #[inline]
+    fn block_is_zero(block: &[u8]) -> bool {
+        match <&[u8; SKIP_BLOCK_BYTES]>::try_from(block) {
+            Ok(full) => full.iter().fold(0, |acc, &b| acc | b) == 0,
+            Err(_) => block.iter().all(|&b| b == 0),
+        }
+    }
+
     /// [`classify`] into a caller-owned buffer (cleared first), for
     /// callers holding a long-lived scratch; paths whose result must be
-    /// owned (e.g. corpus promotion) reach the same word loop through
-    /// the allocating wrapper. Skips all-zero words.
+    /// owned (e.g. corpus promotion) reach the same loop through the
+    /// allocating wrapper. Skips all-zero blocks, then all-zero words.
     pub fn classify_into(raw: &[u8], out: &mut Vec<(u32, u8)>) {
         out.clear();
-        let mut chunks = raw.chunks_exact(8);
-        let mut base = 0usize;
-        for chunk in chunks.by_ref() {
-            if word(chunk) != 0 {
-                for (k, &b) in chunk.iter().enumerate() {
-                    if b != 0 {
-                        out.push(((base + k) as u32, bucket(b)));
+        for (base, block) in nonzero_blocks(raw) {
+            let mut chunks = block.chunks_exact(8);
+            let mut at = base;
+            for chunk in chunks.by_ref() {
+                if word(chunk) != 0 {
+                    for (k, &b) in chunk.iter().enumerate() {
+                        if b != 0 {
+                            out.push(((at + k) as u32, bucket(b)));
+                        }
                     }
                 }
+                at += 8;
             }
-            base += 8;
-        }
-        for (k, &b) in chunks.remainder().iter().enumerate() {
-            if b != 0 {
-                out.push(((base + k) as u32, bucket(b)));
+            for (k, &b) in chunks.remainder().iter().enumerate() {
+                if b != 0 {
+                    out.push(((at + k) as u32, bucket(b)));
+                }
             }
         }
     }
 
-    /// The virgin-map novelty merge — the per-execution kernel of
-    /// `Corpus::observe`: buckets every raw count and clears the newly
-    /// seen bucket bits from `virgin`. Returns `true` when at least one
-    /// bit was still virgin. Word-skips: an all-zero raw word buckets
-    /// to nothing, an all-seen (zero) virgin word can learn nothing.
+    /// The virgin-map novelty merge: buckets every raw count and clears
+    /// the newly seen bucket bits from `virgin`. Returns `true` when at
+    /// least one bit was still virgin. The word-loop reference the
+    /// property suites hold [`segments::merge_raw_marking`] (the kernel
+    /// `Corpus::observe` runs) against.
     pub fn merge_raw(virgin: &mut [u8], raw: &[u8]) -> bool {
         let n = virgin.len().min(raw.len());
+        merge_words(&mut virgin[..n], &raw[..n], |_| {})
+    }
+
+    /// The novelty word loop over equal-length `virgin`/`raw` slices,
+    /// calling `mark(k)` for every byte `k` that cleared a virgin bit.
+    /// Word-skips: an all-zero raw word buckets to nothing, an all-seen
+    /// (zero) virgin word can learn nothing.
+    #[inline]
+    fn merge_words(virgin: &mut [u8], raw: &[u8], mut mark: impl FnMut(usize)) -> bool {
+        let n = raw.len();
         let mut new_bits = false;
         let words = n / 8;
         for w in 0..words {
@@ -417,6 +459,7 @@ pub mod bitmap {
                 let bucketed = bucket(raw[k]);
                 if bucketed & virgin[k] != 0 {
                     virgin[k] &= !bucketed;
+                    mark(k);
                     new_bits = true;
                 }
             }
@@ -425,6 +468,7 @@ pub mod bitmap {
             let bucketed = bucket(raw[k]);
             if bucketed & virgin[k] != 0 {
                 virgin[k] &= !bucketed;
+                mark(k);
                 new_bits = true;
             }
         }
@@ -567,35 +611,19 @@ pub mod bitmap {
             1u64 << (i / SEGMENT_BYTES).min(63)
         }
 
-        /// [`super::merge_raw`] that additionally marks every segment
-        /// it cleared a virgin bit in. Mutations and return value are
-        /// bit-identical to the unmarked kernel; `dirty` only ever
-        /// gains bits.
+        /// The per-execution novelty kernel of `Corpus::observe`:
+        /// [`super::merge_raw`] that skips all-zero raw blocks and marks
+        /// every segment it cleared a virgin bit in. Mutations and
+        /// return value are bit-identical to the unmarked kernel;
+        /// `dirty` only ever gains bits.
         pub fn merge_raw_marking(virgin: &mut [u8], raw: &[u8], dirty: &mut u64) -> bool {
             let n = virgin.len().min(raw.len());
             let mut new_bits = false;
-            let words = n / 8;
-            for w in 0..words {
-                let i = w * 8;
-                if super::word(&raw[i..i + 8]) == 0 || super::word(&virgin[i..i + 8]) == 0 {
-                    continue;
-                }
-                for k in i..i + 8 {
-                    let bucketed = super::bucket(raw[k]);
-                    if bucketed & virgin[k] != 0 {
-                        virgin[k] &= !bucketed;
-                        *dirty |= segment_of_byte(k);
-                        new_bits = true;
-                    }
-                }
-            }
-            for k in words * 8..n {
-                let bucketed = super::bucket(raw[k]);
-                if bucketed & virgin[k] != 0 {
-                    virgin[k] &= !bucketed;
-                    *dirty |= segment_of_byte(k);
-                    new_bits = true;
-                }
+            for (base, block) in super::nonzero_blocks(&raw[..n]) {
+                let virgin = &mut virgin[base..base + block.len()];
+                new_bits |= super::merge_words(virgin, block, |k| {
+                    *dirty |= segment_of_byte(base + k);
+                });
             }
             new_bits
         }

@@ -2,8 +2,9 @@
 //! (`bitmap::segments`): every masked sweep must be bit-identical to
 //! its whole-map counterpart whenever the dirty mask covers the
 //! segments that moved — across random maps including the adversarial
-//! shapes: all-0x00, all-0xff, sub-segment maps, tail remainders, and
-//! maps longer than the 64-bit mask can address (tail saturation).
+//! shapes: all-0x00, all-0xff, hits only on skip-block edges,
+//! sub-segment maps, tail remainders, and maps longer than the 64-bit
+//! mask can address (tail saturation).
 
 use nf_coverage::bitmap::{self, segments};
 use proptest::prelude::*;
@@ -11,7 +12,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A raw hit-count bitmap: `0` all-zero, `1` all-0xff (saturated),
-/// `2` sparse (a realistic exec), `3` dense random.
+/// `2` sparse (a realistic exec), `3` dense random, `4` very sparse
+/// (see [`edge_sparse_raw`]).
 fn raw_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
     match shape {
         0 => vec![0; len],
@@ -23,8 +25,31 @@ fn raw_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
             }
             raw
         }
-        _ => (0..len).map(|_| rng.gen()).collect(),
+        3 => (0..len).map(|_| rng.gen()).collect(),
+        _ => edge_sparse_raw(rng, len),
     }
+}
+
+/// A handful of non-zero counts on the first or last byte of
+/// skip blocks, plus the map's final byte: almost every block is
+/// skipped, and each hit sits on a block edge.
+fn edge_sparse_raw(rng: &mut SmallRng, len: usize) -> Vec<u8> {
+    let mut raw = vec![0u8; len];
+    if len == 0 {
+        return raw;
+    }
+    let block = bitmap::SKIP_BLOCK_BYTES;
+    for _ in 0..rng.gen_range(1..=4) {
+        let start = rng.gen_range(0..len.div_ceil(block)) * block;
+        let at = if rng.gen() {
+            start
+        } else {
+            (start + block - 1).min(len - 1)
+        };
+        raw[at] = rng.gen_range(1..=255);
+    }
+    raw[len - 1] = rng.gen_range(1..=255);
+    raw
 }
 
 /// A virgin map: `0` all-virgin, `1` all-seen, `2` mostly seen (late
@@ -66,7 +91,7 @@ proptest! {
     fn marking_merge_matches_merge_raw(seed in 0u64..1 << 48) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = pick_len(&mut rng);
-        let (rshape, vshape) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
+        let (rshape, vshape) = (rng.gen_range(0..5u8), rng.gen_range(0..4u8));
         let raw = raw_map(&mut rng, len, rshape);
         let mut marked = virgin_map(&mut rng, len, vshape);
         let mut plain = marked.clone();
@@ -82,7 +107,7 @@ proptest! {
     fn marked_segments_cover_every_moved_byte(seed in 0u64..1 << 48) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = pick_len(&mut rng);
-        let (rshape, vshape) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
+        let (rshape, vshape) = (rng.gen_range(0..5u8), rng.gen_range(0..4u8));
         let raw = raw_map(&mut rng, len, rshape);
         let before = virgin_map(&mut rng, len, vshape);
         let mut after = before.clone();
@@ -104,7 +129,7 @@ proptest! {
         let mut now = then.clone();
         let mut dirty = 0u64;
         for _ in 0..rng.gen_range(0..3usize) {
-            let rshape = rng.gen_range(0..4u8);
+            let rshape = rng.gen_range(0..5u8);
             let raw = raw_map(&mut rng, len, rshape);
             segments::merge_raw_marking(&mut now, &raw, &mut dirty);
         }

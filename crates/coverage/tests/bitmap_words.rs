@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 
 /// A raw hit-count bitmap of one of the shapes the engine meets:
 /// `0` all-zero (an empty exec), `1` all-0xff (saturated), `2` sparse
-/// (a realistic exec: a handful of edges), `3` dense random.
+/// (a realistic exec: a handful of edges), `3` dense random, `4` very
+/// sparse (see [`edge_sparse_raw`]).
 fn raw_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
     match shape {
         0 => vec![0; len],
@@ -25,8 +26,31 @@ fn raw_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
             }
             raw
         }
-        _ => (0..len).map(|_| rng.gen()).collect(),
+        3 => (0..len).map(|_| rng.gen()).collect(),
+        _ => edge_sparse_raw(rng, len),
     }
+}
+
+/// A handful of non-zero counts on the first or last byte of
+/// skip blocks, plus the map's final byte: almost every block is
+/// skipped, and each hit sits on a block edge.
+fn edge_sparse_raw(rng: &mut SmallRng, len: usize) -> Vec<u8> {
+    let mut raw = vec![0u8; len];
+    if len == 0 {
+        return raw;
+    }
+    let block = bitmap::SKIP_BLOCK_BYTES;
+    for _ in 0..rng.gen_range(1..=4) {
+        let start = rng.gen_range(0..len.div_ceil(block)) * block;
+        let at = if rng.gen() {
+            start
+        } else {
+            (start + block - 1).min(len - 1)
+        };
+        raw[at] = rng.gen_range(1..=255);
+    }
+    raw[len - 1] = rng.gen_range(1..=255);
+    raw
 }
 
 /// A virgin map: `0` all-virgin, `1` all-seen (maximum skip), `2`
@@ -43,9 +67,10 @@ fn virgin_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
 }
 
 /// Lengths covering the word-loop edge cases: empty, sub-word, exact
-/// words, tail remainders, and a full AFL map.
+/// words, tail remainders, a short last skip block, and a full AFL
+/// map.
 fn pick_len(rng: &mut SmallRng) -> usize {
-    const LENS: [usize; 8] = [0, 1, 7, 8, 9, 64, 100, 1 << 16];
+    const LENS: [usize; 9] = [0, 1, 7, 8, 9, 64, 100, 300, 1 << 16];
     LENS[rng.gen_range(0..LENS.len())]
 }
 
@@ -56,7 +81,7 @@ proptest! {
     fn classify_matches_bytewise(seed in 0u64..1 << 48) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = pick_len(&mut rng);
-        let shape = rng.gen_range(0..4u8);
+        let shape = rng.gen_range(0..5u8);
         let raw = raw_map(&mut rng, len, shape);
         let mut via_into = vec![(9u32, 9u8)]; // stale garbage: _into must clear
         bitmap::classify_into(&raw, &mut via_into);

@@ -33,6 +33,29 @@ pub use vkvm::{Vkvm, VkvmSnapshot};
 pub use vvbox::{Vvbox, VvboxSnapshot};
 pub use vxen::{Vxen, VxenSnapshot};
 
+use std::sync::OnceLock;
+
+use nf_vmx::{Vmcs, VmxCapabilities};
+use nf_x86::{CpuVendor, FeatureSet};
+
+/// Capabilities of the physical CPU beneath the VMX backend models:
+/// everything the vendor offers.
+pub(crate) fn hw_caps(vendor: CpuVendor) -> VmxCapabilities {
+    VmxCapabilities::from_features(FeatureSet::full(vendor))
+}
+
+/// The VMCS02 every nested `vmlaunch`/`vmresume` of vkvm, vxen and
+/// vvbox starts from: [`nf_silicon::golden_vmcs`] of [`hw_caps`],
+/// built once per process and vendor on first use.
+pub(crate) fn vmcs02_template(vendor: CpuVendor) -> &'static Vmcs {
+    static TEMPLATES: [OnceLock<Vmcs>; 2] = [OnceLock::new(), OnceLock::new()];
+    let slot = match vendor {
+        CpuVendor::Intel => 0,
+        CpuVendor::Amd => 1,
+    };
+    TEMPLATES[slot].get_or_init(|| nf_silicon::golden_vmcs(&hw_caps(vendor)))
+}
+
 /// Delta restore of snapshot fields: each field is copied back only
 /// when it differs from the captured value, so restoring onto a mostly
 /// clean instance does no allocation or deep copying.
@@ -104,4 +127,26 @@ macro_rules! hv_blocks {
             }
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vmcs02_template_is_the_golden_vmcs_of_every_vmx_backend() {
+        for vendor in [CpuVendor::Intel, CpuVendor::Amd] {
+            let config = HvConfig::default_for(vendor);
+            let mut hw = vec![
+                Vkvm::new(config.clone()).hw_caps,
+                Vxen::new(config.clone()).hw_caps,
+            ];
+            if vendor == CpuVendor::Intel {
+                hw.push(Vvbox::new(config).hw_caps);
+            }
+            for caps in &hw {
+                assert_eq!(vmcs02_template(vendor), &nf_silicon::golden_vmcs(caps));
+            }
+        }
+    }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
 use nf_silicon::GuestInstr;
 use nf_vmx::{MsrArea, Vmcb, Vmcs, VmxCapabilities};
-use nf_x86::{CpuVendor, Efer, FeatureSet, Msr};
+use nf_x86::{CpuVendor, Efer, Msr};
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
 use crate::fault::{RestoreFault, SharedFaults};
@@ -199,7 +199,7 @@ impl Vkvm {
         let exposed = config.features.sanitized(config.vendor);
         Vkvm {
             exposed_caps: VmxCapabilities::from_features(exposed),
-            hw_caps: VmxCapabilities::from_features(FeatureSet::full(config.vendor)),
+            hw_caps: crate::hw_caps(config.vendor),
             bugs: VkvmBugs::default(),
             map,
             intel_file,

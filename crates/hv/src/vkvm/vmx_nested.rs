@@ -2,8 +2,8 @@
 
 use nf_silicon::vmentry::EntryFailure;
 use nf_silicon::{
-    golden_vmcs, launch_state_check, vmclear_check, vmptrld_check, vmread_check, vmwrite_check,
-    vmx_exit_for, vmxon_check, GuestInstr, VmInstrError,
+    launch_state_check, vmclear_check, vmptrld_check, vmread_check, vmwrite_check, vmx_exit_for,
+    vmxon_check, GuestInstr, VmInstrError,
 };
 use nf_vmx::controls::{entry as ec, proc, proc2};
 use nf_vmx::{ExitReason, MsrArea, Vmcs, VmcsField, VmcsState};
@@ -413,7 +413,7 @@ impl Vkvm {
         }
 
         let hw = self.hw_caps.clone();
-        let mut vmcs02 = golden_vmcs(&hw);
+        let mut vmcs02 = crate::vmcs02_template(self.config.vendor).clone();
 
         // Control merge: L1's controls ORed with L0's own requirements.
         self.cov_i(IBlk::Prep02CtrlMerge);
@@ -464,11 +464,7 @@ impl Vkvm {
 
         // Guest-state copy.
         self.cov_i(IBlk::Prep02GuestCopy);
-        for &f in VmcsField::ALL {
-            if f.group() == nf_vmx::FieldGroup::Guest {
-                vmcs02.write(f, vmcs12.read(f));
-            }
-        }
+        vmcs02.copy_guest_state_from(vmcs12);
         vmcs02.write(VmcsField::VmcsLinkPointer, u64::MAX);
 
         let ept_on = self.config.features.contains(CpuFeature::Ept);
@@ -613,13 +609,6 @@ impl Vkvm {
 
             // Sync guest state VMCS02 -> VMCS12 and deliver the exit.
             self.cov_i(IBlk::SyncVmcs12);
-            let vmcs02 = self.vmcs02.as_ref().expect("live");
-            let mut guest_snapshot: Vec<(VmcsField, u64)> = Vec::new();
-            for &f in VmcsField::ALL {
-                if f.group() == nf_vmx::FieldGroup::Guest {
-                    guest_snapshot.push((f, vmcs02.read(f)));
-                }
-            }
             // Seeded misvirtualization (test-only, see `VkvmBugs`): the
             // exit is delivered, the host stays healthy, but L1 is told
             // the wrong reason.
@@ -629,9 +618,7 @@ impl Vkvm {
                 reason.encode(false)
             };
             let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-            for (f, v) in guest_snapshot {
-                vmcs12.write(f, v);
-            }
+            vmcs12.copy_guest_state_from(self.vmcs02.as_ref().expect("live"));
             vmcs12.write(VmcsField::VmExitReason, encoded as u64);
             vmcs12.write(VmcsField::ExitQualification, 0);
             if self.config.features.contains(CpuFeature::VmcsShadowing) {

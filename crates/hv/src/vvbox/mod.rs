@@ -15,12 +15,12 @@ use std::collections::BTreeMap;
 
 use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
 use nf_silicon::{
-    golden_vmcs, launch_state_check, vmclear_check, vmptrld_check, vmread_check, vmwrite_check,
-    vmx_exit_for, vmxon_check, GuestInstr, VmInstrError,
+    launch_state_check, vmclear_check, vmptrld_check, vmread_check, vmwrite_check, vmx_exit_for,
+    vmxon_check, GuestInstr, VmInstrError,
 };
 use nf_vmx::{ExitReason, MsrArea, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilities};
 use nf_x86::addr::VirtAddr;
-use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer, FeatureSet, Msr};
+use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer, Msr};
 
 use std::sync::Arc;
 
@@ -113,7 +113,8 @@ impl VvboxSnapshot {
 pub struct Vvbox {
     config: HvConfig,
     exposed_caps: VmxCapabilities,
-    hw_caps: VmxCapabilities,
+    /// Capabilities of the physical CPU underneath.
+    pub(crate) hw_caps: VmxCapabilities,
     /// Bug switches.
     pub bugs: VvboxBugs,
 
@@ -156,7 +157,7 @@ impl Vvbox {
         let exposed = config.features.sanitized(config.vendor);
         Vvbox {
             exposed_caps: VmxCapabilities::from_features(exposed),
-            hw_caps: VmxCapabilities::from_features(FeatureSet::full(config.vendor)),
+            hw_caps: crate::hw_caps(config.vendor),
             bugs: VvboxBugs::default(),
             map,
             intel_file,
@@ -261,12 +262,8 @@ impl Vvbox {
         // Merge and real entry.
         self.cov(VBlk::Merge02);
         let hw = self.hw_caps.clone();
-        let mut vmcs02 = golden_vmcs(&hw);
-        for &f in VmcsField::ALL {
-            if f.group() == nf_vmx::FieldGroup::Guest {
-                vmcs02.write(f, vmcs12.read(f));
-            }
-        }
+        let mut vmcs02 = crate::vmcs02_template(self.config.vendor).clone();
+        vmcs02.copy_guest_state_from(&vmcs12);
         vmcs02.write(VmcsField::VmcsLinkPointer, u64::MAX);
         vmcs02.write(
             VmcsField::VmEntryControls,
@@ -625,6 +622,7 @@ impl L0Hypervisor for Vvbox {
 mod tests {
     use super::*;
     use crate::sanitizer::CrashKind;
+    use nf_silicon::golden_vmcs;
     use nf_vmx::MsrAreaEntry;
 
     fn vbox() -> Vvbox {

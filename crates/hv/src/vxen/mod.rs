@@ -26,14 +26,13 @@ use std::collections::BTreeMap;
 use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
 use nf_silicon::vmentry::EntryFailure;
 use nf_silicon::{
-    check_vmrun, golden_vmcb, golden_vmcs, launch_state_check, svm_exit_for, vmclear_check,
-    vmptrld_check, vmread_check, vmwrite_check, vmx_exit_for, vmxon_check, GuestInstr,
-    VmInstrError,
+    check_vmrun, golden_vmcb, launch_state_check, svm_exit_for, vmclear_check, vmptrld_check,
+    vmread_check, vmwrite_check, vmx_exit_for, vmxon_check, GuestInstr, VmInstrError,
 };
 use nf_vmx::controls::proc2;
 use nf_vmx::vmcb::int_ctl;
 use nf_vmx::{ExitReason, MsrArea, SvmExitCode, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilities};
-use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer, FeatureSet};
+use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 
 use std::sync::Arc;
 
@@ -141,7 +140,8 @@ impl VxenSnapshot {
 pub struct Vxen {
     config: HvConfig,
     exposed_caps: VmxCapabilities,
-    hw_caps: VmxCapabilities,
+    /// Capabilities of the physical CPU underneath.
+    pub(crate) hw_caps: VmxCapabilities,
     /// Bug switches.
     pub bugs: VxenBugs,
 
@@ -187,7 +187,7 @@ impl Vxen {
         let exposed = config.features.sanitized(config.vendor);
         Vxen {
             exposed_caps: VmxCapabilities::from_features(exposed),
-            hw_caps: VmxCapabilities::from_features(FeatureSet::full(config.vendor)),
+            hw_caps: crate::hw_caps(config.vendor),
             bugs: VxenBugs::default(),
             map,
             intel_file,
@@ -290,12 +290,8 @@ impl Vxen {
         self.cov_i(XIBlk::Prep02);
         self.cov_i(XIBlk::VvmcsAccess);
         let hw = self.hw_caps.clone();
-        let mut vmcs02 = golden_vmcs(&hw);
-        for &f in VmcsField::ALL {
-            if f.group() == nf_vmx::FieldGroup::Guest {
-                vmcs02.write(f, vmcs12.read(f));
-            }
-        }
+        let mut vmcs02 = crate::vmcs02_template(self.config.vendor).clone();
+        vmcs02.copy_guest_state_from(&vmcs12);
         vmcs02.write(VmcsField::VmcsLinkPointer, u64::MAX);
         for f in [
             VmcsField::Cr0GuestHostMask,
@@ -394,17 +390,9 @@ impl Vxen {
         if reflect {
             self.cov_i(XIBlk::Sync12);
             self.cov_i(XIBlk::VvmcsSync);
-            let vmcs02 = self.vmcs02.as_ref().expect("live");
-            let snapshot: Vec<(VmcsField, u64)> = VmcsField::ALL
-                .iter()
-                .filter(|f| f.group() == nf_vmx::FieldGroup::Guest)
-                .map(|&f| (f, vmcs02.read(f)))
-                .collect();
             let encoded = reason.encode(false);
             let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-            for (f, v) in snapshot {
-                vmcs12.write(f, v);
-            }
+            vmcs12.copy_guest_state_from(self.vmcs02.as_ref().expect("live"));
             vmcs12.write(VmcsField::VmExitReason, encoded as u64);
             self.cov_i(XIBlk::ReflectDeliver);
             if reason == ExitReason::ExceptionNmi {
@@ -963,6 +951,7 @@ impl L0Hypervisor for Vxen {
 mod tests {
     use super::*;
     use crate::sanitizer::CrashKind;
+    use nf_silicon::golden_vmcs;
 
     fn intel_xen() -> Vxen {
         let mut xen = Vxen::new(HvConfig::default_for(CpuVendor::Intel));

@@ -54,7 +54,7 @@ pub enum FieldGroup {
 }
 
 macro_rules! vmcs_fields {
-    ($( $variant:ident => ($enc:expr, $width:ident, $group:ident), )+) => {
+    ($( $variant:ident => ($enc:literal, $width:ident, $group:ident), )+) => {
         /// A VMCS field (SDM Appendix B).
         ///
         /// Variant names follow the SDM/KVM field naming, camel-cased per
@@ -76,6 +76,16 @@ macro_rules! vmcs_fields {
             /// Architectural field encoding (the `vmread`/`vmwrite` operand).
             pub const fn encoding(self) -> u32 {
                 match self { $(VmcsField::$variant => $enc),+ }
+            }
+
+            /// Looks a field up by architectural encoding — the decode
+            /// behind every `vmread`/`vmwrite`, one `match` over the
+            /// catalogue's encodings.
+            pub const fn from_encoding(enc: u32) -> Option<VmcsField> {
+                match enc {
+                    $($enc => Some(VmcsField::$variant),)+
+                    _ => None,
+                }
             }
 
             /// Width class of the field.
@@ -328,11 +338,6 @@ impl VmcsField {
         (self.width().bits() / 8) as usize
     }
 
-    /// Looks a field up by architectural encoding.
-    pub fn from_encoding(enc: u32) -> Option<VmcsField> {
-        VmcsField::ALL.iter().copied().find(|f| f.encoding() == enc)
-    }
-
     /// Returns `true` if `vmwrite` from a guest hypervisor may set the
     /// field (read-only data fields reject writes with a VMX instruction
     /// error on real hardware).
@@ -373,12 +378,36 @@ mod tests {
         }
     }
 
+    /// Reference decode for `from_encoding`: a linear scan of the
+    /// catalogue.
+    fn from_encoding_scan(enc: u32) -> Option<VmcsField> {
+        VmcsField::ALL.iter().copied().find(|f| f.encoding() == enc)
+    }
+
     #[test]
     fn from_encoding_roundtrip() {
         for &f in VmcsField::ALL {
             assert_eq!(VmcsField::from_encoding(f.encoding()), Some(f));
         }
-        assert_eq!(VmcsField::from_encoding(0xdead_0000), None);
+        // Exhaustive over the 16-bit encoding space.
+        for enc in 0..=u32::from(u16::MAX) {
+            assert_eq!(
+                VmcsField::from_encoding(enc),
+                from_encoding_scan(enc),
+                "{enc:#x}"
+            );
+        }
+        // Bits above 15 never alias a field, however the low half reads.
+        let cr0 = VmcsField::GuestCr0.encoding();
+        for enc in [0x1_0000 | cr0, 0x8000_0000 | cr0, 0xdead_0000, u32::MAX] {
+            assert_eq!(VmcsField::from_encoding(enc), None, "{enc:#x}");
+            assert_eq!(from_encoding_scan(enc), None, "{enc:#x}");
+        }
+        for &f in VmcsField::ALL {
+            for bit in 16..32 {
+                assert_eq!(VmcsField::from_encoding(f.encoding() | 1 << bit), None);
+            }
+        }
     }
 
     #[test]

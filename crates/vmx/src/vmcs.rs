@@ -1,6 +1,6 @@
 //! VMCS storage, lifecycle state, and fuzz-oriented serialization.
 
-use crate::field::{FieldWidth, VmcsField, FIELD_COUNT, STATE_BITS};
+use crate::field::{FieldGroup, FieldWidth, VmcsField, FIELD_COUNT, STATE_BITS};
 use nf_x86::segment::{AccessRights, Segment, Selector};
 use nf_x86::SegReg;
 
@@ -72,6 +72,18 @@ impl Vmcs {
     /// Writes a field, masking the value to the field width.
     pub fn write(&mut self, field: VmcsField, value: u64) {
         self.values[field.index()] = value & field.width().mask();
+    }
+
+    /// Copies every guest-state field ([`FieldGroup::Guest`]) from `src`
+    /// and leaves every other field, the lifecycle state and the
+    /// revision as they are: the VMCS12 ↔ VMCS02 guest-state sync of a
+    /// nested entry or a reflected exit. Allocates nothing.
+    pub fn copy_guest_state_from(&mut self, src: &Vmcs) {
+        for &f in VmcsField::ALL {
+            if f.group() == FieldGroup::Guest {
+                self.values[f.index()] = src.values[f.index()];
+            }
+        }
     }
 
     /// Serializes every field, in catalogue order, into the flat
@@ -296,6 +308,31 @@ mod tests {
         assert_eq!(v.guest_segment(SegReg::Cs), seg);
         // Writing CS does not disturb SS.
         assert_eq!(v.guest_segment(SegReg::Ss), Segment::default());
+    }
+
+    #[test]
+    fn guest_state_copy_moves_exactly_the_guest_fields() {
+        // Every field of both VMCSs holds a value no other field holds.
+        let mut src = Vmcs::new();
+        let mut dst = Vmcs::new();
+        for (i, &f) in VmcsField::ALL.iter().enumerate() {
+            src.write(f, 0x100 + i as u64);
+            dst.write(f, 0x400 + i as u64);
+        }
+        src.state = VmcsState::Launched;
+        src.revision_id = 7;
+        let before = dst.clone();
+        dst.copy_guest_state_from(&src);
+        for &f in VmcsField::ALL {
+            let expect = if f.group() == FieldGroup::Guest {
+                &src
+            } else {
+                &before
+            };
+            assert_eq!(dst.read(f), expect.read(f), "{}", f.name());
+        }
+        assert_eq!(dst.state, before.state);
+        assert_eq!(dst.revision_id, before.revision_id);
     }
 
     #[test]
