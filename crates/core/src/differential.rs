@@ -48,6 +48,7 @@
 //! reproducer that merely still crashes, or diverges somewhere else,
 //! is rejected.
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use nf_fuzz::FuzzInput;
@@ -164,25 +165,35 @@ impl ObsResult {
     }
 
     /// Filename-safe signature fragment (`[a-z0-9]` only) used in
-    /// divergence bug ids.
-    pub fn sig(&self) -> String {
-        match self {
-            ObsResult::Ok(v) => format!("ok{v:x}"),
-            ObsResult::VmFail(e) => format!("fail{e:x}"),
-            ObsResult::Fault(name) => {
-                format!("flt{}", name.trim_start_matches('#').to_ascii_lowercase())
+    /// divergence bug ids, as a `Display` adapter: formatting it
+    /// allocates nothing.
+    pub fn sig(&self) -> impl fmt::Display + '_ {
+        struct Sig<'a>(&'a ObsResult);
+        impl fmt::Display for Sig<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    ObsResult::Ok(v) => write!(f, "ok{v:x}"),
+                    ObsResult::VmFail(e) => write!(f, "fail{e:x}"),
+                    ObsResult::Fault(name) => {
+                        f.write_str("flt")?;
+                        name.trim_start_matches('#')
+                            .chars()
+                            .try_for_each(|c| f.write_char(c.to_ascii_lowercase()))
+                    }
+                    ObsResult::L2Entered { runnable: true } => f.write_str("l2run"),
+                    ObsResult::L2Entered { runnable: false } => f.write_str("l2stall"),
+                    ObsResult::EntryFailed(r) => write!(f, "efail{r:x}"),
+                    ObsResult::Reflected(r) => write!(f, "rfl{r:x}"),
+                    ObsResult::HostDead => f.write_str("dead"),
+                }
             }
-            ObsResult::L2Entered { runnable: true } => "l2run".into(),
-            ObsResult::L2Entered { runnable: false } => "l2stall".into(),
-            ObsResult::EntryFailed(r) => format!("efail{r:x}"),
-            ObsResult::Reflected(r) => format!("rfl{r:x}"),
-            ObsResult::HostDead => "dead".into(),
         }
+        Sig(self)
     }
 }
 
-impl std::fmt::Display for ObsResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ObsResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ObsResult::Ok(v) => write!(f, "ok({v:#x})"),
             ObsResult::VmFail(e) => write!(f, "vmfail({e})"),
@@ -275,13 +286,20 @@ pub enum DivergenceSite {
 impl DivergenceSite {
     /// The deduplication tag: what diverged, not where. Event sites
     /// drop the step index so one root cause surfacing at different
-    /// positions collapses into one bug id.
-    pub fn tag(&self) -> String {
-        match self {
-            DivergenceSite::Event { a, b, .. } => format!("{}v{}", a.sig(), b.sig()),
-            DivergenceSite::SeqLen { a, b } => format!("len{a}v{b}"),
-            DivergenceSite::State { field, .. } => format!("f_{field}"),
+    /// positions collapses into one bug id. A `Display` adapter, like
+    /// [`ObsResult::sig`].
+    pub fn tag(&self) -> impl fmt::Display + '_ {
+        struct Tag<'a>(&'a DivergenceSite);
+        impl fmt::Display for Tag<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    DivergenceSite::Event { a, b, .. } => write!(f, "{}v{}", a.sig(), b.sig()),
+                    DivergenceSite::SeqLen { a, b } => write!(f, "len{a}v{b}"),
+                    DivergenceSite::State { field, .. } => write!(f, "f_{field}"),
+                }
+            }
         }
+        Tag(self)
     }
 
     /// Human-readable description for finding messages and `corpus
@@ -452,6 +470,9 @@ pub struct DifferentialRunner {
     obs: Vec<ExecObservation>,
     triage: CrashTriage,
     stats: DivergenceStats,
+    /// The bug id of the divergence being reported, rebuilt in place
+    /// for each one.
+    bug_id: String,
 }
 
 impl DifferentialRunner {
@@ -486,6 +507,7 @@ impl DifferentialRunner {
             obs: vec![ExecObservation::default(); backends.len()],
             triage: CrashTriage::new(),
             stats: DivergenceStats::default(),
+            bug_id: String::new(),
         }
     }
 
@@ -598,15 +620,16 @@ impl DifferentialRunner {
                     continue;
                 }
                 self.stats.divergences += 1;
-                let bug_id = format!("diff_{a}+{b}_{}", site.tag());
-                if self.triage.contains(&bug_id) {
+                self.bug_id.clear();
+                write!(self.bug_id, "diff_{a}+{b}_{}", site.tag()).expect("String write");
+                if self.triage.contains(&self.bug_id) {
                     continue;
                 }
                 let input = shared
                     .get_or_insert_with(|| Arc::new(input.clone()))
                     .clone();
                 self.triage.record(BugFind {
-                    bug_id,
+                    bug_id: self.bug_id.clone(),
                     kind: CrashKind::Divergence,
                     message: site.describe(a, b),
                     exec,
@@ -775,7 +798,7 @@ mod tests {
             ObsResult::Reflected(0x28),
             ObsResult::HostDead,
         ];
-        let sigs: Vec<String> = all.iter().map(ObsResult::sig).collect();
+        let sigs: Vec<String> = all.iter().map(|r| r.sig().to_string()).collect();
         for sig in &sigs {
             assert!(
                 sig.chars()
@@ -803,8 +826,8 @@ mod tests {
             a: ObsResult::Reflected(0x28),
             b: ObsResult::Reflected(0xc),
         };
-        assert_eq!(early.tag(), late.tag());
-        assert_eq!(early.tag(), "rfl28vrflc");
+        assert_eq!(early.tag().to_string(), late.tag().to_string());
+        assert_eq!(early.tag().to_string(), "rfl28vrflc");
     }
 
     fn obs(events: &[ObsResult]) -> ExecObservation {

@@ -931,10 +931,10 @@ impl ExecutionEngine {
     }
 
     /// Collects the just-finished execution's coverage into the
-    /// reusable scratch, allocation-free: wipes the previous exec's
-    /// bitmap projection edge-by-edge, swaps the hypervisor's trace out
-    /// (handing the cleared one back in), and projects it onto the
-    /// scratch bitmap and line set.
+    /// reusable scratch, allocation-free: zeroes the bitmap bytes the
+    /// previous exec's projection recorded, swaps the hypervisor's
+    /// trace out (handing the cleared one back in), and projects it
+    /// onto the scratch bitmap and line set.
     pub fn collect_coverage(&mut self) {
         self.scratch.begin_exec();
         self.hv.swap_trace(&mut self.scratch.trace);

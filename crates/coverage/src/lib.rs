@@ -259,19 +259,6 @@ impl ExecTrace {
             + self.counts.len() * std::mem::size_of::<u32>()
             + self.uniq.len() * std::mem::size_of::<u32>()
     }
-
-    /// Zeroes exactly the bytes [`ExecTrace::fill_afl_bitmap`] touched —
-    /// the reuse path: wiping a handful of edges beats a map-sized
-    /// memset by orders of magnitude. On a bitmap whose only non-zero
-    /// bytes came from this trace's projection, the result is the
-    /// all-zero map.
-    pub fn wipe_afl_bitmap(&self, bitmap: &mut [u8]) {
-        let size = bitmap.len();
-        if size == 0 {
-            return;
-        }
-        project_edges(&self.order, size, |edge| bitmap[edge] = 0);
-    }
 }
 
 /// The reusable per-execution buffers of the zero-allocation hot path:
@@ -283,7 +270,8 @@ impl ExecTrace {
 /// [`ExecScratch::begin_exec`] before collecting a new execution, swap
 /// the hypervisor's trace into [`ExecScratch::trace`], then
 /// [`ExecScratch::project`] it. The invariant the targeted wipe relies
-/// on: `bitmap` is non-zero exactly on the projection of `trace`.
+/// on: `bitmap` is non-zero exactly at the bytes `project` recorded in
+/// its edge list.
 #[derive(Debug, Clone)]
 pub struct ExecScratch {
     /// Raw AFL hit-count bitmap of the latest execution.
@@ -293,6 +281,10 @@ pub struct ExecScratch {
     /// The latest execution's trace (the swap target of
     /// `L0Hypervisor::swap_trace`).
     pub trace: ExecTrace,
+    /// The bitmap bytes [`ExecScratch::project`] turned non-zero, in
+    /// first-hit order: one entry per unique edge, and exactly the
+    /// bytes [`ExecScratch::begin_exec`] zeroes.
+    edges: Vec<u32>,
 }
 
 impl ExecScratch {
@@ -303,23 +295,39 @@ impl ExecScratch {
             bitmap: vec![0; map_size],
             lines: LineSet::for_map(map),
             trace: ExecTrace::new(),
+            edges: Vec::new(),
         }
     }
 
-    /// Rotates the scratch into a new execution: wipes the previous
-    /// trace's bitmap projection edge-by-edge and clears the per-exec
-    /// buffers in place (capacities kept).
+    /// Rotates the scratch into a new execution: zeroes the bitmap
+    /// bytes the previous projection recorded (one store per unique
+    /// edge) and clears the per-exec buffers in place (capacities
+    /// kept).
     pub fn begin_exec(&mut self) {
-        self.trace.wipe_afl_bitmap(&mut self.bitmap);
+        for &edge in &self.edges {
+            self.bitmap[edge as usize] = 0;
+        }
+        self.edges.clear();
         self.trace.clear();
         self.lines.clear();
     }
 
     /// Projects [`ExecScratch::trace`] (typically just swapped out of a
-    /// hypervisor) into the line set and the AFL bitmap.
+    /// hypervisor) into the line set and the AFL bitmap — the
+    /// [`ExecTrace::fill_afl_bitmap`] projection — recording every
+    /// bitmap byte it turns non-zero.
     pub fn project(&mut self, map: &CovMap) {
         self.lines.add_trace(map, &self.trace);
-        self.trace.fill_afl_bitmap(&mut self.bitmap);
+        let (bitmap, edges) = (&mut self.bitmap, &mut self.edges);
+        if bitmap.is_empty() {
+            return;
+        }
+        project_edges(&self.trace.order, bitmap.len(), |edge| {
+            if bitmap[edge] == 0 {
+                edges.push(edge as u32);
+            }
+            bitmap[edge] = bitmap[edge].saturating_add(1);
+        });
     }
 }
 
@@ -351,7 +359,7 @@ pub mod bitmap {
     //! the equivalence property suite).
 
     /// Classifies a raw hit count into its AFL bucket.
-    pub fn bucket(count: u8) -> u8 {
+    pub const fn bucket(count: u8) -> u8 {
         match count {
             0 => 0,
             1 => 1,
@@ -364,6 +372,18 @@ pub mod bitmap {
             _ => 128,
         }
     }
+
+    /// [`bucket`] of every byte value: the lookup the novelty word loop
+    /// buckets through.
+    const BUCKETS: [u8; 256] = {
+        let mut table = [0u8; 256];
+        let mut count = 0;
+        while count < 256 {
+            table[count] = bucket(count as u8);
+            count += 1;
+        }
+        table
+    };
 
     /// Reads an 8-byte chunk as a little-endian word.
     #[inline]
@@ -444,7 +464,8 @@ pub mod bitmap {
     /// The novelty word loop over equal-length `virgin`/`raw` slices,
     /// calling `mark(k)` for every byte `k` that cleared a virgin bit.
     /// Word-skips: an all-zero raw word buckets to nothing, an all-seen
-    /// (zero) virgin word can learn nothing.
+    /// (zero) virgin word can learn nothing. Inside a word it visits
+    /// only the non-zero raw bytes (a zero count buckets to nothing).
     #[inline]
     fn merge_words(virgin: &mut [u8], raw: &[u8], mut mark: impl FnMut(usize)) -> bool {
         let n = raw.len();
@@ -452,27 +473,38 @@ pub mod bitmap {
         let words = n / 8;
         for w in 0..words {
             let i = w * 8;
-            if word(&raw[i..i + 8]) == 0 || word(&virgin[i..i + 8]) == 0 {
+            let mut counts = word(&raw[i..i + 8]);
+            if counts == 0 || word(&virgin[i..i + 8]) == 0 {
                 continue;
             }
-            for k in i..i + 8 {
-                let bucketed = bucket(raw[k]);
-                if bucketed & virgin[k] != 0 {
-                    virgin[k] &= !bucketed;
+            while counts != 0 {
+                let shift = counts.trailing_zeros() & !7;
+                let k = i + shift as usize / 8;
+                if clear_bucket(&mut virgin[k], (counts >> shift) as u8) {
                     mark(k);
                     new_bits = true;
                 }
+                counts &= !(0xff << shift);
             }
         }
         for k in words * 8..n {
-            let bucketed = bucket(raw[k]);
-            if bucketed & virgin[k] != 0 {
-                virgin[k] &= !bucketed;
+            if raw[k] != 0 && clear_bucket(&mut virgin[k], raw[k]) {
                 mark(k);
                 new_bits = true;
             }
         }
         new_bits
+    }
+
+    /// Clears the bucket of hit count `count` from the virgin byte,
+    /// bucketing through [`BUCKETS`]; `true` when one of its bits was
+    /// still virgin.
+    #[inline]
+    fn clear_bucket(virgin: &mut u8, count: u8) -> bool {
+        let bucketed = BUCKETS[count as usize];
+        let fresh = bucketed & *virgin != 0;
+        *virgin &= !bucketed;
+        fresh
     }
 
     /// Returns `true` if any bit of the classified map `cov` is still
@@ -799,11 +831,24 @@ impl LineSet {
         }
     }
 
-    /// Marks every line of `block` covered.
+    /// Marks every line of `block` covered, a whole word of lines per
+    /// store.
     pub fn add_block(&mut self, block: &BlockDef) {
-        for line in block.line_start..block.line_start + block.line_count {
-            self.grow(line);
-            self.bits[line as usize / 64] |= 1 << (line % 64);
+        if block.line_count == 0 {
+            return;
+        }
+        let (start, last) = (block.line_start, block.line_start + block.line_count - 1);
+        self.grow(last);
+        let (first_word, last_word) = (start as usize / 64, last as usize / 64);
+        // Bits `start % 64..` of the first word, `..=last % 64` of the last.
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - last % 64);
+        if first_word == last_word {
+            self.bits[first_word] |= head & tail;
+        } else {
+            self.bits[first_word] |= head;
+            self.bits[first_word + 1..last_word].fill(u64::MAX);
+            self.bits[last_word] |= tail;
         }
     }
 
@@ -1111,21 +1156,51 @@ mod tests {
 
     #[test]
     fn wipe_undoes_fill_exactly() {
-        let (_, _, ids) = small_map();
-        let mut t = ExecTrace::new();
-        for &id in &[ids[0], ids[1], ids[0], ids[2]] {
-            t.hit(id);
-        }
+        let (map, _, ids) = small_map();
         // Power-of-two and odd sizes exercise both index folds.
         for size in [1usize << 16, 1000] {
-            let mut bitmap = vec![0u8; size];
-            t.fill_afl_bitmap(&mut bitmap);
-            assert!(bitmap.iter().any(|&b| b != 0));
-            t.wipe_afl_bitmap(&mut bitmap);
+            let mut scratch = ExecScratch::new(&map, size);
+            for &id in &[ids[0], ids[1], ids[0], ids[2]] {
+                scratch.trace.hit(id);
+            }
+            scratch.project(&map);
+            assert!(scratch.bitmap.iter().any(|&b| b != 0));
+            scratch.begin_exec();
             assert!(
-                bitmap.iter().all(|&b| b == 0),
-                "wipe must restore the all-zero map at size {size}"
+                scratch.bitmap.iter().all(|&b| b == 0),
+                "begin_exec must restore the all-zero map at size {size}"
             );
+            assert!(scratch.edges.is_empty());
+        }
+    }
+
+    #[test]
+    fn project_records_exactly_the_nonzero_bitmap_bytes() {
+        let (map, _, ids) = small_map();
+        // One edge hit 300 times (its byte saturates at 255); a walk
+        // that revisits the a->b edge; an empty trace.
+        let saturating = [ids[0]; 300];
+        let revisiting = [ids[0], ids[1], ids[0], ids[1], ids[2]];
+        for size in [1usize << 16, 1000] {
+            let mut scratch = ExecScratch::new(&map, size);
+            for (trace, peak) in [(&saturating[..], 255), (&revisiting[..], 2), (&[][..], 0)] {
+                scratch.begin_exec();
+                for &id in trace {
+                    scratch.trace.hit(id);
+                }
+                scratch.project(&map);
+                let mut edges = scratch.edges.clone();
+                edges.sort_unstable();
+                let nonzero: Vec<u32> = (0..size as u32)
+                    .filter(|&i| scratch.bitmap[i as usize] != 0)
+                    .collect();
+                assert_eq!(edges, nonzero, "size {size}, {} hits", trace.len());
+                assert_eq!(scratch.bitmap.iter().max(), Some(&peak));
+                // The recorded bytes hold the trace's AFL projection.
+                let mut expected = vec![0u8; size];
+                scratch.trace.fill_afl_bitmap(&mut expected);
+                assert_eq!(scratch.bitmap, expected);
+            }
         }
     }
 
@@ -1151,6 +1226,35 @@ mod tests {
         fresh.hit(ids[1]);
         fresh.fill_afl_bitmap(&mut expected);
         assert_eq!(scratch.bitmap, expected, "scratch equals a fresh buffer");
+    }
+
+    #[test]
+    fn add_block_sets_exactly_the_block_lines() {
+        // Spans starting anywhere in the first two words and reaching
+        // into the first three: inside one word, across one boundary,
+        // and over whole words.
+        for start in 0..130u32 {
+            for count in 1..140u32 {
+                let block = BlockDef {
+                    id: BlockId(0),
+                    file: FileId(0),
+                    line_start: start,
+                    line_count: count,
+                    label: "span",
+                };
+                let mut set = LineSet::default();
+                set.add_block(&block);
+                let end = start + count;
+                for line in 0..end + 64 {
+                    assert_eq!(
+                        set.contains(line),
+                        (start..end).contains(&line),
+                        "{start}+{count}"
+                    );
+                }
+                assert_eq!(set.as_words().len() as u32, (end - 1) / 64 + 1);
+            }
+        }
     }
 
     #[test]

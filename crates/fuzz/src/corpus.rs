@@ -31,7 +31,7 @@ use std::sync::{Arc, RwLock};
 use nf_coverage::bitmap::segments;
 use nf_coverage::{bitmap, LineSet};
 
-use crate::scenario::{prefix_affinity, Operator};
+use crate::scenario::{same_affinity, Operator};
 use crate::sync::SyncStats;
 use crate::{FuzzInput, INPUT_LEN, MAP_SIZE};
 
@@ -250,14 +250,15 @@ impl Corpus {
     }
 
     /// Prefix-affinity batching: when the cursor leaves an entry, pull
-    /// the nearest queued entry sharing its [`prefix_affinity`] key into
-    /// the next slot, so consecutive parents share deep snapshot
-    /// ancestors and the engine's prefix cache stays hot. The key is
-    /// computed on the fly (never stored or persisted), the scan is a
-    /// small fixed window, and the reorder is a single swap strictly
-    /// above the sync watermark — published entries never move, every
-    /// entry is still scheduled exactly as often, and the result is a
-    /// pure function of the corpus state.
+    /// the nearest queued entry in its affinity group
+    /// ([`same_affinity`]) into the next slot, so consecutive parents
+    /// share deep snapshot ancestors and the engine's prefix cache stays
+    /// hot. Membership is a byte comparison made on the fly (nothing is
+    /// stored or persisted), the scan is a small fixed window, and the
+    /// reorder is a single swap strictly above the sync watermark —
+    /// published entries never move, every entry is still scheduled
+    /// exactly as often, and the result is a pure function of the
+    /// corpus state.
     fn batch_by_affinity(&mut self, idx: usize) {
         const WINDOW: usize = 8;
         let next = idx + 1;
@@ -268,14 +269,12 @@ impl Corpus {
         if next >= self.entries.len() || next < self.synced_entries {
             return;
         }
-        let key = prefix_affinity(&self.entries[idx].input);
-        if prefix_affinity(&self.entries[next].input) == key {
+        let kin = |j: usize| same_affinity(&self.entries[idx].input, &self.entries[j].input);
+        if kin(next) {
             return;
         }
         let end = (next + 1 + WINDOW).min(self.entries.len());
-        if let Some(found) =
-            (next + 1..end).find(|&j| prefix_affinity(&self.entries[j].input) == key)
-        {
+        if let Some(found) = (next + 1..end).find(|&j| kin(j)) {
             self.entries.swap(next, found);
         }
     }
@@ -956,13 +955,13 @@ mod tests {
         let mut kin = base.clone();
         let run = InputLayout::RUNTIME;
         kin.bytes[run.offset + run.len - 1] ^= 0xff;
-        // Different init directives, so different affinity keys.
+        // Different init directives, so different affinity groups.
         let mut other_a = base.clone();
         other_a.bytes[InputLayout::INIT.offset] ^= 0x11;
         let mut other_b = base.clone();
         other_b.bytes[InputLayout::INIT.offset] ^= 0x22;
-        assert_eq!(prefix_affinity(&base), prefix_affinity(&kin));
-        assert_ne!(prefix_affinity(&base), prefix_affinity(&other_a));
+        assert!(same_affinity(&base, &kin));
+        assert!(!same_affinity(&base, &other_a));
 
         let mut c = Corpus::new();
         for (i, input) in [&base, &other_a, &other_b, &kin].into_iter().enumerate() {

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 pub use corpus::{Corpus, CorpusDelta, CorpusEntry, Provenance, SharedCorpus};
 pub use scenario::{
-    prefix_affinity, prefix_extend, prefix_extend_u64, prefix_root, InputLayout, MutatorProfile,
+    prefix_extend, prefix_extend_u64, prefix_root, same_affinity, InputLayout, MutatorProfile,
     Operator, OperatorStats, ProfileState, Scenario, SectionSpan,
 };
 pub use sync::{DeltaBus, GossipNode, SeqDelta, SyncMode, SyncStats, SyncTopology};

@@ -163,23 +163,26 @@ pub fn prefix_extend_u64(h: u64, v: u64) -> u64 {
     prefix_extend(h, &v.to_le_bytes())
 }
 
-/// The scheduling affinity key of an input: a hash of every section
-/// that shapes the *early* execution prefix (init directives, VMCS
-/// seed, invalidation directives, vCPU config, MSR area, and the first
-/// half of the runtime steps). Corpus scheduling batches consecutive
-/// parents by this key so back-to-back executions share deep snapshot
-/// ancestors; it is a pure function of the input bytes and is never
-/// persisted.
-pub fn prefix_affinity(input: &FuzzInput) -> u64 {
-    let sec = |s: SectionSpan| &input.bytes[s.range()];
-    let mut h = prefix_root();
-    h = prefix_extend(h, sec(InputLayout::INIT));
-    h = prefix_extend(h, sec(InputLayout::VMCS_SEED));
-    h = prefix_extend(h, sec(InputLayout::MUTATE));
-    h = prefix_extend(h, sec(InputLayout::VCPU_CFG));
-    h = prefix_extend(h, sec(InputLayout::MSR_AREA));
-    let runtime = sec(InputLayout::RUNTIME);
-    prefix_extend(h, &runtime[..runtime.len() / 2])
+/// Whether two inputs share a scheduling affinity group: byte equality
+/// of every section that shapes the *early* execution prefix (init
+/// directives, VMCS seed, invalidation directives, vCPU config, MSR
+/// area, and the first half of the runtime steps). Corpus scheduling
+/// batches consecutive parents by it so back-to-back executions share
+/// deep snapshot ancestors. Sections are compared in that order and
+/// the comparison stops at the first differing byte, which for two
+/// unrelated inputs is almost always the first.
+pub fn same_affinity(a: &FuzzInput, b: &FuzzInput) -> bool {
+    let same = |s: SectionSpan| a.bytes[s.range()] == b.bytes[s.range()];
+    let run = InputLayout::RUNTIME;
+    same(InputLayout::INIT)
+        && same(InputLayout::VMCS_SEED)
+        && same(InputLayout::MUTATE)
+        && same(InputLayout::VCPU_CFG)
+        && same(InputLayout::MSR_AREA)
+        && same(SectionSpan {
+            offset: run.offset,
+            len: run.len / 2,
+        })
 }
 
 /// The init section, decoded: the knobs `ExecutionHarness::mutated_plan`
@@ -926,19 +929,42 @@ mod tests {
     fn prefix_affinity_keys_on_scenario_shape_not_runtime_tail() {
         let mut rng = SmallRng::seed_from_u64(9);
         let base = FuzzInput::random(&mut rng);
-        let key = prefix_affinity(&base);
-        assert_eq!(key, prefix_affinity(&base), "deterministic");
+        assert!(same_affinity(&base, &base.clone()), "reflexive");
         // The back half of the runtime section — the part a deep trie
         // hit never re-executes differently — must not split affinity
         // groups.
         let mut tail = base.clone();
         let run = InputLayout::RUNTIME;
         tail.bytes[run.offset + run.len - 1] ^= 0xff;
-        assert_eq!(prefix_affinity(&tail), key);
-        // The init plan *is* the prefix: changing it changes the key.
-        let mut init = base.clone();
-        init.bytes[InputLayout::INIT.offset] ^= 0xff;
-        assert_ne!(prefix_affinity(&init), key);
+        assert!(same_affinity(&tail, &base));
+        tail.bytes[run.offset + run.len / 2] ^= 0xff;
+        assert!(same_affinity(&base, &tail));
+        // So must the meta bytes and the unassigned tail.
+        let mut outside = base.clone();
+        outside.bytes[InputLayout::META.offset] ^= 0xff;
+        outside.bytes[InputLayout::TAIL.end() - 1] ^= 0xff;
+        assert!(same_affinity(&base, &outside));
+        // One differing byte in any keyed section — at its first or
+        // its last byte — splits the group, in both argument orders.
+        let keyed = [
+            InputLayout::INIT,
+            InputLayout::VMCS_SEED,
+            InputLayout::MUTATE,
+            InputLayout::VCPU_CFG,
+            InputLayout::MSR_AREA,
+            SectionSpan {
+                offset: run.offset,
+                len: run.len / 2,
+            },
+        ];
+        for span in keyed {
+            for at in [span.offset, span.end() - 1] {
+                let mut other = base.clone();
+                other.bytes[at] ^= 0x01;
+                assert!(!same_affinity(&base, &other), "byte {at}");
+                assert!(!same_affinity(&other, &base), "byte {at}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
+use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::vmentry::EntryFailure;
 use nf_silicon::{
     check_vmrun, launch_state_check, svm_exit_for, vmclear_check, vmptrld_check, vmread_check,
@@ -34,18 +34,18 @@ use nf_silicon::{
 use nf_vmx::{ExitReason, MsrArea, SvmExitCode, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilities};
 use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer, Msr};
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::api::{
     GuestObservation, HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result,
 };
 use crate::fault::{RestoreFault, SharedFaults};
-use crate::restore_fields;
 use crate::sanitizer::HostHealth;
 use crate::store::{
     digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, vmcb_bytes, vmcs_bytes,
     SnapshotStore,
 };
+use crate::{restore_fields, Instrumentation};
 
 crate::hv_blocks! {
     /// Instrumented blocks of the golden model. Coverage here is not a
@@ -136,14 +136,19 @@ impl GoldenSnapshot {
     }
 }
 
+/// The golden model's instrumentation (one file), registered once per
+/// process.
+fn instrumentation() -> &'static Instrumentation {
+    static COV: OnceLock<Instrumentation> = OnceLock::new();
+    COV.get_or_init(|| Instrumentation::register(("nf-silicon/golden-model", GBlk::register), None))
+}
+
 /// The bare-metal reference backend (see the module docs).
 pub struct SiliconGolden {
     config: HvConfig,
     caps: VmxCapabilities,
 
-    map: CovMap,
-    file: FileId,
-    blocks: Vec<BlockId>,
+    cov: &'static Instrumentation,
     trace: ExecTrace,
     health: HostHealth,
 
@@ -171,15 +176,10 @@ pub struct SiliconGolden {
 impl SiliconGolden {
     /// Boots the golden reference with `config`.
     pub fn new(config: HvConfig) -> Self {
-        let mut map = CovMap::new();
-        let file = map.add_file("nf-silicon/golden-model");
-        let blocks = GBlk::register(&mut map, file);
         let exposed = config.features.sanitized(config.vendor);
         SiliconGolden {
             caps: VmxCapabilities::from_features(exposed),
-            map,
-            file,
-            blocks,
+            cov: instrumentation(),
             trace: ExecTrace::new(),
             health: HostHealth::new(),
             l1_cr0: Cr0::PE | Cr0::PG | Cr0::NE,
@@ -199,7 +199,7 @@ impl SiliconGolden {
     }
 
     fn cov(&mut self, b: GBlk) {
-        self.trace.hit(self.blocks[b.idx()]);
+        self.trace.hit(self.cov.intel[b.idx()]);
     }
 
     /// Whether hardware virtualization is visible to the scenario at
@@ -270,10 +270,10 @@ impl SiliconGolden {
         let Some(ptr) = self.current_vmptr else {
             return L1Result::VmFail(VmInstrError::FailInvalid);
         };
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
-        if let Err(e) = launch_state_check(vmcs12.state, !launch) {
+        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
             return L1Result::VmFail(e);
         }
+        let vmcs12 = self.vmcs12_mem[&ptr].clone();
         let count = vmcs12.read(VmcsField::VmEntryMsrLoadCount) as usize;
         let mut area = MsrArea::new();
         if count > 0 {
@@ -701,7 +701,7 @@ impl L0Hypervisor for SiliconGolden {
     }
 
     fn coverage_map(&self) -> &CovMap {
-        &self.map
+        &self.cov.map
     }
 
     fn trace(&self) -> &ExecTrace {
@@ -713,7 +713,7 @@ impl L0Hypervisor for SiliconGolden {
     }
 
     fn intel_file(&self) -> FileId {
-        self.file
+        self.cov.intel_file
     }
 
     fn amd_file(&self) -> Option<FileId> {

@@ -35,6 +35,7 @@ pub use vxen::{Vxen, VxenSnapshot};
 
 use std::sync::OnceLock;
 
+use nf_coverage::{BlockId, CovMap, FileId};
 use nf_vmx::{Vmcs, VmxCapabilities};
 use nf_x86::{CpuVendor, FeatureSet};
 
@@ -54,6 +55,54 @@ pub(crate) fn vmcs02_template(vendor: CpuVendor) -> &'static Vmcs {
         CpuVendor::Amd => 1,
     };
     TEMPLATES[slot].get_or_init(|| nf_silicon::golden_vmcs(&hw_caps(vendor)))
+}
+
+/// Registers one instrumented file's blocks into a map (the
+/// `register` function [`hv_blocks!`] generates).
+type RegisterBlocks = fn(&mut CovMap, FileId) -> Vec<BlockId>;
+
+/// A backend's instrumentation: its coverage map with the ids of its
+/// instrumented files and of every block in them. Each backend builds
+/// its own once per process, in a `OnceLock`, and every instance holds
+/// a `&'static` reference to it, so booting an instance registers
+/// nothing.
+pub(crate) struct Instrumentation {
+    /// The registry [`L0Hypervisor::coverage_map`] returns.
+    pub(crate) map: CovMap,
+    /// The file holding the Intel-side (or only) nested code.
+    pub(crate) intel_file: FileId,
+    /// The file holding the AMD-side nested code, if any.
+    pub(crate) amd_file: Option<FileId>,
+    /// Block ids of the Intel-side file, indexed by block `idx()`.
+    pub(crate) intel: Vec<BlockId>,
+    /// Block ids of the AMD-side file (empty without one).
+    pub(crate) amd: Vec<BlockId>,
+}
+
+impl Instrumentation {
+    /// Registers the Intel-side file, then the AMD-side one if given,
+    /// then the blocks of each in that order.
+    pub(crate) fn register(
+        intel: (&str, RegisterBlocks),
+        amd: Option<(&str, RegisterBlocks)>,
+    ) -> Self {
+        let (intel_name, register_intel) = intel;
+        let mut map = CovMap::new();
+        let intel_file = map.add_file(intel_name);
+        let amd_file = amd.map(|(name, _)| map.add_file(name));
+        let intel_blocks = register_intel(&mut map, intel_file);
+        let amd_blocks = match (amd, amd_file) {
+            (Some((_, register_amd)), Some(file)) => register_amd(&mut map, file),
+            _ => Vec::new(),
+        };
+        Instrumentation {
+            map,
+            intel_file,
+            amd_file,
+            intel: intel_blocks,
+            amd: amd_blocks,
+        }
+    }
 }
 
 /// Delta restore of snapshot fields: each field is copied back only
@@ -132,6 +181,76 @@ macro_rules! hv_blocks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::GBlk;
+    use crate::vkvm::{ABlk, IBlk};
+    use crate::vvbox::VBlk;
+    use crate::vxen::{XABlk, XIBlk};
+
+    #[test]
+    fn every_instance_of_a_backend_shares_one_coverage_map() {
+        // Reference registration: every file, then every file's blocks.
+        let fresh = |files: &[(&str, RegisterBlocks)]| {
+            let mut map = CovMap::new();
+            let ids: Vec<FileId> = files.iter().map(|&(name, _)| map.add_file(name)).collect();
+            for (&(_, register), &file) in files.iter().zip(&ids) {
+                register(&mut map, file);
+            }
+            map
+        };
+        let intel = HvConfig::default_for(CpuVendor::Intel);
+        let amd = HvConfig::default_for(CpuVendor::Amd);
+        type Pair = (Box<dyn L0Hypervisor>, Box<dyn L0Hypervisor>);
+        let cases: [(Pair, CovMap, Option<FileId>); 4] = [
+            (
+                (
+                    Box::new(Vkvm::new(intel.clone())),
+                    Box::new(Vkvm::new(amd.clone())),
+                ),
+                fresh(&[
+                    ("arch/x86/kvm/vmx/nested.c", IBlk::register),
+                    ("arch/x86/kvm/svm/nested.c", ABlk::register),
+                ]),
+                Some(FileId(1)),
+            ),
+            (
+                (
+                    Box::new(Vxen::new(intel.clone())),
+                    Box::new(Vxen::new(amd.clone())),
+                ),
+                fresh(&[
+                    ("xen/arch/x86/hvm/vmx/vvmx.c", XIBlk::register),
+                    ("xen/arch/x86/hvm/svm/nestedsvm.c", XABlk::register),
+                ]),
+                Some(FileId(1)),
+            ),
+            (
+                (
+                    Box::new(Vvbox::new(intel.clone())),
+                    Box::new(Vvbox::new(intel.clone())),
+                ),
+                fresh(&[("VMMAll/VMXAllTemplate.cpp.h (nested)", VBlk::register)]),
+                None,
+            ),
+            (
+                (
+                    Box::new(SiliconGolden::new(intel.clone())),
+                    Box::new(SiliconGolden::new(amd.clone())),
+                ),
+                fresh(&[("nf-silicon/golden-model", GBlk::register)]),
+                None,
+            ),
+        ];
+        for ((a, b), expected, amd_file) in &cases {
+            assert!(
+                std::ptr::eq(a.coverage_map(), b.coverage_map()),
+                "{}: one map per process",
+                a.name()
+            );
+            assert_eq!(a.coverage_map(), expected, "{}", a.name());
+            assert_eq!(a.intel_file(), FileId(0), "{}", a.name());
+            assert_eq!(a.amd_file(), *amd_file, "{}", a.name());
+        }
+    }
 
     #[test]
     fn vmcs02_template_is_the_golden_vmcs_of_every_vmx_backend() {

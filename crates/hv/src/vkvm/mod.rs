@@ -24,21 +24,21 @@ mod vmx_nested;
 pub use blocks::{ABlk, IBlk};
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
+use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::GuestInstr;
 use nf_vmx::{MsrArea, Vmcb, Vmcs, VmxCapabilities};
 use nf_x86::{CpuVendor, Efer, Msr};
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
 use crate::fault::{RestoreFault, SharedFaults};
-use crate::restore_fields;
 use crate::sanitizer::HostHealth;
 use crate::store::{
     digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcb_bytes,
     vmcs_bytes, SnapshotStore,
 };
+use crate::{restore_fields, Instrumentation};
 
 /// Guest-physical memory size of the L1 VM; roots beyond this limit fail
 /// `mmu_check_root()`.
@@ -143,6 +143,18 @@ impl VkvmSnapshot {
     }
 }
 
+/// vkvm's instrumentation (`vmx/nested.c`, then `svm/nested.c`),
+/// registered once per process.
+fn instrumentation() -> &'static Instrumentation {
+    static COV: OnceLock<Instrumentation> = OnceLock::new();
+    COV.get_or_init(|| {
+        Instrumentation::register(
+            ("arch/x86/kvm/vmx/nested.c", IBlk::register),
+            Some(("arch/x86/kvm/svm/nested.c", ABlk::register)),
+        )
+    })
+}
+
 /// The KVM model.
 pub struct Vkvm {
     config: HvConfig,
@@ -153,11 +165,7 @@ pub struct Vkvm {
     /// Bug switches.
     pub bugs: VkvmBugs,
 
-    map: CovMap,
-    intel_file: FileId,
-    amd_file: FileId,
-    pub(crate) ib: Vec<BlockId>,
-    pub(crate) ab: Vec<BlockId>,
+    cov: &'static Instrumentation,
     pub(crate) trace: ExecTrace,
     pub(crate) health: HostHealth,
 
@@ -191,21 +199,12 @@ pub struct Vkvm {
 impl Vkvm {
     /// Boots a vkvm host with `config`.
     pub fn new(config: HvConfig) -> Self {
-        let mut map = CovMap::new();
-        let intel_file = map.add_file("arch/x86/kvm/vmx/nested.c");
-        let amd_file = map.add_file("arch/x86/kvm/svm/nested.c");
-        let ib = IBlk::register(&mut map, intel_file);
-        let ab = ABlk::register(&mut map, amd_file);
         let exposed = config.features.sanitized(config.vendor);
         Vkvm {
             exposed_caps: VmxCapabilities::from_features(exposed),
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VkvmBugs::default(),
-            map,
-            intel_file,
-            amd_file,
-            ib,
-            ab,
+            cov: instrumentation(),
             trace: ExecTrace::new(),
             health: HostHealth::new(),
             l1_cr0: nf_x86::Cr0::PE | nf_x86::Cr0::PG | nf_x86::Cr0::NE,
@@ -229,12 +228,12 @@ impl Vkvm {
 
     /// Hits an Intel nested.c block.
     pub(crate) fn cov_i(&mut self, b: IBlk) {
-        self.trace.hit(self.ib[b.idx()]);
+        self.trace.hit(self.cov.intel[b.idx()]);
     }
 
     /// Hits an AMD nested.c block.
     pub(crate) fn cov_a(&mut self, b: ABlk) {
-        self.trace.hit(self.ab[b.idx()]);
+        self.trace.hit(self.cov.amd[b.idx()]);
     }
 
     /// Whether nested virtualization is exposed at all (module param).
@@ -519,7 +518,7 @@ impl L0Hypervisor for Vkvm {
     }
 
     fn coverage_map(&self) -> &CovMap {
-        &self.map
+        &self.cov.map
     }
 
     fn trace(&self) -> &ExecTrace {
@@ -531,11 +530,11 @@ impl L0Hypervisor for Vkvm {
     }
 
     fn intel_file(&self) -> FileId {
-        self.intel_file
+        self.cov.intel_file
     }
 
     fn amd_file(&self) -> Option<FileId> {
-        Some(self.amd_file)
+        self.cov.amd_file
     }
 
     fn health(&self) -> &HostHealth {

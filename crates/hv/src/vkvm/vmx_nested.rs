@@ -282,13 +282,12 @@ impl Vkvm {
             self.cov_i(IBlk::RunNoVmcs);
             return L1Result::VmFail(VmInstrError::FailInvalid);
         };
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
-
-        if let Err(e) = launch_state_check(vmcs12.state, !launch) {
+        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
             self.cov_i(IBlk::RunLaunchStateErr);
             self.cov_i(IBlk::VmFailHelpers);
             return L1Result::VmFail(e);
         }
+        let vmcs12 = self.vmcs12_mem[&ptr].clone();
 
         // Group 1: control fields, checked against the *exposed* caps.
         self.cov_i(IBlk::CheckCtlsEntry);

@@ -13,7 +13,7 @@ pub use blocks::VBlk;
 
 use std::collections::BTreeMap;
 
-use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
+use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::{
     launch_state_check, vmclear_check, vmptrld_check, vmread_check, vmwrite_check, vmx_exit_for,
     vmxon_check, GuestInstr, VmInstrError,
@@ -22,15 +22,15 @@ use nf_vmx::{ExitReason, MsrArea, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilit
 use nf_x86::addr::VirtAddr;
 use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer, Msr};
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
 use crate::fault::{RestoreFault, SharedFaults};
-use crate::restore_fields;
 use crate::sanitizer::HostHealth;
 use crate::store::{
     digest_msr_area, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcs_bytes, SnapshotStore,
 };
+use crate::{restore_fields, Instrumentation};
 
 /// Seeded-bug switch; `false` = vulnerable (as evaluated).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,6 +109,18 @@ impl VvboxSnapshot {
     }
 }
 
+/// vvbox's instrumentation (the nested part of
+/// `VMXAllTemplate.cpp.h`), registered once per process.
+fn instrumentation() -> &'static Instrumentation {
+    static COV: OnceLock<Instrumentation> = OnceLock::new();
+    COV.get_or_init(|| {
+        Instrumentation::register(
+            ("VMMAll/VMXAllTemplate.cpp.h (nested)", VBlk::register),
+            None,
+        )
+    })
+}
+
 /// The VirtualBox model.
 pub struct Vvbox {
     config: HvConfig,
@@ -118,9 +130,7 @@ pub struct Vvbox {
     /// Bug switches.
     pub bugs: VvboxBugs,
 
-    map: CovMap,
-    intel_file: FileId,
-    vb: Vec<BlockId>,
+    cov: &'static Instrumentation,
     trace: ExecTrace,
     health: HostHealth,
 
@@ -151,17 +161,12 @@ impl Vvbox {
             CpuVendor::Intel,
             "VirtualBox nested VMX model is Intel-only"
         );
-        let mut map = CovMap::new();
-        let intel_file = map.add_file("VMMAll/VMXAllTemplate.cpp.h (nested)");
-        let vb = VBlk::register(&mut map, intel_file);
         let exposed = config.features.sanitized(config.vendor);
         Vvbox {
             exposed_caps: VmxCapabilities::from_features(exposed),
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VvboxBugs::default(),
-            map,
-            intel_file,
-            vb,
+            cov: instrumentation(),
             trace: ExecTrace::new(),
             health: HostHealth::new(),
             l1_cr0: Cr0::PE | Cr0::PG | Cr0::NE,
@@ -180,7 +185,7 @@ impl Vvbox {
     }
 
     fn cov(&mut self, b: VBlk) {
-        self.trace.hit(self.vb[b.idx()]);
+        self.trace.hit(self.cov.intel[b.idx()]);
     }
 
     fn vmlaunch(&mut self, launch: bool) -> L1Result {
@@ -191,11 +196,11 @@ impl Vvbox {
         let Some(ptr) = self.current_vmptr else {
             return L1Result::VmFail(VmInstrError::FailInvalid);
         };
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
-        if let Err(e) = launch_state_check(vmcs12.state, !launch) {
+        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
             self.cov(VBlk::LaunchStateErr);
             return L1Result::VmFail(e);
         }
+        let vmcs12 = self.vmcs12_mem[&ptr].clone();
 
         self.cov(VBlk::CheckCtls);
         let exposed = self.exposed_caps.clone();
@@ -574,7 +579,7 @@ impl L0Hypervisor for Vvbox {
     }
 
     fn coverage_map(&self) -> &CovMap {
-        &self.map
+        &self.cov.map
     }
 
     fn trace(&self) -> &ExecTrace {
@@ -586,7 +591,7 @@ impl L0Hypervisor for Vvbox {
     }
 
     fn intel_file(&self) -> FileId {
-        self.intel_file
+        self.cov.intel_file
     }
 
     fn amd_file(&self) -> Option<FileId> {

@@ -23,7 +23,7 @@ pub use blocks::{XABlk, XIBlk};
 
 use std::collections::BTreeMap;
 
-use nf_coverage::{BlockId, CovMap, ExecTrace, FileId};
+use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::vmentry::EntryFailure;
 use nf_silicon::{
     check_vmrun, golden_vmcb, launch_state_check, svm_exit_for, vmclear_check, vmptrld_check,
@@ -34,16 +34,16 @@ use nf_vmx::vmcb::int_ctl;
 use nf_vmx::{ExitReason, MsrArea, SvmExitCode, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilities};
 use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
 use crate::fault::{RestoreFault, SharedFaults};
-use crate::restore_fields;
 use crate::sanitizer::HostHealth;
 use crate::store::{
     digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcb_bytes,
     vmcs_bytes, SnapshotStore,
 };
+use crate::{restore_fields, Instrumentation};
 
 /// Seeded-bug switches for vxen; `false` = vulnerable (as evaluated).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -136,6 +136,18 @@ impl VxenSnapshot {
     }
 }
 
+/// vxen's instrumentation (`vmx/vvmx.c`, then `svm/nestedsvm.c`),
+/// registered once per process.
+fn instrumentation() -> &'static Instrumentation {
+    static COV: OnceLock<Instrumentation> = OnceLock::new();
+    COV.get_or_init(|| {
+        Instrumentation::register(
+            ("xen/arch/x86/hvm/vmx/vvmx.c", XIBlk::register),
+            Some(("xen/arch/x86/hvm/svm/nestedsvm.c", XABlk::register)),
+        )
+    })
+}
+
 /// The Xen model.
 pub struct Vxen {
     config: HvConfig,
@@ -145,11 +157,7 @@ pub struct Vxen {
     /// Bug switches.
     pub bugs: VxenBugs,
 
-    map: CovMap,
-    intel_file: FileId,
-    amd_file: FileId,
-    ib: Vec<BlockId>,
-    ab: Vec<BlockId>,
+    cov: &'static Instrumentation,
     trace: ExecTrace,
     health: HostHealth,
 
@@ -179,21 +187,12 @@ pub struct Vxen {
 impl Vxen {
     /// Boots a vxen host with `config`.
     pub fn new(config: HvConfig) -> Self {
-        let mut map = CovMap::new();
-        let intel_file = map.add_file("xen/arch/x86/hvm/vmx/vvmx.c");
-        let amd_file = map.add_file("xen/arch/x86/hvm/svm/nestedsvm.c");
-        let ib = XIBlk::register(&mut map, intel_file);
-        let ab = XABlk::register(&mut map, amd_file);
         let exposed = config.features.sanitized(config.vendor);
         Vxen {
             exposed_caps: VmxCapabilities::from_features(exposed),
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VxenBugs::default(),
-            map,
-            intel_file,
-            amd_file,
-            ib,
-            ab,
+            cov: instrumentation(),
             trace: ExecTrace::new(),
             health: HostHealth::new(),
             l1_cr0: Cr0::PE | Cr0::PG | Cr0::NE,
@@ -215,11 +214,11 @@ impl Vxen {
     }
 
     fn cov_i(&mut self, b: XIBlk) {
-        self.trace.hit(self.ib[b.idx()]);
+        self.trace.hit(self.cov.intel[b.idx()]);
     }
 
     fn cov_a(&mut self, b: XABlk) {
-        self.trace.hit(self.ab[b.idx()]);
+        self.trace.hit(self.cov.amd[b.idx()]);
     }
 
     fn nested_on(&self) -> bool {
@@ -241,11 +240,11 @@ impl Vxen {
             self.cov_i(XIBlk::VmFailHelpers);
             return L1Result::VmFail(VmInstrError::FailInvalid);
         };
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
-        if let Err(e) = launch_state_check(vmcs12.state, !launch) {
+        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
             self.cov_i(XIBlk::NvmxLaunchStateErr);
             return L1Result::VmFail(e);
         }
+        let vmcs12 = self.vmcs12_mem[&ptr].clone();
 
         self.cov_i(XIBlk::CheckCtls);
         let exposed = self.exposed_caps.clone();
@@ -889,7 +888,7 @@ impl L0Hypervisor for Vxen {
     }
 
     fn coverage_map(&self) -> &CovMap {
-        &self.map
+        &self.cov.map
     }
 
     fn trace(&self) -> &ExecTrace {
@@ -901,11 +900,11 @@ impl L0Hypervisor for Vxen {
     }
 
     fn intel_file(&self) -> FileId {
-        self.intel_file
+        self.cov.intel_file
     }
 
     fn amd_file(&self) -> Option<FileId> {
-        Some(self.amd_file)
+        self.cov.amd_file
     }
 
     fn health(&self) -> &HostHealth {

@@ -72,37 +72,17 @@ macro_rules! vmcs_fields {
         impl VmcsField {
             /// Every field, in serialization order.
             pub const ALL: &'static [VmcsField] = &[$(VmcsField::$variant),+];
-
-            /// Architectural field encoding (the `vmread`/`vmwrite` operand).
-            pub const fn encoding(self) -> u32 {
-                match self { $(VmcsField::$variant => $enc),+ }
-            }
-
-            /// Looks a field up by architectural encoding — the decode
-            /// behind every `vmread`/`vmwrite`, one `match` over the
-            /// catalogue's encodings.
-            pub const fn from_encoding(enc: u32) -> Option<VmcsField> {
-                match enc {
-                    $($enc => Some(VmcsField::$variant),)+
-                    _ => None,
-                }
-            }
-
-            /// Width class of the field.
-            pub const fn width(self) -> FieldWidth {
-                match self { $(VmcsField::$variant => FieldWidth::$width),+ }
-            }
-
-            /// Area the field belongs to.
-            pub const fn group(self) -> FieldGroup {
-                match self { $(VmcsField::$variant => FieldGroup::$group),+ }
-            }
-
-            /// Field name as written in the SDM-derived catalogue.
-            pub const fn name(self) -> &'static str {
-                match self { $(VmcsField::$variant => stringify!($variant)),+ }
-            }
         }
+
+        /// Architectural encoding of every field, indexed by
+        /// [`VmcsField::index`].
+        const ENCODINGS: [u32; FIELD_COUNT] = [$($enc),+];
+        /// Width class of every field, indexed by [`VmcsField::index`].
+        const WIDTHS: [FieldWidth; FIELD_COUNT] = [$(FieldWidth::$width),+];
+        /// Area of every field, indexed by [`VmcsField::index`].
+        const GROUPS: [FieldGroup; FIELD_COUNT] = [$(FieldGroup::$group),+];
+        /// Catalogue name of every field, indexed by [`VmcsField::index`].
+        const NAMES: [&str; FIELD_COUNT] = [$(stringify!($variant)),+];
     };
 }
 
@@ -320,11 +300,100 @@ pub const SEED_OFFSETS: [usize; FIELD_COUNT] = {
     offsets
 };
 
+/// Mask of the bits `vmwrite` keeps in every field (its width's
+/// [`FieldWidth::mask`]), indexed by [`VmcsField::index`].
+const WRITE_MASKS: [u64; FIELD_COUNT] = {
+    let mut masks = [0u64; FIELD_COUNT];
+    let mut i = 0;
+    while i < FIELD_COUNT {
+        masks[i] = WIDTHS[i].mask();
+        i += 1;
+    }
+    masks
+};
+
+/// Rows of [`ENCODING_SLOTS`]: one per 1 KiB block of encodings
+/// (`enc >> 10`) below `0x7000`, the first block no field lies in.
+const ENCODING_ROWS: usize = 28;
+/// Columns of [`ENCODING_SLOTS`], indexed by `(enc >> 1) & 0x1ff`; no
+/// block of the catalogue uses a column at or past this bound.
+const ENCODING_COLS: usize = 64;
+/// An [`ENCODING_SLOTS`] entry no field occupies.
+const NO_FIELD: u8 = u8::MAX;
+
+/// The decode table behind [`VmcsField::from_encoding`]: the field
+/// index stored in the slot its encoding addresses. Every catalogue
+/// encoding is even and below `0x7000`, so the row and column bits
+/// determine it completely; the build fails unless each one lands in a
+/// slot of its own.
+const ENCODING_SLOTS: [[u8; ENCODING_COLS]; ENCODING_ROWS] = {
+    assert!(
+        FIELD_COUNT < NO_FIELD as usize,
+        "field index must fit a slot"
+    );
+    let mut slots = [[NO_FIELD; ENCODING_COLS]; ENCODING_ROWS];
+    let mut i = 0;
+    while i < FIELD_COUNT {
+        let enc = ENCODINGS[i];
+        assert!(enc & 1 == 0, "encodings are even");
+        assert!(
+            enc < (ENCODING_ROWS as u32) << 10,
+            "encodings lie below 0x7000"
+        );
+        let (row, col) = ((enc >> 10) as usize, ((enc >> 1) & 0x1ff) as usize);
+        assert!(col < ENCODING_COLS, "encoding column outside the table");
+        assert!(slots[row][col] == NO_FIELD, "two encodings share a slot");
+        slots[row][col] = i as u8;
+        i += 1;
+    }
+    slots
+};
+
 impl VmcsField {
     /// Dense index of the field inside [`VmcsField::ALL`], used as the
     /// storage slot.
     pub const fn index(self) -> usize {
         self as usize
+    }
+
+    /// Architectural field encoding (the `vmread`/`vmwrite` operand).
+    pub const fn encoding(self) -> u32 {
+        ENCODINGS[self as usize]
+    }
+
+    /// Looks a field up by architectural encoding — the decode behind
+    /// every `vmread`/`vmwrite`: a bounds test and one load from the
+    /// encoding table.
+    pub const fn from_encoding(enc: u32) -> Option<VmcsField> {
+        let col = ((enc >> 1) & 0x1ff) as usize;
+        if enc & 1 != 0 || enc >= (ENCODING_ROWS as u32) << 10 || col >= ENCODING_COLS {
+            return None;
+        }
+        match ENCODING_SLOTS[(enc >> 10) as usize][col] {
+            NO_FIELD => None,
+            slot => Some(VmcsField::ALL[slot as usize]),
+        }
+    }
+
+    /// Width class of the field.
+    pub const fn width(self) -> FieldWidth {
+        WIDTHS[self as usize]
+    }
+
+    /// Area the field belongs to.
+    pub const fn group(self) -> FieldGroup {
+        GROUPS[self as usize]
+    }
+
+    /// Field name as written in the SDM-derived catalogue.
+    pub const fn name(self) -> &'static str {
+        NAMES[self as usize]
+    }
+
+    /// The bits a `vmwrite` of the field keeps: its width's
+    /// [`FieldWidth::mask`].
+    pub(crate) const fn write_mask(self) -> u64 {
+        WRITE_MASKS[self as usize]
     }
 
     /// Byte offset of the field in the serialized seed layout (the

@@ -1,6 +1,6 @@
 //! VMCS storage, lifecycle state, and fuzz-oriented serialization.
 
-use crate::field::{FieldGroup, FieldWidth, VmcsField, FIELD_COUNT, STATE_BITS};
+use crate::field::{FieldGroup, FieldWidth, VmcsField, FIELD_COUNT, SEED_OFFSETS, STATE_BITS};
 use nf_x86::segment::{AccessRights, Segment, Selector};
 use nf_x86::SegReg;
 
@@ -16,6 +16,35 @@ pub enum VmcsState {
     /// A `vmlaunch` succeeded; only `vmresume` is valid now.
     Launched,
 }
+
+/// Number of guest-state fields ([`FieldGroup::Guest`]).
+const GUEST_COUNT: usize = {
+    let mut count = 0;
+    let mut i = 0;
+    while i < FIELD_COUNT {
+        if matches!(VmcsField::ALL[i].group(), FieldGroup::Guest) {
+            count += 1;
+        }
+        i += 1;
+    }
+    count
+};
+
+/// Storage slots of the guest-state fields, in catalogue order: what
+/// [`Vmcs::copy_guest_state_from`] copies.
+const GUEST_SLOTS: [u8; GUEST_COUNT] = {
+    let mut slots = [0u8; GUEST_COUNT];
+    let mut n = 0;
+    let mut i = 0;
+    while i < FIELD_COUNT {
+        if matches!(VmcsField::ALL[i].group(), FieldGroup::Guest) {
+            slots[n] = i as u8;
+            n += 1;
+        }
+        i += 1;
+    }
+    slots
+};
 
 /// A virtual-machine control structure.
 ///
@@ -71,18 +100,17 @@ impl Vmcs {
 
     /// Writes a field, masking the value to the field width.
     pub fn write(&mut self, field: VmcsField, value: u64) {
-        self.values[field.index()] = value & field.width().mask();
+        self.values[field.index()] = value & field.write_mask();
     }
 
     /// Copies every guest-state field ([`FieldGroup::Guest`]) from `src`
     /// and leaves every other field, the lifecycle state and the
     /// revision as they are: the VMCS12 ↔ VMCS02 guest-state sync of a
-    /// nested entry or a reflected exit. Allocates nothing.
+    /// nested entry or a reflected exit. Walks the guest-state slots
+    /// only and allocates nothing.
     pub fn copy_guest_state_from(&mut self, src: &Vmcs) {
-        for &f in VmcsField::ALL {
-            if f.group() == FieldGroup::Guest {
-                self.values[f.index()] = src.values[f.index()];
-            }
+        for &slot in &GUEST_SLOTS {
+            self.values[slot as usize] = src.values[slot as usize];
         }
     }
 
@@ -105,21 +133,27 @@ impl Vmcs {
 
     /// Deserializes a VMCS from fuzz bytes. Missing bytes read as zero, so
     /// any input length is accepted (the agent hands the harness whatever
-    /// slice of the 2 KiB input is assigned to the VMCS section).
+    /// slice of the 2 KiB input is assigned to the VMCS section): a short
+    /// input is zero-padded to [`Vmcs::BYTES`] first, then every field is
+    /// read as the 8 bytes at its [`SEED_OFFSETS`] entry, masked to its
+    /// width. Bytes past the layout are ignored.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut vmcs = Vmcs::new();
-        let mut off = 0usize;
-        let get = |off: usize, n: usize| -> u64 {
-            let mut buf = [0u8; 8];
-            for (i, b) in buf.iter_mut().enumerate().take(n) {
-                *b = bytes.get(off + i).copied().unwrap_or(0);
+        // Every field starts at most 8 bytes before the layout's end.
+        const _: () = assert!(SEED_OFFSETS[FIELD_COUNT - 1] + 8 <= Vmcs::BYTES);
+        let padded;
+        let seed: &[u8; Self::BYTES] = match bytes.first_chunk() {
+            Some(seed) => seed,
+            None => {
+                let mut buf = [0u8; Self::BYTES];
+                buf[..bytes.len()].copy_from_slice(bytes);
+                padded = buf;
+                &padded
             }
-            u64::from_le_bytes(buf)
         };
-        for &f in VmcsField::ALL {
-            let n = (f.width().bits() / 8) as usize;
-            vmcs.write(f, get(off, n));
-            off += n;
+        let mut vmcs = Vmcs::new();
+        for (&f, &off) in VmcsField::ALL.iter().zip(&SEED_OFFSETS) {
+            let le = seed[off..off + 8].try_into().expect("8 bytes");
+            vmcs.values[f.index()] = u64::from_le_bytes(le) & f.write_mask();
         }
         vmcs
     }
@@ -288,6 +322,47 @@ mod tests {
         assert_eq!(v.read(VmcsField::Vpid), 0xffff);
         assert_eq!(v.read(VmcsField::PostedIntrNv), 0x00ff);
         assert_eq!(v.read(VmcsField::EptpIndex), 0);
+    }
+
+    /// Reference decode: the field-by-field cursor walk over the
+    /// input, reading each missing byte as zero.
+    fn from_bytes_reference(bytes: &[u8]) -> Vmcs {
+        let mut vmcs = Vmcs::new();
+        let mut off = 0usize;
+        let get = |off: usize, n: usize| -> u64 {
+            let mut buf = [0u8; 8];
+            for (i, b) in buf.iter_mut().enumerate().take(n) {
+                *b = bytes.get(off + i).copied().unwrap_or(0);
+            }
+            u64::from_le_bytes(buf)
+        };
+        for &f in VmcsField::ALL {
+            let n = (f.width().bits() / 8) as usize;
+            vmcs.write(f, get(off, n));
+            off += n;
+        }
+        vmcs
+    }
+
+    #[test]
+    fn from_bytes_matches_the_reference_decode_at_every_length() {
+        // splitmix64: random bytes without a dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next_byte = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u8
+        };
+        for len in 0..=Vmcs::BYTES + 8 {
+            let bytes: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+            assert_eq!(
+                Vmcs::from_bytes(&bytes),
+                from_bytes_reference(&bytes),
+                "length {len}"
+            );
+        }
     }
 
     #[test]
