@@ -24,7 +24,7 @@ use std::sync::Arc;
 use nf_coverage::LineSet;
 use nf_fuzz::{ExecFeedback, FuzzInput, MAP_SIZE};
 use nf_hv::{CrashKind, FaultPlan, HvConfig, L0Hypervisor, SharedFaults, DEFAULT_WATCHDOG_FUEL};
-use nf_vmx::VmxCapabilities;
+use nf_vmx::{MsrArea, Vmcb, Vmcs, VmxCapabilities};
 use nf_x86::CpuVendor;
 
 use nf_fuzz::scenario::{prefix_extend, prefix_extend_u64, prefix_root};
@@ -108,6 +108,20 @@ pub struct AllocIterationResult {
     pub lines: LineSet,
     /// Feedback for the engine.
     pub feedback: ExecFeedback,
+}
+
+/// A generated fuzz-harness VM: everything steps 1–3 of the iteration
+/// loop derive from one input, ready for steps 4–5 on any agent whose
+/// host was prepared for `config`.
+pub(crate) struct StagedVm<'a> {
+    config: HvConfig,
+    vmcs12: Vmcs,
+    msr_area: MsrArea,
+    vmcb12: Vmcb,
+    plan: InitPlan,
+    /// The runtime-phase bytes (the input's, or the fixed template
+    /// under the harness ablation).
+    runtime: &'a [u8],
 }
 
 /// The agent: owns the execution engine and the per-campaign state.
@@ -410,31 +424,22 @@ impl Agent {
     /// harness-VM generation, init phase, runtime phase. Shared by the
     /// scratch and compat collection paths.
     fn execute<O: ExecObserver>(&mut self, input: &FuzzInput, observer: &mut O) {
-        self.execs += 1;
+        let vm = self.stage(input);
+        self.run_staged(&vm, observer);
+    }
+
+    /// Steps 1–3 of the iteration loop: opens the execution on this
+    /// agent's host (see [`Agent::open_staged`]) and generates the
+    /// fuzz-harness VM `input` describes — vCPU configuration, VMCS12,
+    /// MSR area, VMCB12, and the init plan.
+    ///
+    /// The VM depends only on the input and on the validator's learned
+    /// corrections, never on the backend, so agents whose validators
+    /// learned in lockstep can all run the one staged VM.
+    pub(crate) fn stage<'a>(&mut self, input: &'a FuzzInput) -> StagedVm<'a> {
         let view = InputView::new(input);
 
-        // 1. Watchdog: a dead host is restarted before the next test
-        // case, whatever else this iteration changes (paper §3.2). This
-        // is the slow path — a modeled power-cycle.
-        if self.engine.hv().health().dead {
-            self.engine.reboot();
-            self.restarts += 1;
-        }
-
-        // 1b. Open the execution on the fault injector: the agent's own
-        // exec counter indexes schedule-driven faults (so a resumed
-        // campaign continues the schedule exactly) and the input's
-        // content digest indexes hangs (so a hanging input hangs again
-        // on replay). Also re-arms the exec watchdog's fuel budget.
-        if let Some(faults) = &self.faults {
-            faults
-                .borrow_mut()
-                .begin_exec(self.execs, input_digest(input), self.watchdog_fuel);
-        }
-
-        // 2. vCPU configuration. The engine services a changed config
-        // from its booted-image cache (snapshot mode) or through the
-        // factory (rebuild mode), and resets guest state either way.
+        // 2. vCPU configuration (a pure function of the input bytes).
         let (features, nested) = if self.mask.configurator {
             self.configurator.generate(view.vcpu_cfg())
         } else {
@@ -445,10 +450,9 @@ impl Agent {
             features,
             nested,
         };
-        self.engine.prepare(&config);
+        self.open(input, &config);
 
         // 3. Generate the fuzz-harness VM content.
-        let revision = VmxCapabilities::REVISION;
         let (vmcs12, msr_area, vmcb12) = if self.mask.validator {
             let validator = self.engine.validator_mut();
             let (vmcs, area) =
@@ -485,7 +489,8 @@ impl Agent {
             (vmcs, area, vmcb)
         };
 
-        // 4. Initialization phase.
+        // The init plan and runtime bytes steps 4–5 execute.
+        let revision = VmxCapabilities::REVISION;
         let plan = if self.mask.harness {
             self.harness.mutated_plan(revision, view.init_bytes())
         } else {
@@ -496,33 +501,76 @@ impl Agent {
         const FIXED: [u8; 24] = [
             0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 13, 0, 0, 0, 14, 0, 0, 0,
         ];
-        let runtime_bytes: &[u8] = if self.mask.harness {
+        let runtime: &[u8] = if self.mask.harness {
             view.runtime_bytes()
         } else {
             &FIXED
         };
+        StagedVm {
+            config,
+            vmcs12,
+            msr_area,
+            vmcb12,
+            plan,
+            runtime,
+        }
+    }
 
+    /// Steps 1–2 of the iteration loop for a VM another agent staged
+    /// from the same `input`: counts the execution, restarts a dead
+    /// host, opens the fault injector, and prepares the host for the
+    /// staged configuration — everything [`Agent::stage`] does before
+    /// generation.
+    pub(crate) fn open_staged(&mut self, input: &FuzzInput, vm: &StagedVm) {
+        self.open(input, &vm.config);
+    }
+
+    fn open(&mut self, input: &FuzzInput, config: &HvConfig) {
+        self.execs += 1;
+
+        // 1. Watchdog: a dead host is restarted before the next test
+        // case, whatever else this iteration changes (paper §3.2). This
+        // is the slow path — a modeled power-cycle.
+        if self.engine.hv().health().dead {
+            self.engine.reboot();
+            self.restarts += 1;
+        }
+
+        // 1b. Open the execution on the fault injector: the agent's own
+        // exec counter indexes schedule-driven faults (so a resumed
+        // campaign continues the schedule exactly) and the input's
+        // content digest indexes hangs (so a hanging input hangs again
+        // on replay). Also re-arms the exec watchdog's fuel budget.
+        if let Some(faults) = &self.faults {
+            faults
+                .borrow_mut()
+                .begin_exec(self.execs, input_digest(input), self.watchdog_fuel);
+        }
+
+        // 2. The engine services a changed config from its booted-image
+        // cache (snapshot mode) or through the factory (rebuild mode),
+        // and resets guest state either way.
+        self.engine.prepare(config);
+    }
+
+    /// Steps 4–5 of the iteration loop: runs a staged VM's init and
+    /// runtime phases on this agent's prepared host, through the
+    /// prefix trie when it is enabled.
+    fn run_staged<O: ExecObserver>(&mut self, vm: &StagedVm, observer: &mut O) {
         if self.engine.prefix_enabled() {
             // Prefix-cached steps 4–5: restore the deepest cached
             // ancestor and execute only the suffix.
-            self.execute_prefixed(
-                &config,
-                &plan,
-                &vmcs12,
-                &vmcb12,
-                &msr_area,
-                runtime_bytes,
-                observer,
-            );
+            self.execute_prefixed(vm, observer);
             return;
         }
 
+        // 4. Initialization phase.
         let init = self.harness.run_init_observed(
             self.engine.hv_mut(),
-            &plan,
-            &vmcs12,
-            &vmcb12,
-            &msr_area,
+            &vm.plan,
+            &vm.vmcs12,
+            &vm.vmcb12,
+            &vm.msr_area,
             observer,
         );
 
@@ -530,11 +578,29 @@ impl Agent {
         if !init.host_dead {
             self.harness.run_runtime_observed(
                 self.engine.hv_mut(),
-                runtime_bytes,
+                vm.runtime,
                 init.l2_live,
                 observer,
             );
         }
+    }
+
+    /// Steps 4–5 for an execution whose coverage and finds nobody
+    /// reads — the differential oracle's replays, which keep only the
+    /// observer's record, the guest state, and the host's health.
+    /// Runs the staged VM, drops the trace without projecting it, and
+    /// reduces the sanitizer reports to the returned crash flag.
+    pub(crate) fn replay_staged<O: ExecObserver>(
+        &mut self,
+        vm: &StagedVm,
+        observer: &mut O,
+    ) -> bool {
+        self.run_staged(vm, observer);
+        self.engine.discard_trace();
+        let reports = &mut self.engine.hv_mut().health_mut().reports;
+        let crashed = !reports.is_empty();
+        reports.clear();
+        crashed
     }
 
     /// Prefix-cached execution of the harness phases: builds the
@@ -551,18 +617,17 @@ impl Agent {
     /// ([`ExecPhase::apply`]) are shared, a restored node's key covers
     /// the entire execution context up to its boundary, and the event
     /// replay fires exactly the hooks live execution fired.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_prefixed<O: ExecObserver>(
-        &mut self,
-        config: &HvConfig,
-        plan: &InitPlan,
-        vmcs12: &nf_vmx::Vmcs,
-        vmcb12: &nf_vmx::Vmcb,
-        msr_area: &nf_vmx::MsrArea,
-        runtime_bytes: &[u8],
-        observer: &mut O,
-    ) {
+    fn execute_prefixed<O: ExecObserver>(&mut self, vm: &StagedVm, observer: &mut O) {
         use nf_fuzz::InputLayout;
+
+        let StagedVm {
+            config,
+            vmcs12,
+            msr_area,
+            vmcb12,
+            plan,
+            runtime: runtime_bytes,
+        } = vm;
 
         // Root hash: everything that shapes execution before the first
         // scenario unit. The generated-image digests make the root (and

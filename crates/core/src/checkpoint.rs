@@ -141,18 +141,18 @@ pub fn write_checkpoint(campaign: &Campaign, dir: &Path) -> io::Result<()> {
 /// falling back to the `<dir>.old` backup when `dir` itself has no
 /// readable STATE (a host death between the two swap renames).
 pub fn read_checkpoint(dir: &Path) -> io::Result<(CampaignCheckpoint, Corpus)> {
-    let dir = match std::fs::read_to_string(dir.join("STATE")) {
-        Ok(_) => dir.to_path_buf(),
+    let (dir, text) = match std::fs::read_to_string(dir.join("STATE")) {
+        Ok(text) => (dir.to_path_buf(), text),
         Err(primary) => {
             let old = sibling(dir, ".old");
-            if old.join("STATE").is_file() {
-                old
-            } else {
+            if !old.join("STATE").is_file() {
                 return Err(primary);
             }
+            let text = std::fs::read_to_string(old.join("STATE"))?;
+            (old, text)
         }
     };
-    let state = parse_state(&std::fs::read_to_string(dir.join("STATE"))?)?;
+    let state = parse_state(&text)?;
     let corpus = Corpus::load_from(dir.join("corpus"))?;
     Ok((state, corpus))
 }

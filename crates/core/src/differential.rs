@@ -460,10 +460,12 @@ pub struct DivergenceStats {
 /// [`ExecObservation`] per backend, and its own divergence
 /// [`CrashTriage`].
 ///
-/// Every backend replays the same input sequence, so their validators
-/// learn the same corrections in lockstep and each backend receives
-/// the *same* generated harness VM per input — observations differ
-/// only where backend behavior differs.
+/// Every backend replays the same input sequence, and the generated
+/// harness VM depends only on the input and the validator's learned
+/// corrections — never on the backend — so each backend receives the
+/// *same* VM per input, and observations differ only where backend
+/// behavior differs. The runner therefore generates it once, on the
+/// first backend's agent, and hands it to the others.
 pub struct DifferentialRunner {
     names: Vec<String>,
     agents: Vec<Agent>,
@@ -596,11 +598,25 @@ impl DifferentialRunner {
     /// observations, and diffs them pairwise. New divergences are
     /// recorded as [`CrashKind::Divergence`] findings under `exec` (the
     /// campaign's execution index).
+    ///
+    /// The harness VM is generated once, by the first backend's agent;
+    /// every other agent only prepares its host for the staged
+    /// configuration and runs the same VM. A replay's coverage and
+    /// sanitizer finds are never read, so each backend costs one model
+    /// execution and nothing more.
     pub fn observe_exec(&mut self, input: &FuzzInput, exec: u64) {
         self.stats.execs_compared += 1;
+        let (first, others) = self
+            .agents
+            .split_first_mut()
+            .expect("a runner has at least two backends");
+        let vm = first.stage(input);
+        for agent in others {
+            agent.open_staged(input, &vm);
+        }
         for (agent, ob) in self.agents.iter_mut().zip(&mut self.obs) {
             ob.clear();
-            let crashed = agent.run_iteration_with(input, ob).feedback.crashed;
+            let crashed = agent.replay_staged(&vm, ob);
             ob.final_state = agent.observe_guest();
             ob.crashed = crashed || agent.hv().health().dead;
         }

@@ -941,6 +941,18 @@ impl ExecutionEngine {
         self.scratch.project(self.hv.coverage_map());
     }
 
+    /// Drops the just-finished execution's trace without projecting
+    /// it — for executions whose coverage nobody reads. The trace is
+    /// swapped out and cleared, and the hypervisor gets an empty one
+    /// back, as after [`collect_coverage`](Self::collect_coverage). The
+    /// scratch bitmap and line set keep the last collected execution;
+    /// the scratch trace is left empty.
+    pub fn discard_trace(&mut self) {
+        self.scratch.trace.clear();
+        self.hv.swap_trace(&mut self.scratch.trace);
+        self.scratch.trace.clear();
+    }
+
     /// Watchdog slow path: fully reboots the active host, clearing its
     /// health state. Deliberately *not* snapshot-based — a dead host
     /// models a real machine power-cycle (§3.2).
@@ -1330,6 +1342,37 @@ mod tests {
         assert!(e.scratch().bitmap.iter().all(|&b| b == 0));
         assert_eq!(e.scratch().lines.count(), 0);
         assert!(e.scratch().trace.is_empty());
+    }
+
+    #[test]
+    fn discard_trace_drops_the_exec_and_keeps_the_last_collection() {
+        let mut e = engine(EngineMode::Snapshot);
+        let probe = nf_silicon::GuestInstr::Rdmsr(nf_x86::Msr::VmxBasic.index());
+        e.hv_mut().l1_exec(probe);
+        e.collect_coverage();
+        let collected = e.scratch().clone();
+
+        // A discarded exec leaves the hypervisor on an empty trace and
+        // the scratch's bitmap and lines on the last collected exec.
+        for _ in 0..2 {
+            e.prepare(&HvConfig::default_for(CpuVendor::Intel));
+            e.hv_mut().l1_exec(probe);
+            e.hv_mut().l1_exec(probe);
+            assert!(!e.hv().trace().is_empty());
+            e.discard_trace();
+            assert!(e.hv().trace().is_empty());
+            assert!(e.scratch().trace.is_empty());
+            assert_eq!(e.scratch().bitmap, collected.bitmap);
+            assert_eq!(e.scratch().lines, collected.lines);
+        }
+
+        // Collection after a discard sees only its own exec.
+        e.prepare(&HvConfig::default_for(CpuVendor::Intel));
+        e.hv_mut().l1_exec(probe);
+        e.collect_coverage();
+        assert_eq!(e.scratch().bitmap, collected.bitmap);
+        assert_eq!(e.scratch().lines, collected.lines);
+        assert_eq!(e.scratch().trace, collected.trace);
     }
 
     #[test]

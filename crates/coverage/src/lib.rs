@@ -163,17 +163,28 @@ impl ExecTrace {
         ExecTrace::default()
     }
 
-    /// Records a block hit.
+    /// Records a block hit. Inlined into every model's instrumentation
+    /// site: this runs on every block hit of every execution.
+    #[inline]
     pub fn hit(&mut self, id: BlockId) {
         self.order.push(id);
         let idx = id.0 as usize;
         if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
+            self.grow_counts(idx);
         }
-        if self.counts[idx] == 0 {
+        let count = &mut self.counts[idx];
+        if *count == 0 {
             self.uniq.push(id.0);
         }
-        self.counts[idx] += 1;
+        *count += 1;
+    }
+
+    /// Widens the count index to cover block `idx` — once per block id
+    /// over a recycled trace's lifetime, so kept off the inlined path.
+    #[cold]
+    #[inline(never)]
+    fn grow_counts(&mut self, idx: usize) {
+        self.counts.resize(idx + 1, 0);
     }
 
     /// Unique blocks hit, in first-hit order.

@@ -24,7 +24,7 @@
 //! same results at any host parallelism.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
@@ -584,8 +584,11 @@ impl Corpus {
         std::fs::write(dir.join("virgin.bin"), &self.virgin)?;
         std::fs::write(dir.join("synced_virgin.bin"), &self.synced_virgin)?;
         for (i, entry) in self.entries.iter().enumerate() {
-            let mut f = std::fs::File::create(entries_dir.join(format!("{i:06}.bin")))?;
-            write_entry(&mut f, entry)?;
+            let file = std::fs::File::create(entries_dir.join(format!("{i:06}.bin")))?;
+            let mut w = io::BufWriter::new(file);
+            write_entry(&mut w, entry)?;
+            // Dropping the writer would flush too, but swallow the error.
+            w.flush()?;
         }
         Ok(())
     }
@@ -645,8 +648,8 @@ impl Corpus {
         }
         let mut entries = Vec::with_capacity(count);
         for i in 0..count {
-            let mut f = std::fs::File::open(dir.join("entries").join(format!("{i:06}.bin")))?;
-            entries.push(read_entry(&mut f, version)?);
+            let bytes = std::fs::read(dir.join("entries").join(format!("{i:06}.bin")))?;
+            entries.push(read_entry(&mut bytes.as_slice(), version)?);
         }
         // Saves from before the sharded async path lack the mask;
         // reconstruct it from the watermark diff so the invariant
@@ -1170,6 +1173,65 @@ mod tests {
         let min = c.minimize();
         min.save_to(&dir).expect("re-save");
         assert_eq!(Corpus::load_from(&dir).expect("re-load"), min);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn buffered_entry_files_match_unbuffered_writes_byte_for_byte() {
+        let dir = std::env::temp_dir().join(format!("nf-corpus-buf-{}", std::process::id()));
+        let reference = sibling(&dir, ".ref");
+        let mut c = Corpus::new();
+        c.set_worker(3);
+        c.push_seed(FuzzInput::zeroed());
+        for k in 0..6 {
+            observed(&mut c, 10 + k as usize, k * 4..k * 4 + 4, u64::from(k) + 1);
+        }
+        c.save_to(&dir).expect("save");
+
+        // The write loop before buffering: one `write` per field on an
+        // unbuffered file.
+        std::fs::create_dir_all(&reference).expect("reference dir");
+        for (i, entry) in c.entries.iter().enumerate() {
+            let mut f =
+                std::fs::File::create(reference.join(format!("{i:06}.bin"))).expect("create");
+            write_entry(&mut f, entry).expect("unbuffered write");
+        }
+
+        let saved = std::fs::read_dir(dir.join("entries"))
+            .expect("entries")
+            .count();
+        assert_eq!(saved, c.len(), "one file per entry");
+        for i in 0..c.len() {
+            let name = format!("{i:06}.bin");
+            assert_eq!(
+                std::fs::read(dir.join("entries").join(&name)).expect("saved entry"),
+                std::fs::read(reference.join(&name)).expect("reference entry"),
+                "entry {name}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&reference).ok();
+    }
+
+    #[test]
+    fn truncated_entry_files_fail_to_load() {
+        let dir = std::env::temp_dir().join(format!("nf-corpus-trunc-{}", std::process::id()));
+        let mut c = Corpus::new();
+        c.push_seed(FuzzInput::zeroed());
+        observed(&mut c, 10, 0..4, 1);
+        c.save_to(&dir).expect("save");
+        let path = dir.join("entries").join("000001.bin");
+        let whole = std::fs::read(&path).expect("entry");
+        for len in (0..whole.len()).step_by(7).chain([whole.len() - 1]) {
+            std::fs::write(&path, &whole[..len]).expect("truncate");
+            assert!(
+                Corpus::load_from(&dir).is_err(),
+                "entry cut to {len} of {} bytes must not load",
+                whole.len()
+            );
+        }
+        std::fs::write(&path, &whole).expect("restore");
+        assert_eq!(Corpus::load_from(&dir).expect("whole entry loads"), c);
         std::fs::remove_dir_all(&dir).ok();
     }
 

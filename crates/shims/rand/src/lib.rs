@@ -85,13 +85,18 @@ pub trait SampleRange<T> {
     fn sample_single(self, rng: &mut dyn RngCore) -> T;
 }
 
+// Every span fits in 64 bits plus one (the full inclusive range of a
+// 64-bit type), so the offset is a single `u64` modulo of the draw: a
+// `u128` modulo would be a software division on every draw. The full
+// range, whose span 2^64 overflows `u64`, takes the draw itself — what
+// `draw % 2^64` is.
 macro_rules! impl_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_single(self, rng: &mut dyn RngCore) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let offset = u128::from(rng.next_u64()) % span;
+                let span = (self.end as i128 - self.start as i128) as u64;
+                let offset = rng.next_u64() % span;
                 (self.start as i128 + offset as i128) as $t
             }
         }
@@ -99,8 +104,11 @@ macro_rules! impl_sample_range {
             fn sample_single(self, rng: &mut dyn RngCore) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range in gen_range");
-                let span = (end as i128 - start as i128) as u128 + 1;
-                let offset = u128::from(rng.next_u64()) % span;
+                let draw = rng.next_u64();
+                let offset = match ((end as i128 - start as i128) as u64).checked_add(1) {
+                    Some(span) => draw % span,
+                    None => draw,
+                };
                 (start as i128 + offset as i128) as $t
             }
         }
@@ -212,7 +220,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SampleRange, SeedableRng};
 
     #[test]
     fn streams_are_seed_deterministic() {
@@ -234,6 +242,41 @@ mod tests {
             let y: u8 = rng.gen_range(1..=35u8);
             assert!((1..=35).contains(&y));
         }
+    }
+
+    /// Samples `range` and checks every draw against the original
+    /// 128-bit formula `start + draw % span`, on a twin generator.
+    fn assert_matches_u128_modulo<T, R>(range: R, start: i128, span: u128)
+    where
+        T: Into<i128>,
+        R: SampleRange<T> + Clone,
+    {
+        let mut rng = SmallRng::seed_from_u64(span as u64 ^ 0x5eed);
+        let mut twin = rng.clone();
+        for _ in 0..512 {
+            let got: i128 = range.clone().sample_single(&mut rng).into();
+            let want = start + (u128::from(twin.next_u64()) % span) as i128;
+            assert_eq!(got, want, "span {span:#x} from {start}");
+        }
+        // One draw per sample: the streams are still in step.
+        assert_eq!(rng.next_u64(), twin.next_u64());
+    }
+
+    #[test]
+    fn gen_range_matches_the_u128_modulo_on_every_span_width() {
+        const TWO_63: u64 = 1 << 63;
+        assert_matches_u128_modulo(5u64..6, 5, 1);
+        assert_matches_u128_modulo(0u64..2, 0, 2);
+        assert_matches_u128_modulo(10u64..13, 10, 3);
+        assert_matches_u128_modulo(0u64..1 << 32, 0, 1 << 32);
+        assert_matches_u128_modulo(0u64..=TWO_63, 0, u128::from(TWO_63) + 1);
+        assert_matches_u128_modulo(0u64..u64::MAX, 0, u128::from(u64::MAX));
+        assert_matches_u128_modulo(0u64..=u64::MAX, 0, 1 << 64);
+        assert_matches_u128_modulo(i64::MIN..=i64::MAX, i64::MIN.into(), 1 << 64);
+        assert_matches_u128_modulo(-100i8..27, -100, 127);
+        assert_matches_u128_modulo(i8::MIN..=-1, i8::MIN.into(), 128);
+        assert_matches_u128_modulo(i64::MIN..-5, i64::MIN.into(), u128::from(TWO_63) - 5);
+        assert_matches_u128_modulo(-3i64..=3, -3, 7);
     }
 
     #[test]

@@ -203,6 +203,35 @@ pub struct Vmcb {
     pub save: VmcbSave,
 }
 
+/// The fields of a full-length serialized VMCB, read in layout order
+/// (the decode half of [`Vmcb::to_bytes`]).
+struct Fields<'a> {
+    layout: &'a [u8; Vmcb::BYTES],
+    off: usize,
+}
+
+impl Fields<'_> {
+    /// The next `N` bytes of the layout.
+    #[inline(always)]
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let field = *self.layout[self.off..]
+            .first_chunk()
+            .expect("field lies within the layout");
+        self.off += N;
+        field
+    }
+
+    #[inline(always)]
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    #[inline(always)]
+    fn skip(&mut self, n: usize) {
+        self.off += n;
+    }
+}
+
 impl Vmcb {
     /// Serialized size in bytes of the fuzz layout.
     pub const BYTES: usize = 13 * 8 // control u64 block 1
@@ -293,93 +322,99 @@ impl Vmcb {
     }
 
     /// Deserializes from fuzz bytes; missing bytes read as zero.
+    ///
+    /// Input shorter than [`Vmcb::BYTES`] is zero-padded once up
+    /// front, so every field is one fixed-width little-endian read
+    /// from a full-length layout, on one path whatever the length.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        struct Cursor<'a> {
-            bytes: &'a [u8],
-            off: usize,
-        }
-        impl Cursor<'_> {
-            fn take(&mut self, n: usize) -> u64 {
-                let mut buf = [0u8; 8];
-                for (i, b) in buf.iter_mut().enumerate().take(n) {
-                    *b = self.bytes.get(self.off + i).copied().unwrap_or(0);
-                }
-                self.off += n;
-                u64::from_le_bytes(buf)
+        let padded;
+        let layout: &[u8; Self::BYTES] = match bytes.first_chunk() {
+            Some(layout) => layout,
+            None => {
+                let mut buf = [0u8; Self::BYTES];
+                buf[..bytes.len()].copy_from_slice(bytes);
+                padded = buf;
+                &padded
             }
-        }
-        let mut cur = Cursor { bytes, off: 0 };
+        };
+        let mut f = Fields { layout, off: 0 };
         let mut vmcb = Vmcb::default();
         {
             let c = &mut vmcb.control;
-            c.intercepts = cur.take(8);
-            c.iopm_base_pa = cur.take(8);
-            c.msrpm_base_pa = cur.take(8);
-            c.tsc_offset = cur.take(8);
-            c.int_ctl = cur.take(8);
-            c.interrupt_shadow = cur.take(8);
-            c.exitcode = cur.take(8);
-            c.exitinfo1 = cur.take(8);
-            c.exitinfo2 = cur.take(8);
-            c.exitintinfo = cur.take(8);
-            c.np_enable = cur.take(8);
-            c.avic_apic_bar = cur.take(8);
-            c.event_inj = cur.take(8);
-            c.guest_asid = cur.take(4) as u32;
-            c.tlb_control = cur.take(1) as u8;
-            c.pause_filter_count = cur.take(2) as u16;
-            c.pause_filter_thresh = cur.take(2) as u16;
-            cur.take(1);
-            c.ncr3 = cur.take(8);
-            c.lbr_ctl = cur.take(8);
-            c.nrip = cur.take(8);
-            c.avic_backing_page = cur.take(8);
-            c.avic_logical_table = cur.take(8);
-            c.avic_physical_table = cur.take(8);
-            cur.take(8);
-            cur.take(8);
-            cur.take(8);
-            c.vmcb_clean = cur.take(4) as u32;
-            cur.take(4);
+            c.intercepts = f.u64();
+            c.iopm_base_pa = f.u64();
+            c.msrpm_base_pa = f.u64();
+            c.tsc_offset = f.u64();
+            c.int_ctl = f.u64();
+            c.interrupt_shadow = f.u64();
+            c.exitcode = f.u64();
+            c.exitinfo1 = f.u64();
+            c.exitinfo2 = f.u64();
+            c.exitintinfo = f.u64();
+            c.np_enable = f.u64();
+            c.avic_apic_bar = f.u64();
+            c.event_inj = f.u64();
+            c.guest_asid = u32::from_le_bytes(f.take());
+            c.tlb_control = u8::from_le_bytes(f.take());
+            c.pause_filter_count = u16::from_le_bytes(f.take());
+            c.pause_filter_thresh = u16::from_le_bytes(f.take());
+            f.skip(1);
+            c.ncr3 = f.u64();
+            c.lbr_ctl = f.u64();
+            c.nrip = f.u64();
+            c.avic_backing_page = f.u64();
+            c.avic_logical_table = f.u64();
+            c.avic_physical_table = f.u64();
+            f.skip(3 * 8);
+            c.vmcb_clean = u32::from_le_bytes(f.take());
+            f.skip(4);
         }
         {
             let s = &mut vmcb.save;
-            let seg = |cur: &mut Cursor| Segment {
-                selector: Selector(cur.take(2) as u16),
-                ar: AccessRights::new(cur.take(4) as u32),
-                limit: cur.take(4) as u32,
-                base: cur.take(8),
-            };
-            s.es = seg(&mut cur);
-            s.cs = seg(&mut cur);
-            s.ss = seg(&mut cur);
-            s.ds = seg(&mut cur);
-            s.fs = seg(&mut cur);
-            s.gs = seg(&mut cur);
-            s.gdtr = seg(&mut cur);
-            s.ldtr = seg(&mut cur);
-            s.idtr = seg(&mut cur);
-            s.tr = seg(&mut cur);
-            s.cpl = cur.take(1) as u8;
-            cur.take(7);
-            s.efer = cur.take(8);
-            s.cr4 = cur.take(8);
-            s.cr3 = cur.take(8);
-            s.cr0 = cur.take(8);
-            s.dr7 = cur.take(8);
-            s.dr6 = cur.take(8);
-            s.rflags = cur.take(8);
-            s.rip = cur.take(8);
-            s.rsp = cur.take(8);
-            s.rax = cur.take(8);
-            s.star = cur.take(8);
-            s.lstar = cur.take(8);
-            s.cstar = cur.take(8);
-            s.sfmask = cur.take(8);
-            s.kernel_gs_base = cur.take(8);
-            s.sysenter_cs = cur.take(8);
-            s.g_pat = cur.take(8);
+            for seg in [
+                &mut s.es,
+                &mut s.cs,
+                &mut s.ss,
+                &mut s.ds,
+                &mut s.fs,
+                &mut s.gs,
+                &mut s.gdtr,
+                &mut s.ldtr,
+                &mut s.idtr,
+                &mut s.tr,
+            ] {
+                *seg = Segment {
+                    selector: Selector(u16::from_le_bytes(f.take())),
+                    ar: AccessRights::new(u32::from_le_bytes(f.take())),
+                    limit: u32::from_le_bytes(f.take()),
+                    base: f.u64(),
+                };
+            }
+            s.cpl = u8::from_le_bytes(f.take());
+            f.skip(7);
+            for field in [
+                &mut s.efer,
+                &mut s.cr4,
+                &mut s.cr3,
+                &mut s.cr0,
+                &mut s.dr7,
+                &mut s.dr6,
+                &mut s.rflags,
+                &mut s.rip,
+                &mut s.rsp,
+                &mut s.rax,
+                &mut s.star,
+                &mut s.lstar,
+                &mut s.cstar,
+                &mut s.sfmask,
+                &mut s.kernel_gs_base,
+                &mut s.sysenter_cs,
+                &mut s.g_pat,
+            ] {
+                *field = f.u64();
+            }
         }
+        debug_assert_eq!(f.off, Self::BYTES);
         vmcb
     }
 
@@ -429,6 +464,114 @@ mod tests {
         assert_eq!(v.control.msrpm_base_pa, 0);
         let empty = Vmcb::from_bytes(&[]);
         assert_eq!(empty, Vmcb::default());
+    }
+
+    /// Reference decode: a byte cursor over the input, reading each
+    /// missing byte as zero.
+    fn from_bytes_reference(bytes: &[u8]) -> Vmcb {
+        let mut off = 0usize;
+        let mut take = |n: usize| -> u64 {
+            let mut buf = [0u8; 8];
+            for (i, b) in buf.iter_mut().enumerate().take(n) {
+                *b = bytes.get(off + i).copied().unwrap_or(0);
+            }
+            off += n;
+            u64::from_le_bytes(buf)
+        };
+        let mut v = Vmcb::default();
+        let c = &mut v.control;
+        c.intercepts = take(8);
+        c.iopm_base_pa = take(8);
+        c.msrpm_base_pa = take(8);
+        c.tsc_offset = take(8);
+        c.int_ctl = take(8);
+        c.interrupt_shadow = take(8);
+        c.exitcode = take(8);
+        c.exitinfo1 = take(8);
+        c.exitinfo2 = take(8);
+        c.exitintinfo = take(8);
+        c.np_enable = take(8);
+        c.avic_apic_bar = take(8);
+        c.event_inj = take(8);
+        c.guest_asid = take(4) as u32;
+        c.tlb_control = take(1) as u8;
+        c.pause_filter_count = take(2) as u16;
+        c.pause_filter_thresh = take(2) as u16;
+        take(1);
+        c.ncr3 = take(8);
+        c.lbr_ctl = take(8);
+        c.nrip = take(8);
+        c.avic_backing_page = take(8);
+        c.avic_logical_table = take(8);
+        c.avic_physical_table = take(8);
+        take(8);
+        take(8);
+        take(8);
+        c.vmcb_clean = take(4) as u32;
+        take(4);
+        let s = &mut v.save;
+        for seg in [
+            &mut s.es,
+            &mut s.cs,
+            &mut s.ss,
+            &mut s.ds,
+            &mut s.fs,
+            &mut s.gs,
+            &mut s.gdtr,
+            &mut s.ldtr,
+            &mut s.idtr,
+            &mut s.tr,
+        ] {
+            seg.selector = Selector(take(2) as u16);
+            seg.ar = AccessRights::new(take(4) as u32);
+            seg.limit = take(4) as u32;
+            seg.base = take(8);
+        }
+        s.cpl = take(1) as u8;
+        take(7);
+        for field in [
+            &mut s.efer,
+            &mut s.cr4,
+            &mut s.cr3,
+            &mut s.cr0,
+            &mut s.dr7,
+            &mut s.dr6,
+            &mut s.rflags,
+            &mut s.rip,
+            &mut s.rsp,
+            &mut s.rax,
+            &mut s.star,
+            &mut s.lstar,
+            &mut s.cstar,
+            &mut s.sfmask,
+            &mut s.kernel_gs_base,
+            &mut s.sysenter_cs,
+            &mut s.g_pat,
+        ] {
+            *field = take(8);
+        }
+        v
+    }
+
+    #[test]
+    fn from_bytes_matches_the_reference_decode_at_every_length() {
+        // splitmix64: random bytes without a dependency.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next_byte = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u8
+        };
+        for len in 0..=Vmcb::BYTES + 8 {
+            let bytes: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+            assert_eq!(
+                Vmcb::from_bytes(&bytes),
+                from_bytes_reference(&bytes),
+                "length {len}"
+            );
+        }
     }
 
     #[test]
