@@ -16,6 +16,7 @@ use nf_silicon::{GuestInstr, VmInstrError};
 use nf_x86::{CpuVendor, FeatureSet};
 
 use crate::fault::{RestoreFault, SharedFaults};
+use crate::l1::{NestedL1Snapshot, NestedL1State};
 use crate::sanitizer::HostHealth;
 
 /// A vCPU/host configuration produced by the vCPU configurator through a
@@ -216,7 +217,9 @@ pub enum IoctlOp {
 /// captured.
 ///
 /// Snapshots are backend-tagged: restoring a snapshot on a different
-/// backend is a programming error and panics.
+/// backend is a programming error and panics. Each variant is the
+/// shared [`NestedL1State`] image, which holds every heavy component,
+/// plus that backend's own extras.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HvSnapshot {
     /// State image of a [`crate::Vkvm`] instance.
@@ -240,31 +243,64 @@ impl HvSnapshot {
         }
     }
 
+    /// The shared nested-L1 half of the snapshot, which holds every
+    /// heavy component.
+    pub(crate) fn core(&self) -> &NestedL1Snapshot {
+        match self {
+            HvSnapshot::Vkvm(s) => &s.core,
+            HvSnapshot::Vxen(s) => &s.core,
+            HvSnapshot::Vvbox(s) => &s.core,
+            HvSnapshot::Golden(s) => &s.core,
+        }
+    }
+
+    /// Mutable form of [`Self::core`], for interning.
+    pub(crate) fn core_mut(&mut self) -> &mut NestedL1Snapshot {
+        match self {
+            HvSnapshot::Vkvm(s) => &mut s.core,
+            HvSnapshot::Vxen(s) => &mut s.core,
+            HvSnapshot::Vvbox(s) => &mut s.core,
+            HvSnapshot::Golden(s) => &mut s.core,
+        }
+    }
+
     /// Heap footprint of the snapshot's heavy components (VMCS/VMCB
     /// images, MSR areas) as if each were owned outright — what a
     /// deep-copied snapshot costs. The content-addressed store's budget
     /// accounting (see [`crate::store`]) charges only the unique subset
     /// instead.
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            HvSnapshot::Vkvm(s) => s.heap_bytes(),
-            HvSnapshot::Vxen(s) => s.heap_bytes(),
-            HvSnapshot::Vvbox(s) => s.heap_bytes(),
-            HvSnapshot::Golden(s) => s.heap_bytes(),
-        }
+        self.core().heap_bytes()
     }
 }
 
 /// The L0 hypervisor under test.
+///
+/// Every backend embeds a [`NestedL1State`] — the L1 state the models
+/// share — and exposes it through [`Self::core`] /
+/// [`Self::core_mut`]. The plumbing methods are defaults over that
+/// core; a backend implements only its name, the reset, snapshot and
+/// restore of its own extras, and its policy: [`Self::l1_exec`],
+/// [`Self::l2_exec`] and [`Self::host_ioctl`].
 pub trait L0Hypervisor {
     /// Short name, e.g. `"vkvm"`.
     fn name(&self) -> &'static str;
 
+    /// The shared nested-L1 state core.
+    fn core(&self) -> &NestedL1State;
+
+    /// Mutable access to the shared nested-L1 state core.
+    fn core_mut(&mut self) -> &mut NestedL1State;
+
     /// CPU vendor this instance was booted on.
-    fn vendor(&self) -> CpuVendor;
+    fn vendor(&self) -> CpuVendor {
+        self.core().config.vendor
+    }
 
     /// The active configuration.
-    fn config(&self) -> &HvConfig;
+    fn config(&self) -> &HvConfig {
+        &self.core().config
+    }
 
     /// Resets guest-visible state for a fresh fuzz-harness VM boot,
     /// keeping cumulative coverage. Models the agent relaunching the
@@ -272,7 +308,10 @@ pub trait L0Hypervisor {
     fn reset_guest(&mut self);
 
     /// Fully reboots the host (watchdog path): clears health state too.
-    fn reboot_host(&mut self);
+    fn reboot_host(&mut self) {
+        self.reset_guest();
+        self.core_mut().health = HostHealth::new();
+    }
 
     /// Captures the instance's complete mutable state (see
     /// [`HvSnapshot`] for exactly what that covers). A snapshot taken
@@ -293,22 +332,23 @@ pub trait L0Hypervisor {
 
     /// Installs a deterministic fault-injection handle (see
     /// [`crate::fault`]): once installed, every guest instruction ticks
-    /// the injector and every [`Self::try_restore`] consults it. The
-    /// default ignores the handle — a backend that opts out simply
-    /// never faults. All four shipped backends opt in.
+    /// the injector and every [`Self::try_restore`] consults it.
     fn install_faults(&mut self, faults: SharedFaults) {
-        let _ = faults;
+        self.core_mut().faults = Some(faults);
     }
 
     /// Fallible form of [`Self::restore`]: consults the installed
-    /// fault injector (if any) before restoring. The default — and the
-    /// behaviour with no injector installed — is an infallible
-    /// [`Self::restore`]. On `Err` the instance state is untouched.
+    /// fault injector (if any) before restoring. With no injector
+    /// installed it is an infallible [`Self::restore`]. On `Err` the
+    /// instance state is untouched.
     ///
     /// # Panics
     ///
     /// Panics if `snap` was captured from a different backend.
     fn try_restore(&mut self, snap: &HvSnapshot) -> Result<(), RestoreFault> {
+        if let Some(f) = &self.core().faults {
+            f.borrow_mut().check_restore()?;
+        }
         self.restore(snap);
         Ok(())
     }
@@ -318,13 +358,23 @@ pub trait L0Hypervisor {
 
     /// Models L1 writing a VMCS region header (revision id) into its own
     /// memory before `vmptrld` — a plain store, invisible to L0.
-    fn l1_stage_vmcs_region(&mut self, addr: u64, revision: u32);
+    fn l1_stage_vmcs_region(&mut self, addr: u64, revision: u32) {
+        self.core_mut()
+            .vmcs12_mem
+            .entry(addr)
+            .or_default()
+            .revision_id = revision;
+    }
 
     /// Models L1 building a VMCB in its own memory before `vmrun`.
-    fn l1_stage_vmcb(&mut self, addr: u64, vmcb: nf_vmx::Vmcb);
+    fn l1_stage_vmcb(&mut self, addr: u64, vmcb: nf_vmx::Vmcb) {
+        self.core_mut().vmcb12_mem.insert(addr, vmcb);
+    }
 
     /// Models L1 building an MSR-load/store area in its own memory.
-    fn l1_stage_msr_area(&mut self, addr: u64, area: nf_vmx::MsrArea);
+    fn l1_stage_msr_area(&mut self, addr: u64, area: nf_vmx::MsrArea) {
+        self.core_mut().msr_area_mem.insert(addr, area);
+    }
 
     /// Drives the live L2 guest with `instr`.
     fn l2_exec(&mut self, instr: GuestInstr) -> L2Result;
@@ -335,27 +385,33 @@ pub trait L0Hypervisor {
     /// Captures the guest-visible architectural state for the
     /// differential oracle (see [`GuestObservation`] for exactly what
     /// is — and is not — comparable across backends).
-    fn observe_guest(&self) -> GuestObservation;
+    fn observe_guest(&self) -> GuestObservation {
+        self.core().observe()
+    }
 
     /// The instrumentation registry.
-    fn coverage_map(&self) -> &CovMap;
+    fn coverage_map(&self) -> &CovMap {
+        &self.core().cov.map
+    }
 
     /// Read-only view of the in-flight execution trace.
     ///
     /// [`Self::snapshot`] deliberately excludes instrumentation, so a
     /// mid-scenario checkpoint (the prefix cache's snapshot-at-an-
     /// instruction-boundary path) must capture the trace separately;
-    /// this accessor is that capture point. Implemented by every
-    /// backend as a plain borrow of its trace field.
-    fn trace(&self) -> &ExecTrace;
+    /// this accessor is that capture point.
+    fn trace(&self) -> &ExecTrace {
+        &self.core().trace
+    }
 
     /// Swaps the in-flight execution trace with `trace` — the
     /// zero-allocation collection path. The caller hands in a *cleared*
     /// trace (its buffers are reused for the next execution) and
     /// receives the current one; see `nf_coverage::ExecScratch` for the
-    /// ownership protocol. Implemented by every backend as a plain
-    /// `std::mem::swap` on its trace field.
-    fn swap_trace(&mut self, trace: &mut ExecTrace);
+    /// ownership protocol.
+    fn swap_trace(&mut self, trace: &mut ExecTrace) {
+        std::mem::swap(&mut self.core_mut().trace, trace);
+    }
 
     /// Takes (and clears) the block trace of the current execution.
     ///
@@ -371,17 +427,25 @@ pub trait L0Hypervisor {
     }
 
     /// The instrumented file holding Intel nested-virtualization code.
-    fn intel_file(&self) -> FileId;
+    fn intel_file(&self) -> FileId {
+        self.core().cov.intel_file
+    }
 
     /// The instrumented file holding AMD nested-virtualization code,
     /// if the hypervisor has one.
-    fn amd_file(&self) -> Option<FileId>;
+    fn amd_file(&self) -> Option<FileId> {
+        self.core().cov.amd_file
+    }
 
     /// Sanitizer / log / watchdog state.
-    fn health(&self) -> &HostHealth;
+    fn health(&self) -> &HostHealth {
+        &self.core().health
+    }
 
     /// Mutable health access for the agent (to drain reports).
-    fn health_mut(&mut self) -> &mut HostHealth;
+    fn health_mut(&mut self) -> &mut HostHealth {
+        &mut self.core_mut().health
+    }
 }
 
 #[cfg(test)]

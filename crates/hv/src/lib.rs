@@ -14,10 +14,19 @@
 //! | [`Vkvm`] | KVM, Linux 6.5 | `vmx/nested.c`, `svm/nested.c` |
 //! | [`Vxen`] | Xen 4.18 | `vmx/vvmx.c`, `svm/nestedsvm.c` |
 //! | [`Vvbox`] | VirtualBox 7.0.12 | `VMXAllTemplate.cpp` (nested part) |
+//! | [`SiliconGolden`] | bare metal (the differential oracle's reference) | none: the `nf-silicon` checks, no L0 |
+//!
+//! The four differ only in policy. The L1 state they share — control
+//! registers, VMXON region, VMCS12/VMCB12 images, staged MSR areas,
+//! health, trace and fault hook — lives in one [`NestedL1State`]
+//! core, which also owns its reset, snapshot/restore and the
+//! VMX-instruction state updates; most [`L0Hypervisor`] methods are
+//! defaults over it.
 
 pub mod api;
 pub mod fault;
 pub mod golden;
+pub mod l1;
 pub mod sanitizer;
 pub mod store;
 pub mod vkvm;
@@ -27,6 +36,7 @@ pub mod vxen;
 pub use api::{GuestObservation, HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
 pub use fault::{FaultInjector, FaultPlan, RestoreFault, SharedFaults, DEFAULT_WATCHDOG_FUEL};
 pub use golden::{GoldenSnapshot, SiliconGolden};
+pub use l1::NestedL1State;
 pub use sanitizer::{CrashKind, CrashReport, HostHealth, LogLine};
 pub use store::{Digest128, InternStore, SharedRestore, SnapshotStore};
 pub use vkvm::{Vkvm, VkvmSnapshot};
@@ -37,12 +47,46 @@ use std::sync::OnceLock;
 
 use nf_coverage::{BlockId, CovMap, FileId};
 use nf_vmx::{Vmcs, VmxCapabilities};
-use nf_x86::{CpuVendor, FeatureSet};
+use nf_x86::{CpuVendor, FeatureSet, Msr};
 
 /// Capabilities of the physical CPU beneath the VMX backend models:
 /// everything the vendor offers.
 pub(crate) fn hw_caps(vendor: CpuVendor) -> VmxCapabilities {
     VmxCapabilities::from_features(FeatureSet::full(vendor))
+}
+
+/// The value an L1 `rdmsr` of VMX capability MSR `index` reads on a
+/// CPU exposing `caps` (`vmx_get_vmx_msr` analog): the basic, control
+/// and fixed-bit MSRs; `0` for any other index.
+pub(crate) fn capability_msr(caps: &VmxCapabilities, index: u32) -> u64 {
+    match index {
+        x if x == Msr::VmxBasic.index() => caps.revision_id as u64,
+        x if x == Msr::VmxPinbasedCtls.index() || x == Msr::VmxTruePinbasedCtls.index() => {
+            let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::PinBased);
+            (a0 as u64) | ((a1 as u64) << 32)
+        }
+        x if x == Msr::VmxProcbasedCtls.index() || x == Msr::VmxTrueProcbasedCtls.index() => {
+            let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::ProcBased);
+            (a0 as u64) | ((a1 as u64) << 32)
+        }
+        x if x == Msr::VmxProcbasedCtls2.index() => {
+            let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::ProcBased2);
+            (a0 as u64) | ((a1 as u64) << 32)
+        }
+        x if x == Msr::VmxExitCtls.index() || x == Msr::VmxTrueExitCtls.index() => {
+            let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::Exit);
+            (a0 as u64) | ((a1 as u64) << 32)
+        }
+        x if x == Msr::VmxEntryCtls.index() || x == Msr::VmxTrueEntryCtls.index() => {
+            let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::Entry);
+            (a0 as u64) | ((a1 as u64) << 32)
+        }
+        x if x == Msr::VmxCr0Fixed0.index() => caps.cr0_fixed0(false),
+        x if x == Msr::VmxCr0Fixed1.index() => caps.cr0_fixed1(),
+        x if x == Msr::VmxCr4Fixed0.index() => caps.cr4_fixed0(),
+        x if x == Msr::VmxCr4Fixed1.index() => caps.cr4_fixed1(),
+        _ => 0,
+    }
 }
 
 /// The VMCS02 every nested `vmlaunch`/`vmresume` of vkvm, vxen and
@@ -110,19 +154,15 @@ impl Instrumentation {
 /// clean instance does no allocation or deep copying.
 ///
 /// `copy:` fields are plain-`Copy` scalars; `clone:` fields own heap
-/// state (maps, vectors, health) and are cloned only when dirtied;
-/// `shared:` fields hold `Arc`-interned blobs on the snapshot side
-/// (see [`store::SharedRestore`]) and delta-restore per entry, so a
-/// boundary that touched one VMCS clones one VMCS, not the whole map.
+/// state (vectors, health) and are cloned only when dirtied. The
+/// `Arc`-shared components of the L1 core restore per entry instead
+/// (see [`store::SharedRestore`]).
 macro_rules! restore_fields {
     (copy: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
         $( if $hv.$f != $snap.$f { $hv.$f = $snap.$f; } )*
     };
     (clone: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
         $( if $hv.$f != $snap.$f { $hv.$f = $snap.$f.clone(); } )*
-    };
-    (shared: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
-        $( $crate::store::SharedRestore::restore_from(&mut $hv.$f, &$snap.$f); )*
     };
 }
 pub(crate) use restore_fields;

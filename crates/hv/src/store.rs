@@ -21,10 +21,10 @@
 //! compared, so two distinct blobs never alias.
 //!
 //! [`SnapshotStore`] bundles one typed store per component kind and
-//! dispatches whole snapshots; the per-backend walks live next to each
-//! snapshot struct (their fields are module-private). Restores stay
-//! value-based delta copies — see [`SharedRestore`] and the `shared:`
-//! arm of `restore_fields!` in the crate root.
+//! dispatches whole snapshots. Every heavy component sits in the
+//! shared nested-L1 half of a snapshot, so the walk exists once, next
+//! to that type in [`crate::l1`]. Restores stay value-based delta
+//! copies — see [`SharedRestore`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -296,23 +296,13 @@ impl SnapshotStore {
     /// onto the canonical `Arc`s. Returns the bytes newly resident
     /// (each component already held by an earlier snapshot charges 0).
     pub fn intern(&mut self, snap: &mut HvSnapshot) -> usize {
-        match snap {
-            HvSnapshot::Vkvm(s) => s.intern_into(self),
-            HvSnapshot::Vxen(s) => s.intern_into(self),
-            HvSnapshot::Vvbox(s) => s.intern_into(self),
-            HvSnapshot::Golden(s) => s.intern_into(self),
-        }
+        snap.core_mut().intern_into(self)
     }
 
     /// Releases every shared component of a previously interned `snap`.
     /// Returns the bytes freed (components still held elsewhere free 0).
     pub fn release(&mut self, snap: &HvSnapshot) -> usize {
-        match snap {
-            HvSnapshot::Vkvm(s) => s.release_from(self),
-            HvSnapshot::Vxen(s) => s.release_from(self),
-            HvSnapshot::Vvbox(s) => s.release_from(self),
-            HvSnapshot::Golden(s) => s.release_from(self),
-        }
+        snap.core().release_from(self)
     }
 
     /// Bytes currently resident across all component stores.
@@ -343,9 +333,9 @@ impl Default for SnapshotStore {
 }
 
 /// Value-based delta restore of a live component from a snapshot's
-/// shared (`Arc`-held) image — the `shared:` arm of `restore_fields!`.
+/// shared (`Arc`-held) image.
 ///
-/// Semantically identical to the `clone:` arm on an unshared field:
+/// Semantically identical to cloning the image into the field:
 /// after the call the live value equals the snapshot value. The work is
 /// finer-grained, though — per entry rather than per map — so restoring
 /// across a boundary that touched one VMCS clones one VMCS, not the

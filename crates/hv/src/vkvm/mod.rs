@@ -23,21 +23,14 @@ mod vmx_nested;
 
 pub use blocks::{ABlk, IBlk};
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::GuestInstr;
-use nf_vmx::{MsrArea, Vmcb, Vmcs, VmxCapabilities};
+use nf_vmx::{Vmcb, VmxCapabilities};
 use nf_x86::{CpuVendor, Efer, Msr};
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::fault::{RestoreFault, SharedFaults};
-use crate::sanitizer::HostHealth;
-use crate::store::{
-    digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcb_bytes,
-    vmcs_bytes, SnapshotStore,
-};
+use crate::l1::{NestedL1Snapshot, NestedL1State};
 use crate::{restore_fields, Instrumentation};
 
 /// Guest-physical memory size of the L1 VM; roots beyond this limit fail
@@ -67,80 +60,11 @@ pub struct VkvmBugs {
 /// round-trip identity; the fields themselves are an internal detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VkvmSnapshot {
+    pub(crate) core: NestedL1Snapshot,
     bugs: VkvmBugs,
-    l1_cr0: u64,
-    l1_cr4: u64,
-    l1_efer: u64,
-    vmxon_region: Option<u64>,
-    vmcs12_mem: BTreeMap<u64, Arc<Vmcs>>,
-    current_vmptr: Option<u64>,
-    msr_area_mem: BTreeMap<u64, Arc<MsrArea>>,
-    vmcs02: Option<Arc<Vmcs>>,
-    in_l2: bool,
     gif: bool,
-    vmcb12_mem: BTreeMap<u64, Arc<Vmcb>>,
-    current_vmcb: Option<u64>,
     vmcb02: Option<Vmcb>,
     fail_next_alloc: bool,
-    health: HostHealth,
-}
-
-impl VkvmSnapshot {
-    /// Interns every `Arc`-held component into `store`, canonicalizing
-    /// the handles; returns the bytes newly resident.
-    pub(crate) fn intern_into(&mut self, store: &mut SnapshotStore) -> usize {
-        let mut new = 0;
-        for v in self.vmcs12_mem.values_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for a in self.msr_area_mem.values_mut() {
-            let d = digest_msr_area(a);
-            let bytes = msr_area_bytes(a);
-            new += store.msr.intern(a, d, bytes);
-        }
-        if let Some(v) = self.vmcs02.as_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for b in self.vmcb12_mem.values_mut() {
-            let d = digest_vmcb(b);
-            new += store.vmcb.intern(b, d, vmcb_bytes());
-        }
-        new
-    }
-
-    /// Releases every `Arc`-held component from `store`; returns the
-    /// bytes freed.
-    pub(crate) fn release_from(&self, store: &mut SnapshotStore) -> usize {
-        let mut freed = 0;
-        for v in self.vmcs12_mem.values() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for a in self.msr_area_mem.values() {
-            freed += store.msr.release(a, digest_msr_area(a));
-        }
-        if let Some(v) = self.vmcs02.as_ref() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for b in self.vmcb12_mem.values() {
-            freed += store.vmcb.release(b, digest_vmcb(b));
-        }
-        freed
-    }
-
-    /// Heap footprint of the heavy components as if each were owned
-    /// outright (the deep-copy baseline's budget accounting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.vmcs12_mem.len() * vmcs_bytes()
-            + self
-                .msr_area_mem
-                .values()
-                .map(|a| msr_area_bytes(a))
-                .sum::<usize>()
-            + self.vmcs02.as_ref().map_or(0, |_| vmcs_bytes())
-            + self.vmcb12_mem.len() * vmcb_bytes()
-    }
 }
 
 /// vkvm's instrumentation (`vmx/nested.c`, then `svm/nested.c`),
@@ -157,7 +81,8 @@ fn instrumentation() -> &'static Instrumentation {
 
 /// The KVM model.
 pub struct Vkvm {
-    config: HvConfig,
+    /// The L1 state every backend shares.
+    pub(crate) core: NestedL1State,
     /// Capabilities exposed to L1 (module-parameter filtered).
     pub(crate) exposed_caps: VmxCapabilities,
     /// Capabilities of the physical CPU underneath.
@@ -165,35 +90,12 @@ pub struct Vkvm {
     /// Bug switches.
     pub bugs: VkvmBugs,
 
-    cov: &'static Instrumentation,
-    pub(crate) trace: ExecTrace,
-    pub(crate) health: HostHealth,
-
-    // --- L1 vCPU state (the guest-visible registers L0 tracks).
-    pub(crate) l1_cr0: u64,
-    pub(crate) l1_cr4: u64,
-    pub(crate) l1_efer: u64,
-
-    // --- Nested VMX state.
-    pub(crate) vmxon_region: Option<u64>,
-    pub(crate) vmcs12_mem: BTreeMap<u64, Vmcs>,
-    pub(crate) current_vmptr: Option<u64>,
-    pub(crate) msr_area_mem: BTreeMap<u64, MsrArea>,
-    pub(crate) vmcs02: Option<Vmcs>,
-    pub(crate) in_l2: bool,
-
-    // --- Nested SVM state.
+    // --- Nested SVM state beyond the core.
     pub(crate) gif: bool,
-    pub(crate) vmcb12_mem: BTreeMap<u64, Vmcb>,
-    pub(crate) current_vmcb: Option<u64>,
     pub(crate) vmcb02: Option<Vmcb>,
 
     // --- Fault injection (tests only): next allocation fails.
     pub(crate) fail_next_alloc: bool,
-
-    // --- Deterministic fault injection (instrumentation, not VM
-    // state: deliberately excluded from snapshots).
-    pub(crate) faults: Option<SharedFaults>,
 }
 
 impl Vkvm {
@@ -204,45 +106,21 @@ impl Vkvm {
             exposed_caps: VmxCapabilities::from_features(exposed),
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VkvmBugs::default(),
-            cov: instrumentation(),
-            trace: ExecTrace::new(),
-            health: HostHealth::new(),
-            l1_cr0: nf_x86::Cr0::PE | nf_x86::Cr0::PG | nf_x86::Cr0::NE,
-            l1_cr4: nf_x86::Cr4::PAE,
-            l1_efer: Efer::LME | Efer::LMA,
-            vmxon_region: None,
-            vmcs12_mem: BTreeMap::new(),
-            current_vmptr: None,
-            msr_area_mem: BTreeMap::new(),
-            vmcs02: None,
-            in_l2: false,
+            core: NestedL1State::new(config, instrumentation()),
             gif: true,
-            vmcb12_mem: BTreeMap::new(),
-            current_vmcb: None,
             vmcb02: None,
-            config,
             fail_next_alloc: false,
-            faults: None,
         }
     }
 
     /// Hits an Intel nested.c block.
     pub(crate) fn cov_i(&mut self, b: IBlk) {
-        self.trace.hit(self.cov.intel[b.idx()]);
+        self.core.hit_intel(b.idx());
     }
 
     /// Hits an AMD nested.c block.
     pub(crate) fn cov_a(&mut self, b: ABlk) {
-        self.trace.hit(self.cov.amd[b.idx()]);
-    }
-
-    /// Whether nested virtualization is exposed at all (module param).
-    pub(crate) fn nested_on(&self) -> bool {
-        self.config.nested
-            && match self.config.vendor {
-                CpuVendor::Intel => self.config.features.contains(nf_x86::CpuFeature::Vmx),
-                CpuVendor::Amd => self.config.features.contains(nf_x86::CpuFeature::Svm),
-            }
+        self.core.hit_amd(b.idx());
     }
 
     /// Fault injection: the next nested-state allocation fails, covering
@@ -255,42 +133,6 @@ impl Vkvm {
     pub fn exposed_capabilities(&self) -> &VmxCapabilities {
         &self.exposed_caps
     }
-
-    /// Emulates an L1 `rdmsr` of the nested capability MSRs
-    /// (`vmx_get_vmx_msr` analog). Non-VMX MSRs live outside nested.c.
-    fn nested_vmx_msr_read(&mut self, index: u32) -> L1Result {
-        self.cov_i(IBlk::NestedVmxMsrRead);
-        let caps = &self.exposed_caps;
-        let value = match index {
-            x if x == Msr::VmxBasic.index() => caps.revision_id as u64,
-            x if x == Msr::VmxPinbasedCtls.index() || x == Msr::VmxTruePinbasedCtls.index() => {
-                let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::PinBased);
-                (a0 as u64) | ((a1 as u64) << 32)
-            }
-            x if x == Msr::VmxProcbasedCtls.index() || x == Msr::VmxTrueProcbasedCtls.index() => {
-                let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::ProcBased);
-                (a0 as u64) | ((a1 as u64) << 32)
-            }
-            x if x == Msr::VmxProcbasedCtls2.index() => {
-                let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::ProcBased2);
-                (a0 as u64) | ((a1 as u64) << 32)
-            }
-            x if x == Msr::VmxExitCtls.index() || x == Msr::VmxTrueExitCtls.index() => {
-                let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::Exit);
-                (a0 as u64) | ((a1 as u64) << 32)
-            }
-            x if x == Msr::VmxEntryCtls.index() || x == Msr::VmxTrueEntryCtls.index() => {
-                let (a0, a1) = caps.allowed(nf_vmx::CtrlKind::Entry);
-                (a0 as u64) | ((a1 as u64) << 32)
-            }
-            x if x == Msr::VmxCr0Fixed0.index() => caps.cr0_fixed0(false),
-            x if x == Msr::VmxCr0Fixed1.index() => caps.cr0_fixed1(),
-            x if x == Msr::VmxCr4Fixed0.index() => caps.cr4_fixed0(),
-            x if x == Msr::VmxCr4Fixed1.index() => caps.cr4_fixed1(),
-            _ => 0,
-        };
-        L1Result::Ok(value)
-    }
 }
 
 impl L0Hypervisor for Vkvm {
@@ -298,53 +140,27 @@ impl L0Hypervisor for Vkvm {
         "vkvm"
     }
 
-    fn vendor(&self) -> CpuVendor {
-        self.config.vendor
+    fn core(&self) -> &NestedL1State {
+        &self.core
     }
 
-    fn config(&self) -> &HvConfig {
-        &self.config
+    fn core_mut(&mut self) -> &mut NestedL1State {
+        &mut self.core
     }
 
     fn reset_guest(&mut self) {
-        self.l1_cr0 = nf_x86::Cr0::PE | nf_x86::Cr0::PG | nf_x86::Cr0::NE;
-        self.l1_cr4 = nf_x86::Cr4::PAE;
-        self.l1_efer = Efer::LME | Efer::LMA;
-        self.vmxon_region = None;
-        self.vmcs12_mem.clear();
-        self.current_vmptr = None;
-        self.msr_area_mem.clear();
-        self.vmcs02 = None;
-        self.in_l2 = false;
+        self.core.reset();
         self.gif = true;
-        self.vmcb12_mem.clear();
-        self.current_vmcb = None;
         self.vmcb02 = None;
-    }
-
-    fn reboot_host(&mut self) {
-        self.reset_guest();
-        self.health = HostHealth::new();
     }
 
     fn snapshot(&self) -> HvSnapshot {
         HvSnapshot::Vkvm(VkvmSnapshot {
+            core: self.core.snapshot(),
             bugs: self.bugs,
-            l1_cr0: self.l1_cr0,
-            l1_cr4: self.l1_cr4,
-            l1_efer: self.l1_efer,
-            vmxon_region: self.vmxon_region,
-            vmcs12_mem: share_map(&self.vmcs12_mem),
-            current_vmptr: self.current_vmptr,
-            msr_area_mem: share_map(&self.msr_area_mem),
-            vmcs02: share_opt(&self.vmcs02),
-            in_l2: self.in_l2,
             gif: self.gif,
-            vmcb12_mem: share_map(&self.vmcb12_mem),
-            current_vmcb: self.current_vmcb,
             vmcb02: self.vmcb02,
             fail_next_alloc: self.fail_next_alloc,
-            health: self.health.clone(),
         })
     }
 
@@ -352,38 +168,16 @@ impl L0Hypervisor for Vkvm {
         let HvSnapshot::Vkvm(s) = snap else {
             panic!("vkvm cannot restore a {} snapshot", snap.backend());
         };
-        restore_fields!(copy: self, s, [
-            bugs, l1_cr0, l1_cr4, l1_efer, vmxon_region, current_vmptr,
-            in_l2, gif, current_vmcb, vmcb02, fail_next_alloc,
-        ]);
-        restore_fields!(clone: self, s, [health]);
-        restore_fields!(shared: self, s, [
-            vmcs12_mem, msr_area_mem, vmcs02, vmcb12_mem,
-        ]);
-    }
-
-    fn install_faults(&mut self, faults: SharedFaults) {
-        self.faults = Some(faults);
-    }
-
-    fn try_restore(&mut self, snap: &HvSnapshot) -> Result<(), RestoreFault> {
-        if let Some(f) = &self.faults {
-            f.borrow_mut().check_restore()?;
-        }
-        self.restore(snap);
-        Ok(())
+        self.core.restore(&s.core);
+        restore_fields!(copy: self, s, [bugs, gif, vmcb02, fail_next_alloc]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {
-        if self.health.dead {
-            return L1Result::HostDead;
-        }
-        crate::fault::tick(&self.faults, &mut self.health);
-        if self.health.dead {
-            return L1Result::HostDead;
+        if let Some(r) = self.core.l1_preamble() {
+            return r;
         }
         use GuestInstr::*;
-        match (self.config.vendor, instr) {
+        match (self.core.config.vendor, instr) {
             // --- Intel VMX emulation (vmx/nested.c).
             (CpuVendor::Intel, Vmxon(addr)) => self.handle_vmxon(addr),
             (CpuVendor::Intel, Vmxoff) => self.handle_vmxoff(),
@@ -391,7 +185,7 @@ impl L0Hypervisor for Vkvm {
             (CpuVendor::Intel, Vmptrld(addr)) => self.handle_vmptrld(addr),
             (CpuVendor::Intel, Vmptrst) => {
                 self.cov_i(IBlk::HandleVmptrst);
-                L1Result::Ok(self.current_vmptr.unwrap_or(u64::MAX))
+                L1Result::Ok(self.core.current_vmptr.unwrap_or(u64::MAX))
             }
             (CpuVendor::Intel, Vmread(enc)) => self.handle_vmread(enc),
             (CpuVendor::Intel, Vmwrite(enc, val)) => self.handle_vmwrite(enc, val),
@@ -406,7 +200,8 @@ impl L0Hypervisor for Vkvm {
             (CpuVendor::Intel, Rdmsr(idx))
                 if (Msr::VmxBasic.index()..=Msr::VmxVmfunc.index()).contains(&idx) =>
             {
-                self.nested_vmx_msr_read(idx)
+                self.cov_i(IBlk::NestedVmxMsrRead);
+                L1Result::Ok(crate::capability_msr(&self.exposed_caps, idx))
             }
             (CpuVendor::Intel, Wrmsr(idx, _))
                 if (Msr::VmxBasic.index()..=Msr::VmxVmfunc.index()).contains(&idx) =>
@@ -448,60 +243,40 @@ impl L0Hypervisor for Vkvm {
             // --- Vendor-neutral L1 state updates (handled in vmx.c/svm.c,
             // outside the instrumented nested files).
             (_, MovToCr(nf_silicon::CrIndex::Cr0, v)) => {
-                self.l1_cr0 = v;
+                self.core.cr0 = v;
                 L1Result::Ok(0)
             }
             (_, MovToCr(nf_silicon::CrIndex::Cr4, v)) => {
-                self.l1_cr4 = v;
+                self.core.cr4 = v;
                 L1Result::Ok(0)
             }
-            (_, MovFromCr(nf_silicon::CrIndex::Cr0)) => L1Result::Ok(self.l1_cr0),
-            (_, MovFromCr(nf_silicon::CrIndex::Cr4)) => L1Result::Ok(self.l1_cr4),
+            (_, MovFromCr(nf_silicon::CrIndex::Cr0)) => L1Result::Ok(self.core.cr0),
+            (_, MovFromCr(nf_silicon::CrIndex::Cr4)) => L1Result::Ok(self.core.cr4),
             (_, Wrmsr(idx, v)) if idx == Msr::Efer.index() => {
                 if Efer::new(v).check_reserved().is_err() {
                     return L1Result::Fault("#GP");
                 }
-                self.l1_efer = v;
+                self.core.efer = v;
                 L1Result::Ok(0)
             }
-            (_, Rdmsr(idx)) if idx == Msr::Efer.index() => L1Result::Ok(self.l1_efer),
+            (_, Rdmsr(idx)) if idx == Msr::Efer.index() => L1Result::Ok(self.core.efer),
             // Everything else executes without touching nested code.
             _ => L1Result::Ok(0),
         }
     }
 
     fn l2_exec(&mut self, instr: GuestInstr) -> L2Result {
-        if self.health.dead {
-            return L2Result::HostDead;
+        if let Some(r) = self.core.l2_preamble() {
+            return r;
         }
-        crate::fault::tick(&self.faults, &mut self.health);
-        if self.health.dead {
-            return L2Result::HostDead;
-        }
-        if !self.in_l2 {
-            return L2Result::NoGuest;
-        }
-        match self.config.vendor {
+        match self.core.config.vendor {
             CpuVendor::Intel => self.l2_exec_vmx(instr),
             CpuVendor::Amd => self.l2_exec_svm(instr),
         }
     }
 
-    fn l1_stage_vmcs_region(&mut self, addr: u64, revision: u32) {
-        let vmcs = self.vmcs12_mem.entry(addr).or_default();
-        vmcs.revision_id = revision;
-    }
-
-    fn l1_stage_vmcb(&mut self, addr: u64, vmcb: Vmcb) {
-        self.vmcb12_mem.insert(addr, vmcb);
-    }
-
-    fn l1_stage_msr_area(&mut self, addr: u64, area: MsrArea) {
-        self.msr_area_mem.insert(addr, area);
-    }
-
     fn host_ioctl(&mut self, op: IoctlOp) {
-        match (self.config.vendor, op) {
+        match (self.core.config.vendor, op) {
             (CpuVendor::Intel, IoctlOp::GetNestedState) => self.cov_i(IBlk::IoctlGetNested),
             (CpuVendor::Intel, IoctlOp::SetNestedState) => self.cov_i(IBlk::IoctlSetNested),
             (CpuVendor::Intel, IoctlOp::FreeNestedState) => self.cov_i(IBlk::IoctlFreeNested),
@@ -516,69 +291,12 @@ impl L0Hypervisor for Vkvm {
             (CpuVendor::Amd, IoctlOp::FreeNestedState) => self.cov_a(ABlk::IoctlNestedAmd),
         }
     }
-
-    fn coverage_map(&self) -> &CovMap {
-        &self.cov.map
-    }
-
-    fn trace(&self) -> &ExecTrace {
-        &self.trace
-    }
-
-    fn swap_trace(&mut self, trace: &mut ExecTrace) {
-        std::mem::swap(&mut self.trace, trace);
-    }
-
-    fn intel_file(&self) -> FileId {
-        self.cov.intel_file
-    }
-
-    fn amd_file(&self) -> Option<FileId> {
-        self.cov.amd_file
-    }
-
-    fn health(&self) -> &HostHealth {
-        &self.health
-    }
-
-    fn observe_guest(&self) -> crate::api::GuestObservation {
-        use crate::api::GuestObservation;
-        match self.config.vendor {
-            CpuVendor::Intel => GuestObservation {
-                cr0: self.l1_cr0,
-                cr4: self.l1_cr4,
-                efer: self.l1_efer,
-                vmx_on: self.vmxon_region.is_some(),
-                current_vmptr: self.current_vmptr.unwrap_or(u64::MAX),
-                in_l2: self.in_l2,
-                vmcs12_digest: self
-                    .current_vmptr
-                    .map(|p| GuestObservation::digest_vmcs(&self.vmcs12_mem[&p]))
-                    .unwrap_or(0),
-            },
-            CpuVendor::Amd => GuestObservation {
-                cr0: self.l1_cr0,
-                cr4: self.l1_cr4,
-                efer: self.l1_efer,
-                vmx_on: false,
-                current_vmptr: self.current_vmcb.unwrap_or(u64::MAX),
-                in_l2: self.in_l2,
-                vmcs12_digest: self
-                    .current_vmcb
-                    .map(|a| GuestObservation::digest_vmcb(&self.vmcb12_mem[&a]))
-                    .unwrap_or(0),
-            },
-        }
-    }
-
-    fn health_mut(&mut self) -> &mut HostHealth {
-        &mut self.health
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nf_coverage::ExecTrace;
     use nf_silicon::{golden_vmcs, VmInstrError};
 
     fn intel_kvm() -> Vkvm {
@@ -588,12 +306,12 @@ mod tests {
     #[test]
     fn vmxon_requires_cr4_vmxe() {
         let mut kvm = intel_kvm();
-        kvm.l1_cr4 = nf_x86::Cr4::PAE; // VMXE clear
+        kvm.core.cr4 = nf_x86::Cr4::PAE; // VMXE clear
         assert_eq!(
             kvm.l1_exec(GuestInstr::Vmxon(0x1000)),
             L1Result::Fault("#UD")
         );
-        kvm.l1_cr4 |= nf_x86::Cr4::VMXE;
+        kvm.core.cr4 |= nf_x86::Cr4::VMXE;
         assert_eq!(kvm.l1_exec(GuestInstr::Vmxon(0x1000)), L1Result::Ok(0));
     }
 
@@ -602,7 +320,7 @@ mod tests {
         let mut cfg = HvConfig::default_for(CpuVendor::Intel);
         cfg.nested = false;
         let mut kvm = Vkvm::new(cfg);
-        kvm.l1_cr4 |= nf_x86::Cr4::VMXE;
+        kvm.core.cr4 |= nf_x86::Cr4::VMXE;
         assert_eq!(
             kvm.l1_exec(GuestInstr::Vmxon(0x1000)),
             L1Result::Fault("#UD")
@@ -612,7 +330,7 @@ mod tests {
     #[test]
     fn full_init_sequence_reaches_l2() {
         let mut kvm = intel_kvm();
-        kvm.l1_cr4 |= nf_x86::Cr4::VMXE;
+        kvm.core.cr4 |= nf_x86::Cr4::VMXE;
         assert_eq!(kvm.l1_exec(GuestInstr::Vmxon(0x1000)), L1Result::Ok(0));
         assert_eq!(kvm.l1_exec(GuestInstr::Vmclear(0x2000)), L1Result::Ok(0));
         kvm.l1_stage_vmcs_region(0x2000, kvm.exposed_caps.revision_id);
@@ -629,13 +347,13 @@ mod tests {
             L1Result::L2Entered { runnable } => assert!(runnable),
             other => panic!("expected L2 entry, got {other:?}"),
         }
-        assert!(kvm.in_l2);
+        assert!(kvm.core.in_l2);
     }
 
     #[test]
     fn vmlaunch_without_vmptrld_vmfails() {
         let mut kvm = intel_kvm();
-        kvm.l1_cr4 |= nf_x86::Cr4::VMXE;
+        kvm.core.cr4 |= nf_x86::Cr4::VMXE;
         assert_eq!(kvm.l1_exec(GuestInstr::Vmxon(0x1000)), L1Result::Ok(0));
         assert_eq!(
             kvm.l1_exec(GuestInstr::Vmlaunch),

@@ -12,15 +12,15 @@ impl Vkvm {
     /// `nested_svm_run`: emulates `vmrun` from L1.
     pub(crate) fn nested_svm_run(&mut self, addr: u64) -> L1Result {
         self.cov_a(ABlk::HandleVmrunEntry);
-        if !self.nested_on() || self.l1_efer & Efer::SVME == 0 {
+        if !self.core.nested_on() || self.core.efer & Efer::SVME == 0 {
             self.cov_a(ABlk::VmrunNoSvm);
             return L1Result::Fault("#UD");
         }
-        let Some(vmcb12) = self.vmcb12_mem.get(&addr).copied() else {
+        let Some(vmcb12) = self.core.vmcb12_mem.get(&addr).copied() else {
             self.cov_a(ABlk::VmrunBadVmcbAddr);
             return L1Result::Fault("#GP");
         };
-        self.current_vmcb = Some(addr);
+        self.core.current_vmcb = Some(addr);
 
         // nested_vmcb_check_save: the save-area sanity checks KVM applies
         // before building VMCB02.
@@ -37,30 +37,30 @@ impl Vkvm {
                 _ => ABlk::CtrlNpErr,
             };
             self.cov_a(arm);
-            return self.svm_entry_fail_to_l1(addr);
+            return self.svm_entry_fail_to_l1();
         }
         self.cov_a(ABlk::NestedVmcbCheckCtrl);
 
         // Nested paging plumbing: nCR3 must reference visible guest
         // memory (mmu_check_root, shared with the Intel path — Table 6
         // row 3 lists this bug on both vendors).
-        let np = self.config.features.contains(CpuFeature::NestedPaging)
+        let np = self.core.config.features.contains(CpuFeature::NestedPaging)
             && vmcb12.control.np_enable & 1 != 0;
         if np && vmcb12.control.ncr3 >= GUEST_MEM_LIMIT {
             self.cov_a(ABlk::NestedRootCheckFail);
             if !self.bugs.dummy_root_fixed {
-                self.health.assert_that(
+                self.core.health.assert_that(
                     "kvm-spurious-triple-fault",
                     false,
                     "shutdown exit without L2 entry (nCR3 invisible)",
                 );
-                let vmcb12m = self.vmcb12_mem.get_mut(&addr).expect("staged");
-                vmcb12m.control.exitcode = SvmExitCode::Shutdown as u32 as u64;
+                self.core.current_vmcb_mut().control.exitcode = SvmExitCode::Shutdown as u32 as u64;
                 return L1Result::L2EntryFailed {
                     reason: SvmExitCode::Shutdown as u32,
                 };
             }
-            self.health
+            self.core
+                .health
                 .printk(6, "svm: using dummy root for invisible nCR3");
         }
 
@@ -81,15 +81,15 @@ impl Vkvm {
         // KVM sanitizes int_ctl: AVIC is never enabled for L2, and vGIF
         // passes through only when the feature is configured.
         let mut ic = vmcb12.control.int_ctl & (int_ctl::V_INTR_MASKING | int_ctl::V_IGN_TPR);
-        if self.config.features.contains(CpuFeature::Avic) {
+        if self.core.config.features.contains(CpuFeature::Avic) {
             self.cov_a(ABlk::PrepVmcb02Avic);
         }
-        if self.config.features.contains(CpuFeature::VGif) {
+        if self.core.config.features.contains(CpuFeature::VGif) {
             self.cov_a(ABlk::PrepVmcb02VGif);
             ic |= vmcb12.control.int_ctl & (int_ctl::V_GIF | int_ctl::V_GIF_ENABLE);
         }
         vmcb02.control.int_ctl = ic;
-        if self.config.features.contains(CpuFeature::Lbrv) {
+        if self.core.config.features.contains(CpuFeature::Lbrv) {
             self.cov_a(ABlk::PrepVmcb02Lbr);
             vmcb02.control.lbr_ctl = vmcb12.control.lbr_ctl & 1;
         }
@@ -99,26 +99,25 @@ impl Vkvm {
             Ok(outcome) => {
                 self.cov_a(ABlk::VmrunOk);
                 self.vmcb02 = Some(vmcb02);
-                self.in_l2 = true;
+                self.core.in_l2 = true;
                 L1Result::L2Entered {
                     runnable: outcome.runnable,
                 }
             }
             Err(failure) => {
-                self.health.printk(
+                self.core.health.printk(
                     3,
                     format!("svm: vmcb02 rejected unexpectedly: {}", failure.0.rule),
                 );
-                self.svm_entry_fail_to_l1(addr)
+                self.svm_entry_fail_to_l1()
             }
         }
     }
 
     /// Delivers `VMEXIT_INVALID` to L1.
-    fn svm_entry_fail_to_l1(&mut self, addr: u64) -> L1Result {
+    fn svm_entry_fail_to_l1(&mut self) -> L1Result {
         self.cov_a(ABlk::EntryFailToL1Amd);
-        let vmcb12 = self.vmcb12_mem.get_mut(&addr).expect("staged");
-        vmcb12.control.exitcode = SvmExitCode::Invalid as u32 as u64;
+        self.core.current_vmcb_mut().control.exitcode = SvmExitCode::Invalid as u32 as u64;
         L1Result::L2EntryFailed {
             reason: SvmExitCode::Invalid as u32,
         }
@@ -126,10 +125,10 @@ impl Vkvm {
 
     pub(crate) fn handle_vmload(&mut self, addr: u64) -> L1Result {
         self.cov_a(ABlk::HandleVmload);
-        if self.l1_efer & Efer::SVME == 0 {
+        if self.core.efer & Efer::SVME == 0 {
             return L1Result::Fault("#UD");
         }
-        if !self.vmcb12_mem.contains_key(&addr) {
+        if !self.core.vmcb12_mem.contains_key(&addr) {
             return L1Result::Fault("#GP");
         }
         L1Result::Ok(0)
@@ -137,10 +136,10 @@ impl Vkvm {
 
     pub(crate) fn handle_vmsave(&mut self, addr: u64) -> L1Result {
         self.cov_a(ABlk::HandleVmsave);
-        if self.l1_efer & Efer::SVME == 0 {
+        if self.core.efer & Efer::SVME == 0 {
             return L1Result::Fault("#UD");
         }
-        if !self.vmcb12_mem.contains_key(&addr) {
+        if !self.core.vmcb12_mem.contains_key(&addr) {
             return L1Result::Fault("#GP");
         }
         L1Result::Ok(0)
@@ -149,8 +148,7 @@ impl Vkvm {
     /// Nested #VMEXIT dispatch for a live L2 (AMD side).
     pub(crate) fn l2_exec_svm(&mut self, instr: GuestInstr) -> L2Result {
         let vmcb02 = self.vmcb02.as_ref().expect("in_l2 implies vmcb02");
-        let addr = self.current_vmcb.expect("in_l2 implies current vmcb12");
-        let vmcb12 = self.vmcb12_mem[&addr];
+        let vmcb12 = *self.core.current_vmcb();
         // Same merge as the Intel side: KVM folds every intercept L1
         // programmed into VMCB02, so an L1-requested #VMEXIT always
         // occurs and carries the code L1's intercepts produce.
@@ -165,11 +163,11 @@ impl Vkvm {
         if reflect {
             self.cov_a(ABlk::SyncVmcb12);
             let save02 = self.vmcb02.as_ref().expect("live").save;
-            let vmcb12m = self.vmcb12_mem.get_mut(&addr).expect("staged");
+            let vmcb12m = self.core.current_vmcb_mut();
             vmcb12m.save = save02;
             vmcb12m.control.exitcode = code as u32 as u64;
             self.cov_a(ABlk::ReflectDeliverAmd);
-            self.in_l2 = false;
+            self.core.in_l2 = false;
             L2Result::ReflectedToL1(code as u32)
         } else {
             self.cov_a(ABlk::L0HandleAmd);
@@ -223,7 +221,7 @@ mod tests {
 
     fn amd_kvm() -> Vkvm {
         let mut kvm = Vkvm::new(HvConfig::default_for(CpuVendor::Amd));
-        kvm.l1_efer |= Efer::SVME;
+        kvm.core.efer |= Efer::SVME;
         kvm
     }
 
@@ -234,13 +232,13 @@ mod tests {
             L1Result::L2Entered { runnable } => assert!(runnable),
             other => panic!("expected L2 entry, got {other:?}"),
         }
-        assert!(kvm.in_l2);
+        assert!(kvm.core.in_l2);
     }
 
     #[test]
     fn vmrun_without_svme_uds() {
         let mut kvm = amd_kvm();
-        kvm.l1_efer = Efer::LME | Efer::LMA;
+        kvm.core.efer = Efer::LME | Efer::LMA;
         assert_eq!(
             kvm.stage_and_run(0x5000, golden_vmcb()),
             L1Result::Fault("#UD")
@@ -292,7 +290,7 @@ mod tests {
         let mut cfg = HvConfig::default_for(CpuVendor::Amd);
         cfg.features.insert(CpuFeature::Avic);
         let mut kvm = Vkvm::new(cfg);
-        kvm.l1_efer |= Efer::SVME;
+        kvm.core.efer |= Efer::SVME;
         let mut vmcb = golden_vmcb();
         vmcb.control.int_ctl = int_ctl::AVIC_ENABLE | int_ctl::V_INTR_MASKING;
         match kvm.stage_and_run(0x5000, vmcb) {
@@ -318,7 +316,7 @@ mod tests {
             kvm.l2_exec(GuestInstr::Pause),
             L2Result::ReflectedToL1(SvmExitCode::Pause as u32)
         );
-        assert!(!kvm.in_l2);
+        assert!(!kvm.core.in_l2);
     }
 
     #[test]
@@ -329,6 +327,6 @@ mod tests {
             L1Result::L2Entered { .. }
         ));
         assert_eq!(kvm.l2_exec(GuestInstr::Nop), L2Result::NoExit);
-        assert!(kvm.in_l2);
+        assert!(kvm.core.in_l2);
     }
 }

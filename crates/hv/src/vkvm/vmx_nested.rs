@@ -15,18 +15,18 @@ use crate::api::L1Result;
 impl Vkvm {
     pub(crate) fn handle_vmxon(&mut self, addr: u64) -> L1Result {
         self.cov_i(IBlk::HandleVmxon);
-        if !self.nested_on() {
+        if !self.core.nested_on() {
             self.cov_i(IBlk::VmxonNotEnabled);
             return L1Result::Fault("#UD");
         }
-        if self.l1_cr4 & Cr4::VMXE == 0 {
+        if self.core.cr4 & Cr4::VMXE == 0 {
             self.cov_i(IBlk::VmxonNotEnabled);
             return L1Result::Fault("#UD");
         }
         if let Err(_e) = vmxon_check(
-            Cr0::new(self.l1_cr0),
-            Cr4::new(self.l1_cr4),
-            Efer::new(self.l1_efer),
+            Cr0::new(self.core.cr0),
+            Cr4::new(self.core.cr4),
+            Efer::new(self.core.efer),
             addr,
         ) {
             // Distinguish register preconditions (#GP) from a bad region.
@@ -41,24 +41,22 @@ impl Vkvm {
         // First vmxon sets up the nested MSR/control state
         // (nested_vmx_setup_ctls_msrs analog).
         self.cov_i(IBlk::NestedEarlyInit);
-        self.vmxon_region = Some(addr);
+        self.core.vmxon_region = Some(addr);
         L1Result::Ok(0)
     }
 
     pub(crate) fn handle_vmxoff(&mut self) -> L1Result {
         self.cov_i(IBlk::HandleVmxoff);
-        if self.vmxon_region.is_none() {
+        if self.core.vmxon_region.is_none() {
             return L1Result::Fault("#UD");
         }
-        self.vmxon_region = None;
-        self.current_vmptr = None;
-        self.in_l2 = false;
+        self.core.vmxoff();
         L1Result::Ok(0)
     }
 
     pub(crate) fn handle_vmclear(&mut self, addr: u64) -> L1Result {
         self.cov_i(IBlk::HandleVmclear);
-        let Some(vmxon) = self.vmxon_region else {
+        let Some(vmxon) = self.core.vmxon_region else {
             return L1Result::Fault("#UD");
         };
         match vmclear_check(addr, vmxon) {
@@ -74,30 +72,17 @@ impl Vkvm {
         }
         self.cov_i(IBlk::VmclearOk);
         self.flush_shadow_vmcs();
-        let revision = self.exposed_caps.revision_id;
-        let vmcs = self.vmcs12_mem.entry(addr).or_insert_with(|| {
-            let mut v = Vmcs::new();
-            v.revision_id = revision;
-            v
-        });
-        vmcs.state = VmcsState::Clear;
-        if self.current_vmptr == Some(addr) {
-            self.current_vmptr = None;
-        }
+        self.core.vmclear(addr, self.exposed_caps.revision_id);
         L1Result::Ok(0)
     }
 
     pub(crate) fn handle_vmptrld(&mut self, addr: u64) -> L1Result {
         self.cov_i(IBlk::HandleVmptrld);
-        let Some(vmxon) = self.vmxon_region else {
+        let Some(vmxon) = self.core.vmxon_region else {
             return L1Result::Fault("#UD");
         };
         let revision = self.exposed_caps.revision_id;
-        let region_rev = self
-            .vmcs12_mem
-            .get(&addr)
-            .map(|v| v.revision_id)
-            .unwrap_or(revision);
+        let region_rev = self.core.staged_revision(addr, revision);
         match vmptrld_check(addr, vmxon, region_rev, revision) {
             Err(VmInstrError::VmptrldBadAddress) => {
                 self.cov_i(IBlk::VmptrldBadAddr);
@@ -115,24 +100,19 @@ impl Vkvm {
         }
         self.cov_i(IBlk::VmptrldOk);
         self.cov_i(IBlk::NestedGetVmptr);
-        self.vmcs12_mem.entry(addr).or_insert_with(|| {
-            let mut v = Vmcs::new();
-            v.revision_id = revision;
-            v
-        });
-        if self.current_vmptr.is_some() && self.current_vmptr != Some(addr) {
+        if self.core.current_vmptr.is_some_and(|cur| cur != addr) {
             self.cov_i(IBlk::NestedReleaseVmcs12);
         }
-        self.current_vmptr = Some(addr);
+        self.core.vmptrld(addr, revision);
         L1Result::Ok(0)
     }
 
     pub(crate) fn handle_vmread(&mut self, encoding: u32) -> L1Result {
         self.cov_i(IBlk::HandleVmread);
-        let Some(ptr) = self.current_vmptr else {
+        if self.core.current_vmptr.is_none() {
             self.cov_i(IBlk::VmreadNoVmcs);
             return L1Result::VmFail(VmInstrError::FailInvalid);
-        };
+        }
         match vmread_check(encoding) {
             Err(e) => {
                 self.cov_i(IBlk::VmreadBadField);
@@ -140,17 +120,17 @@ impl Vkvm {
             }
             Ok(field) => {
                 self.cov_i(IBlk::VmreadOk);
-                L1Result::Ok(self.vmcs12_mem[&ptr].read(field))
+                L1Result::Ok(self.core.current_vmcs().read(field))
             }
         }
     }
 
     pub(crate) fn handle_vmwrite(&mut self, encoding: u32, value: u64) -> L1Result {
         self.cov_i(IBlk::HandleVmwrite);
-        let Some(ptr) = self.current_vmptr else {
+        if self.core.current_vmptr.is_none() {
             self.cov_i(IBlk::VmwriteNoVmcs);
             return L1Result::VmFail(VmInstrError::FailInvalid);
-        };
+        }
         match vmwrite_check(encoding) {
             Err(VmInstrError::VmwriteReadOnly) => {
                 self.cov_i(IBlk::VmwriteRo);
@@ -161,16 +141,18 @@ impl Vkvm {
                 L1Result::VmFail(e)
             }
             Ok(field) => {
-                if self.config.features.contains(CpuFeature::VmcsShadowing) {
+                if self
+                    .core
+                    .config
+                    .features
+                    .contains(CpuFeature::VmcsShadowing)
+                {
                     self.cov_i(IBlk::VmwriteShadow);
                     self.cov_i(IBlk::NestedMarkDirty);
                 } else {
                     self.cov_i(IBlk::VmwriteOk);
                 }
-                self.vmcs12_mem
-                    .get_mut(&ptr)
-                    .expect("current vmcs staged")
-                    .write(field, value);
+                self.core.current_vmcs_mut().write(field, value);
                 L1Result::Ok(0)
             }
         }
@@ -178,14 +160,14 @@ impl Vkvm {
 
     pub(crate) fn handle_invept(&mut self, typ: u64) -> L1Result {
         self.cov_i(IBlk::HandleInvept);
-        if self.vmxon_region.is_none() {
+        if self.core.vmxon_region.is_none() {
             return L1Result::Fault("#UD");
         }
         if !(1..=2).contains(&typ) {
             self.cov_i(IBlk::InveptBadType);
             return L1Result::VmFail(VmInstrError::FailInvalid);
         }
-        if self.config.features.contains(CpuFeature::Ept) {
+        if self.core.config.features.contains(CpuFeature::Ept) {
             self.cov_i(IBlk::NestedEptInvalidation);
         }
         L1Result::Ok(0)
@@ -193,14 +175,14 @@ impl Vkvm {
 
     pub(crate) fn handle_invvpid(&mut self, typ: u64) -> L1Result {
         self.cov_i(IBlk::HandleInvvpid);
-        if self.vmxon_region.is_none() {
+        if self.core.vmxon_region.is_none() {
             return L1Result::Fault("#UD");
         }
         if typ > 3 {
             self.cov_i(IBlk::InvvpidBadType);
             return L1Result::VmFail(VmInstrError::FailInvalid);
         }
-        if self.config.features.contains(CpuFeature::Vpid) {
+        if self.core.config.features.contains(CpuFeature::Vpid) {
             self.cov_i(IBlk::NestedVpidSync);
         }
         L1Result::Ok(0)
@@ -275,19 +257,19 @@ impl Vkvm {
     /// `nested_vmx_run`: emulates `vmlaunch`/`vmresume` from L1.
     pub(crate) fn nested_vmx_run(&mut self, launch: bool) -> L1Result {
         self.cov_i(IBlk::NestedRunEntry);
-        if self.vmxon_region.is_none() {
+        if self.core.vmxon_region.is_none() {
             return L1Result::Fault("#UD");
         }
-        let Some(ptr) = self.current_vmptr else {
+        if self.core.current_vmptr.is_none() {
             self.cov_i(IBlk::RunNoVmcs);
             return L1Result::VmFail(VmInstrError::FailInvalid);
-        };
-        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
+        }
+        if let Err(e) = launch_state_check(self.core.current_vmcs().state, !launch) {
             self.cov_i(IBlk::RunLaunchStateErr);
             self.cov_i(IBlk::VmFailHelpers);
             return L1Result::VmFail(e);
         }
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
+        let vmcs12 = self.core.current_vmcs().clone();
 
         // Group 1: control fields, checked against the *exposed* caps.
         self.cov_i(IBlk::CheckCtlsEntry);
@@ -323,32 +305,28 @@ impl Vkvm {
         // on the hardware quirk and sails through.
         if self.bugs.cve_2023_30456_fixed && ia32e && guest_cr4 & Cr4::PAE == 0 {
             self.cov_i(IBlk::GuestCr4Err);
-            return self.entry_fail_to_l1(ptr, ExitReason::EntryFailGuestState);
+            return self.entry_fail_to_l1(ExitReason::EntryFailGuestState);
         }
 
         if let Err(failure) = nf_silicon::check_guest_state(&vmcs12, &exposed) {
             if let EntryFailure::InvalidGuestState(e) = &failure {
                 self.cov_i(Self::guest_arm(e.rule));
             }
-            return self.entry_fail_to_l1(ptr, ExitReason::EntryFailGuestState);
+            return self.entry_fail_to_l1(ExitReason::EntryFailGuestState);
         }
         // KVM refuses nested activity states beyond Active/HLT, avoiding
         // the class of bug Xen shipped (activity-state pass-through).
         let act = vmcs12.read(VmcsField::GuestActivityState);
         if act > 1 {
             self.cov_i(IBlk::GuestActivityErr);
-            return self.entry_fail_to_l1(ptr, ExitReason::EntryFailGuestState);
+            return self.entry_fail_to_l1(ExitReason::EntryFailGuestState);
         }
         self.cov_i(IBlk::CheckGuestOk);
 
         // VM-entry MSR-load list: KVM validates values with full wrmsr
         // semantics (the check VirtualBox lacked).
         self.cov_i(IBlk::MsrLoadWalk);
-        let count = vmcs12.read(VmcsField::VmEntryMsrLoadCount) as usize;
-        if count > 0 {
-            let addr = vmcs12.read(VmcsField::VmEntryMsrLoadAddr);
-            let mut area = self.msr_area_mem.get(&addr).cloned().unwrap_or_default();
-            area.entries.truncate(count);
+        if let Some(area) = self.core.entry_msr_load(&vmcs12) {
             if let Err(failure) = nf_silicon::check_msr_load(&area) {
                 let arm = if failure.rule() == "msrload.non_canonical" {
                     IBlk::MsrLoadNonCanonical
@@ -356,7 +334,7 @@ impl Vkvm {
                     IBlk::MsrLoadBadMsr
                 };
                 self.cov_i(arm);
-                return self.entry_fail_to_l1(ptr, ExitReason::EntryFailMsrLoad);
+                return self.entry_fail_to_l1(ExitReason::EntryFailMsrLoad);
             }
         }
         self.cov_i(IBlk::MsrLoadOk);
@@ -368,9 +346,9 @@ impl Vkvm {
                 match nf_silicon::try_vmentry(&vmcs02, &self.hw_caps.clone(), &MsrArea::new()) {
                     Ok(outcome) => {
                         self.cov_i(IBlk::Prep02Ok);
-                        self.vmcs02 = Some(vmcs02);
-                        self.in_l2 = true;
-                        self.vmcs12_mem.get_mut(&ptr).expect("staged").state = VmcsState::Launched;
+                        self.core.vmcs02 = Some(vmcs02);
+                        self.core.in_l2 = true;
+                        self.core.current_vmcs_mut().state = VmcsState::Launched;
                         L1Result::L2Entered {
                             runnable: outcome.runnable,
                         }
@@ -379,11 +357,11 @@ impl Vkvm {
                         // "This should never happen": KVM's checks passed
                         // but hardware rejected VMCS02.
                         self.cov_i(IBlk::HwEntryFailWarn);
-                        self.health.printk(
+                        self.core.health.printk(
                             3,
                             format!("vmx: vmcs02 entry failed unexpectedly: {}", failure.rule()),
                         );
-                        self.entry_fail_to_l1(ptr, ExitReason::EntryFailGuestState)
+                        self.entry_fail_to_l1(ExitReason::EntryFailGuestState)
                     }
                 }
             }
@@ -392,10 +370,10 @@ impl Vkvm {
     }
 
     /// Delivers a VM-entry-failure exit to L1 (SDM 26.8).
-    fn entry_fail_to_l1(&mut self, ptr: u64, reason: ExitReason) -> L1Result {
+    fn entry_fail_to_l1(&mut self, reason: ExitReason) -> L1Result {
         self.cov_i(IBlk::EntryFailToL1);
         let encoded = reason.encode(true);
-        let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
+        let vmcs12 = self.core.current_vmcs_mut();
         vmcs12.write(VmcsField::VmExitReason, encoded as u64);
         vmcs12.write(VmcsField::ExitQualification, 0);
         L1Result::L2EntryFailed { reason: encoded }
@@ -412,7 +390,7 @@ impl Vkvm {
         }
 
         let hw = self.hw_caps.clone();
-        let mut vmcs02 = crate::vmcs02_template(self.config.vendor).clone();
+        let mut vmcs02 = crate::vmcs02_template(self.core.config.vendor).clone();
 
         // Control merge: L1's controls ORed with L0's own requirements.
         self.cov_i(IBlk::Prep02CtrlMerge);
@@ -466,7 +444,7 @@ impl Vkvm {
         vmcs02.copy_guest_state_from(vmcs12);
         vmcs02.write(VmcsField::VmcsLinkPointer, u64::MAX);
 
-        let ept_on = self.config.features.contains(CpuFeature::Ept);
+        let ept_on = self.core.config.features.contains(CpuFeature::Ept);
         let l1_wants_ept = proc212 & proc2::ENABLE_EPT != 0;
         if ept_on && l1_wants_ept {
             // Nested EPT: L0 shadows L1's EPT tables.
@@ -480,14 +458,12 @@ impl Vkvm {
                 if !self.bugs.dummy_root_fixed {
                     // BUG (Table 6 row 3): synthesize a triple-fault exit
                     // to L1 although L2 never started.
-                    self.health.assert_that(
+                    self.core.health.assert_that(
                         "kvm-spurious-triple-fault",
                         false,
                         "triple-fault exit without L2 entry",
                     );
-                    let ptr = self.current_vmptr.expect("in nested run");
-                    let vmcs12m = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-                    vmcs12m.write(
+                    self.core.current_vmcs_mut().write(
                         VmcsField::VmExitReason,
                         ExitReason::TripleFault.encode(false) as u64,
                     );
@@ -497,7 +473,8 @@ impl Vkvm {
                 }
                 // FIXED: load a dummy root backed by the zero page; any
                 // L2 access faults cleanly afterwards.
-                self.health
+                self.core
+                    .health
                     .printk(6, "vmx: using dummy root for invisible guest root");
             }
             vmcs02.write(VmcsField::EptPointer, nf_silicon::GOLDEN_EPTP);
@@ -537,17 +514,21 @@ impl Vkvm {
                 // Walk from the top level down, indexing the root cache
                 // the way the shadow MMU does (CVE-2023-30456 site).
                 let top = hw_levels - 1;
-                self.health
+                self.core
+                    .health
                     .ubsan_index("CVE-2023-30456", top, root_cache.len());
             }
         }
         vmcs02.write(VmcsField::SecondaryVmExecControl, proc202 as u64);
 
-        if self.config.features.contains(CpuFeature::Vpid) && proc212 & proc2::ENABLE_VPID != 0 {
+        if self.core.config.features.contains(CpuFeature::Vpid) && proc212 & proc2::ENABLE_VPID != 0
+        {
             self.cov_i(IBlk::Prep02VpidPath);
             vmcs02.write(VmcsField::Vpid, vmcs12.read(VmcsField::Vpid));
         }
-        if self.config.features.contains(CpuFeature::Apicv) && proc12 & proc::USE_TPR_SHADOW != 0 {
+        if self.core.config.features.contains(CpuFeature::Apicv)
+            && proc12 & proc::USE_TPR_SHADOW != 0
+        {
             self.cov_i(IBlk::Prep02ApicvPath);
         }
         if pin12 & nf_vmx::controls::pin::PREEMPTION_TIMER != 0 {
@@ -560,8 +541,7 @@ impl Vkvm {
     /// Nested VM-exit dispatch for a live L2 (Intel side).
     pub(crate) fn l2_exec_vmx(&mut self, instr: GuestInstr) -> crate::api::L2Result {
         use crate::api::L2Result;
-        let vmcs02 = self.vmcs02.as_ref().expect("in_l2 implies vmcs02");
-        let ptr = self.current_vmptr.expect("in_l2 implies current vmcs12");
+        let vmcs02 = self.core.vmcs02.as_ref().expect("in_l2 implies vmcs02");
         // KVM builds VMCS02 by merging its own exit policy with every
         // exit control L1 programmed (MSR/IO bitmaps, CR masks, the
         // exception bitmap), so an exit L1 asked for always occurs even
@@ -569,7 +549,7 @@ impl Vkvm {
         // The model expresses that merge by consulting VMCS12 directly:
         // its decision both forces the exit and names the reason L1
         // observes.
-        let reason12 = vmx_exit_for(instr, &self.vmcs12_mem[&ptr]);
+        let reason12 = vmx_exit_for(instr, self.core.current_vmcs());
         let Some(reason) = reason12.or_else(|| vmx_exit_for(instr, vmcs02)) else {
             return L2Result::NoExit;
         };
@@ -616,11 +596,15 @@ impl Vkvm {
             } else {
                 reason.encode(false)
             };
-            let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-            vmcs12.copy_guest_state_from(self.vmcs02.as_ref().expect("live"));
+            let vmcs12 = self.core.sync_vmcs12_guest_state();
             vmcs12.write(VmcsField::VmExitReason, encoded as u64);
             vmcs12.write(VmcsField::ExitQualification, 0);
-            if self.config.features.contains(CpuFeature::VmcsShadowing) {
+            if self
+                .core
+                .config
+                .features
+                .contains(CpuFeature::VmcsShadowing)
+            {
                 self.cov_i(IBlk::CopyShadowToVmcs12);
                 self.cov_i(IBlk::NestedCacheShadowVmcs12);
             }
@@ -629,7 +613,7 @@ impl Vkvm {
             if reason == ExitReason::ExceptionNmi {
                 self.cov_i(IBlk::InjectEventToL1);
             }
-            self.in_l2 = false;
+            self.core.in_l2 = false;
             L2Result::ReflectedToL1(encoded)
         } else {
             self.cov_i(IBlk::L0HandleExit);
@@ -672,7 +656,8 @@ impl Vkvm {
     /// `BUG_ON` arm: only a kernel-debugging build reaches this.
     pub fn trigger_bug_on(&mut self) {
         self.cov_i(IBlk::BugOnArm);
-        self.health
+        self.core
+            .health
             .host_crash("vkvm-bug-on", "kernel BUG at vmx/nested.c");
     }
 
@@ -687,7 +672,12 @@ impl Vkvm {
 
     /// Shadow-VMCS write-back on vmclear-like flushes (shadowing only).
     pub(crate) fn flush_shadow_vmcs(&mut self) {
-        if self.config.features.contains(CpuFeature::VmcsShadowing) {
+        if self
+            .core
+            .config
+            .features
+            .contains(CpuFeature::VmcsShadowing)
+        {
             self.cov_i(IBlk::CopyVmcs12ToShadow);
         }
     }

@@ -21,9 +21,6 @@ mod blocks;
 
 pub use blocks::{XABlk, XIBlk};
 
-use std::collections::BTreeMap;
-
-use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::vmentry::EntryFailure;
 use nf_silicon::{
     check_vmrun, golden_vmcb, launch_state_check, svm_exit_for, vmclear_check, vmptrld_check,
@@ -31,18 +28,13 @@ use nf_silicon::{
 };
 use nf_vmx::controls::proc2;
 use nf_vmx::vmcb::int_ctl;
-use nf_vmx::{ExitReason, MsrArea, SvmExitCode, Vmcb, Vmcs, VmcsField, VmcsState, VmxCapabilities};
+use nf_vmx::{ExitReason, MsrArea, SvmExitCode, Vmcb, VmcsField, VmcsState, VmxCapabilities};
 use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::fault::{RestoreFault, SharedFaults};
-use crate::sanitizer::HostHealth;
-use crate::store::{
-    digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcb_bytes,
-    vmcs_bytes, SnapshotStore,
-};
+use crate::l1::{NestedL1Snapshot, NestedL1State};
 use crate::{restore_fields, Instrumentation};
 
 /// Seeded-bug switches for vxen; `false` = vulnerable (as evaluated).
@@ -61,79 +53,10 @@ pub struct VxenBugs {
 /// round-trip identity; the fields themselves are an internal detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VxenSnapshot {
+    pub(crate) core: NestedL1Snapshot,
     bugs: VxenBugs,
-    l1_cr0: u64,
-    l1_cr4: u64,
-    l1_efer: u64,
-    vmxon_region: Option<u64>,
-    vmcs12_mem: BTreeMap<u64, Arc<Vmcs>>,
-    current_vmptr: Option<u64>,
-    msr_area_mem: BTreeMap<u64, Arc<MsrArea>>,
-    vmcs02: Option<Arc<Vmcs>>,
-    in_l2: bool,
     avic_corrupted: bool,
-    vmcb12_mem: BTreeMap<u64, Arc<Vmcb>>,
-    current_vmcb: Option<u64>,
     vmcb02: Option<Vmcb>,
-    health: HostHealth,
-}
-
-impl VxenSnapshot {
-    /// Interns every `Arc`-held component into `store`, canonicalizing
-    /// the handles; returns the bytes newly resident.
-    pub(crate) fn intern_into(&mut self, store: &mut SnapshotStore) -> usize {
-        let mut new = 0;
-        for v in self.vmcs12_mem.values_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for a in self.msr_area_mem.values_mut() {
-            let d = digest_msr_area(a);
-            let bytes = msr_area_bytes(a);
-            new += store.msr.intern(a, d, bytes);
-        }
-        if let Some(v) = self.vmcs02.as_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for b in self.vmcb12_mem.values_mut() {
-            let d = digest_vmcb(b);
-            new += store.vmcb.intern(b, d, vmcb_bytes());
-        }
-        new
-    }
-
-    /// Releases every `Arc`-held component from `store`; returns the
-    /// bytes freed.
-    pub(crate) fn release_from(&self, store: &mut SnapshotStore) -> usize {
-        let mut freed = 0;
-        for v in self.vmcs12_mem.values() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for a in self.msr_area_mem.values() {
-            freed += store.msr.release(a, digest_msr_area(a));
-        }
-        if let Some(v) = self.vmcs02.as_ref() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for b in self.vmcb12_mem.values() {
-            freed += store.vmcb.release(b, digest_vmcb(b));
-        }
-        freed
-    }
-
-    /// Heap footprint of the heavy components as if each were owned
-    /// outright (the deep-copy baseline's budget accounting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.vmcs12_mem.len() * vmcs_bytes()
-            + self
-                .msr_area_mem
-                .values()
-                .map(|a| msr_area_bytes(a))
-                .sum::<usize>()
-            + self.vmcs02.as_ref().map_or(0, |_| vmcs_bytes())
-            + self.vmcb12_mem.len() * vmcb_bytes()
-    }
 }
 
 /// vxen's instrumentation (`vmx/vvmx.c`, then `svm/nestedsvm.c`),
@@ -150,38 +73,18 @@ fn instrumentation() -> &'static Instrumentation {
 
 /// The Xen model.
 pub struct Vxen {
-    config: HvConfig,
+    /// The L1 state every backend shares.
+    core: NestedL1State,
     exposed_caps: VmxCapabilities,
     /// Capabilities of the physical CPU underneath.
     pub(crate) hw_caps: VmxCapabilities,
     /// Bug switches.
     pub bugs: VxenBugs,
 
-    cov: &'static Instrumentation,
-    trace: ExecTrace,
-    health: HostHealth,
-
-    l1_cr0: u64,
-    l1_cr4: u64,
-    l1_efer: u64,
-
-    vmxon_region: Option<u64>,
-    vmcs12_mem: BTreeMap<u64, Vmcs>,
-    current_vmptr: Option<u64>,
-    msr_area_mem: BTreeMap<u64, MsrArea>,
-    vmcs02: Option<Vmcs>,
-    in_l2: bool,
     /// Set when the merge corrupted int_ctl (bug #5): the next L2 action
     /// produces the spurious `AVIC_NOACCEL` exit.
     avic_corrupted: bool,
-
-    vmcb12_mem: BTreeMap<u64, Vmcb>,
-    current_vmcb: Option<u64>,
     vmcb02: Option<Vmcb>,
-
-    /// Deterministic fault injection (instrumentation, not VM state:
-    /// deliberately excluded from snapshots).
-    faults: Option<SharedFaults>,
 }
 
 impl Vxen {
@@ -192,59 +95,36 @@ impl Vxen {
             exposed_caps: VmxCapabilities::from_features(exposed),
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VxenBugs::default(),
-            cov: instrumentation(),
-            trace: ExecTrace::new(),
-            health: HostHealth::new(),
-            l1_cr0: Cr0::PE | Cr0::PG | Cr0::NE,
-            l1_cr4: Cr4::PAE,
-            l1_efer: Efer::LME | Efer::LMA,
-            vmxon_region: None,
-            vmcs12_mem: BTreeMap::new(),
-            current_vmptr: None,
-            msr_area_mem: BTreeMap::new(),
-            vmcs02: None,
-            in_l2: false,
+            core: NestedL1State::new(config, instrumentation()),
             avic_corrupted: false,
-            vmcb12_mem: BTreeMap::new(),
-            current_vmcb: None,
             vmcb02: None,
-            config,
-            faults: None,
         }
     }
 
     fn cov_i(&mut self, b: XIBlk) {
-        self.trace.hit(self.cov.intel[b.idx()]);
+        self.core.hit_intel(b.idx());
     }
 
     fn cov_a(&mut self, b: XABlk) {
-        self.trace.hit(self.cov.amd[b.idx()]);
-    }
-
-    fn nested_on(&self) -> bool {
-        self.config.nested
-            && match self.config.vendor {
-                CpuVendor::Intel => self.config.features.contains(CpuFeature::Vmx),
-                CpuVendor::Amd => self.config.features.contains(CpuFeature::Svm),
-            }
+        self.core.hit_amd(b.idx());
     }
 
     // --- Intel (vvmx.c) -------------------------------------------------
 
     fn nvmx_run(&mut self, launch: bool) -> L1Result {
         self.cov_i(XIBlk::NvmxRunEntry);
-        if self.vmxon_region.is_none() {
+        if self.core.vmxon_region.is_none() {
             return L1Result::Fault("#UD");
         }
-        let Some(ptr) = self.current_vmptr else {
+        if self.core.current_vmptr.is_none() {
             self.cov_i(XIBlk::VmFailHelpers);
             return L1Result::VmFail(VmInstrError::FailInvalid);
-        };
-        if let Err(e) = launch_state_check(self.vmcs12_mem[&ptr].state, !launch) {
+        }
+        if let Err(e) = launch_state_check(self.core.current_vmcs().state, !launch) {
             self.cov_i(XIBlk::NvmxLaunchStateErr);
             return L1Result::VmFail(e);
         }
-        let vmcs12 = self.vmcs12_mem[&ptr].clone();
+        let vmcs12 = self.core.current_vmcs().clone();
 
         self.cov_i(XIBlk::CheckCtls);
         let exposed = self.exposed_caps.clone();
@@ -262,7 +142,7 @@ impl Vxen {
             nf_silicon::check_guest_state(&vmcs12, &exposed)
         {
             self.cov_i(XIBlk::GuestErrArm);
-            return self.nvmx_entry_fail(ptr, ExitReason::EntryFailGuestState);
+            return self.nvmx_entry_fail(ExitReason::EntryFailGuestState);
         }
         // NOTE: unlike KVM, vxen does NOT restrict the activity state —
         // the pass-through below is bug #4. The fixed code rejects
@@ -270,18 +150,14 @@ impl Vxen {
         let act = vmcs12.read(VmcsField::GuestActivityState);
         if self.bugs.activity_state_fixed && act > 1 {
             self.cov_i(XIBlk::GuestErrArm);
-            return self.nvmx_entry_fail(ptr, ExitReason::EntryFailGuestState);
+            return self.nvmx_entry_fail(ExitReason::EntryFailGuestState);
         }
 
         self.cov_i(XIBlk::MsrLoadChecks);
-        let count = vmcs12.read(VmcsField::VmEntryMsrLoadCount) as usize;
-        if count > 0 {
-            let addr = vmcs12.read(VmcsField::VmEntryMsrLoadAddr);
-            let mut area = self.msr_area_mem.get(&addr).cloned().unwrap_or_default();
-            area.entries.truncate(count);
+        if let Some(area) = self.core.entry_msr_load(&vmcs12) {
             if nf_silicon::check_msr_load(&area).is_err() {
                 self.cov_i(XIBlk::MsrLoadErr);
-                return self.nvmx_entry_fail(ptr, ExitReason::EntryFailMsrLoad);
+                return self.nvmx_entry_fail(ExitReason::EntryFailMsrLoad);
             }
         }
 
@@ -289,7 +165,7 @@ impl Vxen {
         self.cov_i(XIBlk::Prep02);
         self.cov_i(XIBlk::VvmcsAccess);
         let hw = self.hw_caps.clone();
-        let mut vmcs02 = crate::vmcs02_template(self.config.vendor).clone();
+        let mut vmcs02 = crate::vmcs02_template(self.core.config.vendor).clone();
         vmcs02.copy_guest_state_from(&vmcs12);
         vmcs02.write(VmcsField::VmcsLinkPointer, u64::MAX);
         for f in [
@@ -317,13 +193,13 @@ impl Vxen {
                 vmcs12.read(VmcsField::VmEntryControls) as u32,
             ) as u64,
         );
-        let ept_on = self.config.features.contains(CpuFeature::Ept);
+        let ept_on = self.core.config.features.contains(CpuFeature::Ept);
         if ept_on && proc212 & proc2::ENABLE_EPT != 0 {
             self.cov_i(XIBlk::Prep02Ept);
             let eptp12 = vmcs12.read(VmcsField::EptPointer);
             if !nf_silicon::eptp_valid(eptp12) {
                 self.cov_i(XIBlk::Prep02EptErr);
-                return self.nvmx_entry_fail(ptr, ExitReason::EntryFailGuestState);
+                return self.nvmx_entry_fail(ExitReason::EntryFailGuestState);
             }
             vmcs02.write(VmcsField::EptPointer, nf_silicon::GOLDEN_EPTP);
         } else {
@@ -341,14 +217,14 @@ impl Vxen {
         match nf_silicon::try_vmentry(&vmcs02, &hw, &MsrArea::new()) {
             Ok(outcome) => {
                 self.cov_i(XIBlk::Prep02Ok);
-                self.vmcs02 = Some(vmcs02);
-                self.in_l2 = true;
-                self.vmcs12_mem.get_mut(&ptr).expect("staged").state = VmcsState::Launched;
+                self.core.vmcs02 = Some(vmcs02);
+                self.core.in_l2 = true;
+                self.core.current_vmcs_mut().state = VmcsState::Launched;
                 if !outcome.runnable && act == 3 {
                     // The WAIT-FOR-SIPI guest blocks every interrupt but
                     // SIPIs; vxen spins in the entry path and the whole
                     // host stops making progress.
-                    self.health.watchdog_hang(
+                    self.core.health.watchdog_hang(
                         "xen-wait-for-sipi",
                         "watchdog: host unresponsive after nested entry (activity=wait-for-SIPI)",
                     );
@@ -360,44 +236,43 @@ impl Vxen {
             }
             Err(_) => {
                 self.cov_i(XIBlk::EntryFailDeliver);
-                self.nvmx_entry_fail(ptr, ExitReason::EntryFailGuestState)
+                self.nvmx_entry_fail(ExitReason::EntryFailGuestState)
             }
         }
     }
 
-    fn nvmx_entry_fail(&mut self, ptr: u64, reason: ExitReason) -> L1Result {
+    fn nvmx_entry_fail(&mut self, reason: ExitReason) -> L1Result {
         self.cov_i(XIBlk::EntryFailDeliver);
         let encoded = reason.encode(true);
-        let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-        vmcs12.write(VmcsField::VmExitReason, encoded as u64);
+        self.core
+            .current_vmcs_mut()
+            .write(VmcsField::VmExitReason, encoded as u64);
         L1Result::L2EntryFailed { reason: encoded }
     }
 
     fn l2_exec_vmx(&mut self, instr: GuestInstr) -> L2Result {
-        let vmcs02 = self.vmcs02.as_ref().expect("in_l2");
+        let vmcs02 = self.core.vmcs02.as_ref().expect("in_l2");
         let Some(reason) = vmx_exit_for(instr, vmcs02) else {
             return L2Result::NoExit;
         };
         self.cov_i(XIBlk::L2ExitDispatch);
         self.cov_i(XIBlk::ReflectDecide);
-        let ptr = self.current_vmptr.expect("in_l2");
-        let vmcs12 = &self.vmcs12_mem[&ptr];
         let reflect = reason.is_vmx_instruction()
             || reason == ExitReason::Cpuid
             || reason == ExitReason::Xsetbv
-            || vmx_exit_for(instr, vmcs12).is_some();
+            || vmx_exit_for(instr, self.core.current_vmcs()).is_some();
         if reflect {
             self.cov_i(XIBlk::Sync12);
             self.cov_i(XIBlk::VvmcsSync);
             let encoded = reason.encode(false);
-            let vmcs12 = self.vmcs12_mem.get_mut(&ptr).expect("staged");
-            vmcs12.copy_guest_state_from(self.vmcs02.as_ref().expect("live"));
-            vmcs12.write(VmcsField::VmExitReason, encoded as u64);
+            self.core
+                .sync_vmcs12_guest_state()
+                .write(VmcsField::VmExitReason, encoded as u64);
             self.cov_i(XIBlk::ReflectDeliver);
             if reason == ExitReason::ExceptionNmi {
                 self.cov_i(XIBlk::InjectToL1);
             }
-            self.in_l2 = false;
+            self.core.in_l2 = false;
             L2Result::ReflectedToL1(encoded)
         } else {
             self.cov_i(XIBlk::L0Handle);
@@ -411,15 +286,15 @@ impl Vxen {
 
     fn nsvm_run(&mut self, addr: u64) -> L1Result {
         self.cov_a(XABlk::SvmRunEntry);
-        if !self.nested_on() || self.l1_efer & Efer::SVME == 0 {
+        if !self.core.nested_on() || self.core.efer & Efer::SVME == 0 {
             self.cov_a(XABlk::SvmNoSvmErr);
             return L1Result::Fault("#UD");
         }
-        let Some(vmcb12) = self.vmcb12_mem.get(&addr).copied() else {
+        let Some(vmcb12) = self.core.vmcb12_mem.get(&addr).copied() else {
             self.cov_a(XABlk::VmcbAddrErr);
             return L1Result::Fault("#GP");
         };
-        self.current_vmcb = Some(addr);
+        self.core.current_vmcb = Some(addr);
 
         self.cov_a(XABlk::CheckSave);
         if let Err(failure) = check_vmrun(&vmcb12, true) {
@@ -431,7 +306,7 @@ impl Vxen {
             // BUG #6 (Table 6 row 6): the failed vmrun is reported to L1
             // through nsvm_vcpu_vmexit_inject(), which asserts that the
             // virtual GIF is set whenever VGIF is enabled.
-            return self.nsvm_vmexit_inject(addr, SvmExitCode::Invalid as u32, &vmcb12);
+            return self.nsvm_vmexit_inject(SvmExitCode::Invalid as u32, &vmcb12);
         }
         self.cov_a(XABlk::CheckCtrl);
 
@@ -439,7 +314,7 @@ impl Vxen {
         let lma_no_pg = vmcb12.save.efer & Efer::LMA != 0 && vmcb12.save.cr0 & Cr0::PG == 0;
         if self.bugs.lma_pg_fixed && lma_no_pg {
             self.cov_a(XABlk::SaveErrArm);
-            return self.nsvm_vmexit_inject(addr, SvmExitCode::Invalid as u32, &vmcb12);
+            return self.nsvm_vmexit_inject(SvmExitCode::Invalid as u32, &vmcb12);
         }
 
         self.cov_a(XABlk::VmcbMerge);
@@ -451,13 +326,13 @@ impl Vxen {
         vmcb02.control.intercepts = vmcb12.control.intercepts | golden_vmcb().control.intercepts;
         vmcb02.control.guest_asid = vmcb12.control.guest_asid.max(1);
 
-        let np = self.config.features.contains(CpuFeature::NestedPaging)
+        let np = self.core.config.features.contains(CpuFeature::NestedPaging)
             && vmcb12.control.np_enable & 1 != 0;
         if np {
             self.cov_a(XABlk::MergeNp);
             if !nf_x86::addr::phys_in_width(vmcb12.control.ncr3) {
                 self.cov_a(XABlk::MergeNpErr);
-                return self.nsvm_vmexit_inject(addr, SvmExitCode::Invalid as u32, &vmcb12);
+                return self.nsvm_vmexit_inject(SvmExitCode::Invalid as u32, &vmcb12);
             }
             vmcb02.control.np_enable = 1;
         } else {
@@ -469,11 +344,11 @@ impl Vxen {
         // the AVIC-enable bit leaks into VMCB02.
         self.cov_a(XABlk::MergeIntCtl);
         let mut ic = vmcb12.control.int_ctl & (int_ctl::V_INTR_MASKING | int_ctl::V_IGN_TPR);
-        if self.config.features.contains(CpuFeature::VGif) {
+        if self.core.config.features.contains(CpuFeature::VGif) {
             self.cov_a(XABlk::MergeVgif);
             ic |= vmcb12.control.int_ctl & (int_ctl::V_GIF | int_ctl::V_GIF_ENABLE);
         }
-        if self.config.features.contains(CpuFeature::Avic) {
+        if self.core.config.features.contains(CpuFeature::Avic) {
             self.cov_a(XABlk::MergeAvic);
         }
         if lma_no_pg && !self.bugs.lma_pg_fixed {
@@ -481,7 +356,7 @@ impl Vxen {
             self.avic_corrupted = true;
         }
         vmcb02.control.int_ctl = ic;
-        if self.config.features.contains(CpuFeature::Lbrv) {
+        if self.core.config.features.contains(CpuFeature::Lbrv) {
             self.cov_a(XABlk::MergeLbr);
         }
 
@@ -494,37 +369,38 @@ impl Vxen {
                     // AVIC_NOACCEL exit Xen cannot handle.
                     self.avic_corrupted = false;
                     self.cov_a(XABlk::L2Dispatch);
-                    self.health.assert_that(
+                    self.core.health.assert_that(
                         "xen-avic-noaccel",
                         false,
                         "unexpected VMEXIT_AVIC_NOACCEL without AVIC support",
                     );
-                    let vmcb12m = self.vmcb12_mem.get_mut(&addr).expect("staged");
-                    vmcb12m.control.exitcode = SvmExitCode::AvicNoaccel as u32 as u64;
+                    self.core.current_vmcb_mut().control.exitcode =
+                        SvmExitCode::AvicNoaccel as u32 as u64;
                     return L1Result::L2EntryFailed {
                         reason: SvmExitCode::AvicNoaccel as u32,
                     };
                 }
                 self.vmcb02 = Some(vmcb02);
-                self.in_l2 = true;
+                self.core.in_l2 = true;
                 L1Result::L2Entered {
                     runnable: outcome.runnable,
                 }
             }
-            Err(_) => self.nsvm_vmexit_inject(addr, SvmExitCode::Invalid as u32, &vmcb12),
+            Err(_) => self.nsvm_vmexit_inject(SvmExitCode::Invalid as u32, &vmcb12),
         }
     }
 
     /// `nsvm_vcpu_vmexit_inject()`: reports a #VMEXIT to L1 — with the
     /// VGIF assertion of Xen issue #215.
-    fn nsvm_vmexit_inject(&mut self, addr: u64, code: u32, vmcb12: &Vmcb) -> L1Result {
+    fn nsvm_vmexit_inject(&mut self, code: u32, vmcb12: &Vmcb) -> L1Result {
         self.cov_a(XABlk::VmexitInvalid);
         self.cov_a(XABlk::VmexitInject);
-        let vgif_enabled = self.config.features.contains(CpuFeature::VGif)
+        let vgif_enabled = self.core.config.features.contains(CpuFeature::VGif)
             && vmcb12.control.int_ctl & int_ctl::V_GIF_ENABLE != 0;
         if vgif_enabled && !self.bugs.vgif_assert_fixed {
             let vgif_set = vmcb12.control.int_ctl & int_ctl::V_GIF != 0;
             if self
+                .core
                 .health
                 .assert_that("xen-vgif-assert", vgif_set, "vmcb->_vintr.fields.vgif")
             {
@@ -532,8 +408,7 @@ impl Vxen {
                 return L1Result::HostDead;
             }
         }
-        let vmcb12m = self.vmcb12_mem.get_mut(&addr).expect("staged");
-        vmcb12m.control.exitcode = code as u64;
+        self.core.current_vmcb_mut().control.exitcode = code as u64;
         L1Result::L2EntryFailed { reason: code }
     }
 
@@ -544,17 +419,16 @@ impl Vxen {
         };
         self.cov_a(XABlk::L2Dispatch);
         self.cov_a(XABlk::ReflectDecideA);
-        let addr = self.current_vmcb.expect("in_l2");
-        let vmcb12 = self.vmcb12_mem[&addr];
-        let reflect = code.is_svm_instruction() || svm_exit_for(instr, &vmcb12).is_some();
+        let reflect =
+            code.is_svm_instruction() || svm_exit_for(instr, self.core.current_vmcb()).is_some();
         if reflect {
             self.cov_a(XABlk::Sync12A);
             let save02 = self.vmcb02.as_ref().expect("live").save;
-            let vmcb12m = self.vmcb12_mem.get_mut(&addr).expect("staged");
+            let vmcb12m = self.core.current_vmcb_mut();
             vmcb12m.save = save02;
             vmcb12m.control.exitcode = code as u32 as u64;
             self.cov_a(XABlk::ReflectDeliverA);
-            self.in_l2 = false;
+            self.core.in_l2 = false;
             L2Result::ReflectedToL1(code as u32)
         } else {
             self.cov_a(XABlk::L0HandleA);
@@ -569,52 +443,26 @@ impl L0Hypervisor for Vxen {
         "vxen"
     }
 
-    fn vendor(&self) -> CpuVendor {
-        self.config.vendor
+    fn core(&self) -> &NestedL1State {
+        &self.core
     }
 
-    fn config(&self) -> &HvConfig {
-        &self.config
+    fn core_mut(&mut self) -> &mut NestedL1State {
+        &mut self.core
     }
 
     fn reset_guest(&mut self) {
-        self.l1_cr0 = Cr0::PE | Cr0::PG | Cr0::NE;
-        self.l1_cr4 = Cr4::PAE;
-        self.l1_efer = Efer::LME | Efer::LMA;
-        self.vmxon_region = None;
-        self.vmcs12_mem.clear();
-        self.current_vmptr = None;
-        self.msr_area_mem.clear();
-        self.vmcs02 = None;
-        self.in_l2 = false;
+        self.core.reset();
         self.avic_corrupted = false;
-        self.vmcb12_mem.clear();
-        self.current_vmcb = None;
         self.vmcb02 = None;
-    }
-
-    fn reboot_host(&mut self) {
-        self.reset_guest();
-        self.health = HostHealth::new();
     }
 
     fn snapshot(&self) -> HvSnapshot {
         HvSnapshot::Vxen(VxenSnapshot {
+            core: self.core.snapshot(),
             bugs: self.bugs,
-            l1_cr0: self.l1_cr0,
-            l1_cr4: self.l1_cr4,
-            l1_efer: self.l1_efer,
-            vmxon_region: self.vmxon_region,
-            vmcs12_mem: share_map(&self.vmcs12_mem),
-            current_vmptr: self.current_vmptr,
-            msr_area_mem: share_map(&self.msr_area_mem),
-            vmcs02: share_opt(&self.vmcs02),
-            in_l2: self.in_l2,
             avic_corrupted: self.avic_corrupted,
-            vmcb12_mem: share_map(&self.vmcb12_mem),
-            current_vmcb: self.current_vmcb,
             vmcb02: self.vmcb02,
-            health: self.health.clone(),
         })
     }
 
@@ -622,48 +470,26 @@ impl L0Hypervisor for Vxen {
         let HvSnapshot::Vxen(s) = snap else {
             panic!("vxen cannot restore a {} snapshot", snap.backend());
         };
-        restore_fields!(copy: self, s, [
-            bugs, l1_cr0, l1_cr4, l1_efer, vmxon_region, current_vmptr,
-            in_l2, avic_corrupted, current_vmcb, vmcb02,
-        ]);
-        restore_fields!(clone: self, s, [health]);
-        restore_fields!(shared: self, s, [
-            vmcs12_mem, msr_area_mem, vmcs02, vmcb12_mem,
-        ]);
-    }
-
-    fn install_faults(&mut self, faults: SharedFaults) {
-        self.faults = Some(faults);
-    }
-
-    fn try_restore(&mut self, snap: &HvSnapshot) -> Result<(), RestoreFault> {
-        if let Some(f) = &self.faults {
-            f.borrow_mut().check_restore()?;
-        }
-        self.restore(snap);
-        Ok(())
+        self.core.restore(&s.core);
+        restore_fields!(copy: self, s, [bugs, avic_corrupted, vmcb02]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {
-        if self.health.dead {
-            return L1Result::HostDead;
-        }
-        crate::fault::tick(&self.faults, &mut self.health);
-        if self.health.dead {
-            return L1Result::HostDead;
+        if let Some(r) = self.core.l1_preamble() {
+            return r;
         }
         use GuestInstr::*;
-        match (self.config.vendor, instr) {
+        match (self.core.config.vendor, instr) {
             (CpuVendor::Intel, Vmxon(addr)) => {
                 self.cov_i(XIBlk::NvmxHandleVmxon);
-                if !self.nested_on() || self.l1_cr4 & Cr4::VMXE == 0 {
+                if !self.core.nested_on() || self.core.cr4 & Cr4::VMXE == 0 {
                     self.cov_i(XIBlk::NvmxVmxonErr);
                     return L1Result::Fault("#UD");
                 }
                 if vmxon_check(
-                    Cr0::new(self.l1_cr0),
-                    Cr4::new(self.l1_cr4),
-                    Efer::new(self.l1_efer),
+                    Cr0::new(self.core.cr0),
+                    Cr4::new(self.core.cr4),
+                    Efer::new(self.core.efer),
                     addr,
                 )
                 .is_err()
@@ -672,94 +498,71 @@ impl L0Hypervisor for Vxen {
                     return L1Result::Fault("#GP");
                 }
                 self.cov_i(XIBlk::NvmxSetupDomain);
-                self.vmxon_region = Some(addr);
+                self.core.vmxon_region = Some(addr);
                 L1Result::Ok(0)
             }
             (CpuVendor::Intel, Vmxoff) => {
                 self.cov_i(XIBlk::NvmxHandleVmxoff);
-                self.vmxon_region = None;
-                self.current_vmptr = None;
-                self.in_l2 = false;
+                self.core.vmxoff();
                 L1Result::Ok(0)
             }
             (CpuVendor::Intel, Vmclear(addr)) => {
                 self.cov_i(XIBlk::NvmxHandleVmclear);
-                let Some(vmxon) = self.vmxon_region else {
+                let Some(vmxon) = self.core.vmxon_region else {
                     return L1Result::Fault("#UD");
                 };
                 if let Err(e) = vmclear_check(addr, vmxon) {
                     self.cov_i(XIBlk::NvmxVmclearErr);
                     return L1Result::VmFail(e);
                 }
-                let rev = self.exposed_caps.revision_id;
-                let v = self.vmcs12_mem.entry(addr).or_insert_with(|| {
-                    let mut v = Vmcs::new();
-                    v.revision_id = rev;
-                    v
-                });
-                v.state = VmcsState::Clear;
-                if self.current_vmptr == Some(addr) {
-                    self.current_vmptr = None;
-                }
+                self.core.vmclear(addr, self.exposed_caps.revision_id);
                 L1Result::Ok(0)
             }
             (CpuVendor::Intel, Vmptrld(addr)) => {
                 self.cov_i(XIBlk::NvmxHandleVmptrld);
-                let Some(vmxon) = self.vmxon_region else {
+                let Some(vmxon) = self.core.vmxon_region else {
                     return L1Result::Fault("#UD");
                 };
                 let rev = self.exposed_caps.revision_id;
-                let region_rev = self
-                    .vmcs12_mem
-                    .get(&addr)
-                    .map(|v| v.revision_id)
-                    .unwrap_or(rev);
+                let region_rev = self.core.staged_revision(addr, rev);
                 if let Err(e) = vmptrld_check(addr, vmxon, region_rev, rev) {
                     self.cov_i(XIBlk::NvmxVmptrldErr);
                     return L1Result::VmFail(e);
                 }
-                self.vmcs12_mem.entry(addr).or_insert_with(|| {
-                    let mut v = Vmcs::new();
-                    v.revision_id = rev;
-                    v
-                });
-                self.current_vmptr = Some(addr);
+                self.core.vmptrld(addr, rev);
                 L1Result::Ok(0)
             }
             (CpuVendor::Intel, Vmptrst) => {
                 self.cov_i(XIBlk::NvmxHandleVmptrld);
-                L1Result::Ok(self.current_vmptr.unwrap_or(u64::MAX))
+                L1Result::Ok(self.core.current_vmptr.unwrap_or(u64::MAX))
             }
             (CpuVendor::Intel, Vmread(enc)) => {
                 self.cov_i(XIBlk::NvmxHandleVmread);
-                let Some(ptr) = self.current_vmptr else {
+                if self.core.current_vmptr.is_none() {
                     self.cov_i(XIBlk::NvmxVmreadErr);
                     return L1Result::VmFail(VmInstrError::FailInvalid);
-                };
+                }
                 match vmread_check(enc) {
                     Err(e) => {
                         self.cov_i(XIBlk::NvmxVmreadErr);
                         L1Result::VmFail(e)
                     }
-                    Ok(field) => L1Result::Ok(self.vmcs12_mem[&ptr].read(field)),
+                    Ok(field) => L1Result::Ok(self.core.current_vmcs().read(field)),
                 }
             }
             (CpuVendor::Intel, Vmwrite(enc, val)) => {
                 self.cov_i(XIBlk::NvmxHandleVmwrite);
-                let Some(ptr) = self.current_vmptr else {
+                if self.core.current_vmptr.is_none() {
                     self.cov_i(XIBlk::NvmxVmwriteErr);
                     return L1Result::VmFail(VmInstrError::FailInvalid);
-                };
+                }
                 match vmwrite_check(enc) {
                     Err(e) => {
                         self.cov_i(XIBlk::NvmxVmwriteErr);
                         L1Result::VmFail(e)
                     }
                     Ok(field) => {
-                        self.vmcs12_mem
-                            .get_mut(&ptr)
-                            .expect("staged")
-                            .write(field, val);
+                        self.core.current_vmcs_mut().write(field, val);
                         L1Result::Ok(0)
                     }
                 }
@@ -791,7 +594,7 @@ impl L0Hypervisor for Vxen {
             (CpuVendor::Amd, Vmrun(addr)) => self.nsvm_run(addr),
             (CpuVendor::Amd, Vmload(addr)) => {
                 self.cov_a(XABlk::HandleVmloadX);
-                if self.vmcb12_mem.contains_key(&addr) {
+                if self.core.vmcb12_mem.contains_key(&addr) {
                     L1Result::Ok(0)
                 } else {
                     L1Result::Fault("#GP")
@@ -799,7 +602,7 @@ impl L0Hypervisor for Vxen {
             }
             (CpuVendor::Amd, Vmsave(addr)) => {
                 self.cov_a(XABlk::HandleVmsaveX);
-                if self.vmcb12_mem.contains_key(&addr) {
+                if self.core.vmcb12_mem.contains_key(&addr) {
                     L1Result::Ok(0)
                 } else {
                     L1Result::Fault("#GP")
@@ -824,18 +627,18 @@ impl L0Hypervisor for Vxen {
             ) => L1Result::Fault("#UD"),
 
             (_, MovToCr(nf_silicon::CrIndex::Cr0, v)) => {
-                self.l1_cr0 = v;
+                self.core.cr0 = v;
                 L1Result::Ok(0)
             }
             (_, MovToCr(nf_silicon::CrIndex::Cr4, v)) => {
-                self.l1_cr4 = v;
+                self.core.cr4 = v;
                 L1Result::Ok(0)
             }
             (_, Wrmsr(idx, v)) if idx == nf_x86::Msr::Efer.index() => {
                 if Efer::new(v).check_reserved().is_err() {
                     return L1Result::Fault("#GP");
                 }
-                self.l1_efer = v;
+                self.core.efer = v;
                 L1Result::Ok(0)
             }
             _ => L1Result::Ok(0),
@@ -843,37 +646,17 @@ impl L0Hypervisor for Vxen {
     }
 
     fn l2_exec(&mut self, instr: GuestInstr) -> L2Result {
-        if self.health.dead {
-            return L2Result::HostDead;
+        if let Some(r) = self.core.l2_preamble() {
+            return r;
         }
-        crate::fault::tick(&self.faults, &mut self.health);
-        if self.health.dead {
-            return L2Result::HostDead;
-        }
-        if !self.in_l2 {
-            return L2Result::NoGuest;
-        }
-        match self.config.vendor {
+        match self.core.config.vendor {
             CpuVendor::Intel => self.l2_exec_vmx(instr),
             CpuVendor::Amd => self.l2_exec_svm(instr),
         }
     }
 
-    fn l1_stage_vmcs_region(&mut self, addr: u64, revision: u32) {
-        let vmcs = self.vmcs12_mem.entry(addr).or_default();
-        vmcs.revision_id = revision;
-    }
-
-    fn l1_stage_vmcb(&mut self, addr: u64, vmcb: Vmcb) {
-        self.vmcb12_mem.insert(addr, vmcb);
-    }
-
-    fn l1_stage_msr_area(&mut self, addr: u64, area: MsrArea) {
-        self.msr_area_mem.insert(addr, area);
-    }
-
     fn host_ioctl(&mut self, op: IoctlOp) {
-        match (self.config.vendor, op) {
+        match (self.core.config.vendor, op) {
             (CpuVendor::Intel, IoctlOp::GetNestedState) => self.cov_i(XIBlk::MigrationSave),
             (CpuVendor::Intel, IoctlOp::SetNestedState) => self.cov_i(XIBlk::MigrationRestore),
             (CpuVendor::Intel, IoctlOp::FreeNestedState | IoctlOp::HardwareUnsetup) => {
@@ -886,64 +669,6 @@ impl L0Hypervisor for Vxen {
             (CpuVendor::Amd, _) => self.cov_a(XABlk::SvmTeardown),
         }
     }
-
-    fn coverage_map(&self) -> &CovMap {
-        &self.cov.map
-    }
-
-    fn trace(&self) -> &ExecTrace {
-        &self.trace
-    }
-
-    fn swap_trace(&mut self, trace: &mut ExecTrace) {
-        std::mem::swap(&mut self.trace, trace);
-    }
-
-    fn intel_file(&self) -> FileId {
-        self.cov.intel_file
-    }
-
-    fn amd_file(&self) -> Option<FileId> {
-        self.cov.amd_file
-    }
-
-    fn health(&self) -> &HostHealth {
-        &self.health
-    }
-
-    fn observe_guest(&self) -> crate::api::GuestObservation {
-        use crate::api::GuestObservation;
-        match self.config.vendor {
-            CpuVendor::Intel => GuestObservation {
-                cr0: self.l1_cr0,
-                cr4: self.l1_cr4,
-                efer: self.l1_efer,
-                vmx_on: self.vmxon_region.is_some(),
-                current_vmptr: self.current_vmptr.unwrap_or(u64::MAX),
-                in_l2: self.in_l2,
-                vmcs12_digest: self
-                    .current_vmptr
-                    .map(|p| GuestObservation::digest_vmcs(&self.vmcs12_mem[&p]))
-                    .unwrap_or(0),
-            },
-            CpuVendor::Amd => GuestObservation {
-                cr0: self.l1_cr0,
-                cr4: self.l1_cr4,
-                efer: self.l1_efer,
-                vmx_on: false,
-                current_vmptr: self.current_vmcb.unwrap_or(u64::MAX),
-                in_l2: self.in_l2,
-                vmcs12_digest: self
-                    .current_vmcb
-                    .map(|a| GuestObservation::digest_vmcb(&self.vmcb12_mem[&a]))
-                    .unwrap_or(0),
-            },
-        }
-    }
-
-    fn health_mut(&mut self) -> &mut HostHealth {
-        &mut self.health
-    }
 }
 
 #[cfg(test)]
@@ -954,7 +679,7 @@ mod tests {
 
     fn intel_xen() -> Vxen {
         let mut xen = Vxen::new(HvConfig::default_for(CpuVendor::Intel));
-        xen.l1_cr4 |= Cr4::VMXE;
+        xen.core.cr4 |= Cr4::VMXE;
         xen
     }
 
@@ -1022,7 +747,7 @@ mod tests {
             cfg.features.insert(CpuFeature::VGif);
         }
         let mut xen = Vxen::new(cfg);
-        xen.l1_efer |= Efer::SVME;
+        xen.core.efer |= Efer::SVME;
         xen
     }
 

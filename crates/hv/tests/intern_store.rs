@@ -19,13 +19,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nf_hv::{HvConfig, InternStore, L0Hypervisor, SnapshotStore, Vkvm, Vvbox, Vxen};
+use nf_hv::{HvConfig, InternStore, L0Hypervisor, SiliconGolden, SnapshotStore, Vkvm, Vvbox, Vxen};
 use nf_silicon::{golden_vmcb, golden_vmcs, CrIndex, GuestInstr};
 use nf_vmx::VmxCapabilities;
 use nf_x86::{CpuVendor, Cr0, Cr4, FeatureSet};
 use proptest::prelude::*;
 
-/// Every (backend, vendor) cell of the grid (vvbox is Intel-only).
+/// Every (backend, vendor) cell of the grid (vvbox is Intel-only),
+/// the golden reference included.
 fn grid() -> Vec<(&'static str, CpuVendor, Box<dyn L0Hypervisor>)> {
     let mk = |vendor| HvConfig::default_for(vendor);
     vec![
@@ -53,6 +54,16 @@ fn grid() -> Vec<(&'static str, CpuVendor, Box<dyn L0Hypervisor>)> {
             "vvbox",
             CpuVendor::Intel,
             Box::new(Vvbox::new(mk(CpuVendor::Intel))) as _,
+        ),
+        (
+            "golden",
+            CpuVendor::Intel,
+            Box::new(SiliconGolden::new(mk(CpuVendor::Intel))) as _,
+        ),
+        (
+            "golden",
+            CpuVendor::Amd,
+            Box::new(SiliconGolden::new(mk(CpuVendor::Amd))) as _,
         ),
     ]
 }

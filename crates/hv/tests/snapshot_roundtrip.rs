@@ -9,13 +9,14 @@
 //! instruction must produce the same result before and after a
 //! restore).
 
-use nf_hv::{HvConfig, HvSnapshot, L0Hypervisor, Vkvm, Vvbox, Vxen};
+use nf_hv::{HvConfig, HvSnapshot, L0Hypervisor, SiliconGolden, Vkvm, Vvbox, Vxen};
 use nf_silicon::{golden_vmcb, golden_vmcs, CrIndex, GuestInstr};
 use nf_vmx::VmxCapabilities;
 use nf_x86::{CpuVendor, Cr0, Cr4, FeatureSet};
 use proptest::prelude::*;
 
-/// Every (backend, vendor) cell of the grid (vvbox is Intel-only).
+/// Every (backend, vendor) cell of the grid (vvbox is Intel-only),
+/// the golden reference included.
 fn grid() -> Vec<(&'static str, CpuVendor, Box<dyn L0Hypervisor>)> {
     let mk = |vendor| HvConfig::default_for(vendor);
     vec![
@@ -43,6 +44,16 @@ fn grid() -> Vec<(&'static str, CpuVendor, Box<dyn L0Hypervisor>)> {
             "vvbox",
             CpuVendor::Intel,
             Box::new(Vvbox::new(mk(CpuVendor::Intel))) as _,
+        ),
+        (
+            "golden",
+            CpuVendor::Intel,
+            Box::new(SiliconGolden::new(mk(CpuVendor::Intel))) as _,
+        ),
+        (
+            "golden",
+            CpuVendor::Amd,
+            Box::new(SiliconGolden::new(mk(CpuVendor::Amd))) as _,
         ),
     ]
 }
