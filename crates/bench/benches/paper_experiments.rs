@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use necofuzz::campaign::{run_campaign, CampaignConfig};
 use necofuzz::orchestrator::{CampaignExecutor, CampaignPlan};
 use necofuzz::{ComponentMask, EngineMode, VmStateValidator};
-use nf_bench::{vkvm_backend, vkvm_factory, vvbox_factory, vxen_factory};
+use nf_bench::{backend, factory};
 use nf_fuzz::Mode;
 use nf_vmx::{Vmcs, VmxCapabilities};
 use nf_x86::{CpuVendor, FeatureSet};
@@ -21,7 +21,7 @@ fn mini_campaign(vendor: CpuVendor, mode: Mode, mask: ComponentMask, seed: u64) 
         .with_mode(mode)
         .with_mask(mask)
         .with_engine(EngineMode::Snapshot);
-    run_campaign(vkvm_factory(), &cfg).final_coverage
+    run_campaign(factory("vkvm"), &cfg).final_coverage
 }
 
 /// Table 2 / Figure 3: NecoFuzz and Syzkaller coverage campaigns on KVM.
@@ -40,7 +40,7 @@ fn bench_table2_figure3(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                nf_baselines::syzkaller(vkvm_factory(), vendor, 4, 60, seed).final_coverage
+                nf_baselines::syzkaller(factory("vkvm"), vendor, 4, 60, seed).final_coverage
             })
         });
     }
@@ -96,12 +96,12 @@ fn bench_table4(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let cfg = CampaignConfig::necofuzz(vendor, 4, seed).with_execs_per_hour(60);
-                run_campaign(vxen_factory(), &cfg).final_coverage
+                run_campaign(factory("vxen"), &cfg).final_coverage
             })
         });
     }
     g.bench_function("xtf_xen", |b| {
-        b.iter(|| nf_baselines::xtf(vxen_factory(), CpuVendor::Intel).final_coverage)
+        b.iter(|| nf_baselines::xtf(factory("vxen"), CpuVendor::Intel).final_coverage)
     });
     g.finish();
 }
@@ -131,7 +131,7 @@ fn bench_table6(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, 2, seed).with_execs_per_hour(60);
-            run_campaign(vvbox_factory(), &cfg).finds.len()
+            run_campaign(factory("vvbox"), &cfg).finds.len()
         })
     });
     g.bench_function("bug_hunt_vxen_amd", |b| {
@@ -139,7 +139,7 @@ fn bench_table6(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = CampaignConfig::necofuzz(CpuVendor::Amd, 2, seed).with_execs_per_hour(60);
-            run_campaign(vxen_factory(), &cfg).finds.len()
+            run_campaign(factory("vxen"), &cfg).finds.len()
         })
     });
     g.finish();
@@ -180,12 +180,10 @@ fn bench_figure5(c: &mut Criterion) {
 /// point; outputs are identical either way.
 fn bench_orchestrator(c: &mut Criterion) {
     let plan = || {
-        CampaignPlan::new()
-            .backend(vkvm_backend())
+        CampaignPlan::new(CampaignConfig::necofuzz(CpuVendor::Intel, 2, 0).with_execs_per_hour(60))
+            .backend(backend("vkvm"))
             .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
             .seeds(0..3)
-            .hours(2)
-            .execs_per_hour(60)
     };
     let mut g = c.benchmark_group("orchestrator");
     g.sample_size(10);

@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use necofuzz::campaign::{run_campaign, Campaign, CampaignConfig, CampaignResult};
-use nf_bench::{hr, pct, vkvm_factory};
+use nf_bench::{factory, hr, pct};
 use nf_fuzz::Mode;
 use nf_hv::FaultPlan;
 use nf_x86::CpuVendor;
@@ -109,7 +109,7 @@ fn cell_of(rate: f64, result: &CampaignResult) -> FaultCell {
 
 fn fault_cell(rate: f64, hours: u32, eph: u32) -> FaultCell {
     let started = Instant::now();
-    let result = run_campaign(vkvm_factory(), &campaign_config(hours, eph, Some(rate)));
+    let result = run_campaign(factory("vkvm"), &campaign_config(hours, eph, Some(rate)));
     eprintln!(
         "rate {rate:.2}: {:.0} execs/sec wall-clock (model numbers are virtual)",
         result.execs as f64 / started.elapsed().as_secs_f64()
@@ -130,16 +130,16 @@ struct ResumeCell {
 
 fn resume_cell(hours: u32, eph: u32) -> ResumeCell {
     let cfg = campaign_config(hours, eph, Some(0.05));
-    let baseline = run_campaign(vkvm_factory(), &cfg);
+    let baseline = run_campaign(factory("vkvm"), &cfg);
 
     let dir = std::env::temp_dir().join(format!("nf-bench-faults-ckpt-{}", std::process::id()));
     let split = hours / 2;
-    let mut partial = Campaign::new(vkvm_factory(), &cfg);
+    let mut partial = Campaign::new(factory("vkvm"), &cfg);
     partial.set_checkpoint(&dir, 1);
     partial.run_hours(split);
     drop(partial); // the kill: everything not checkpointed is lost
 
-    let resumed = Campaign::resume_from_checkpoint(vkvm_factory(), &cfg, &dir)
+    let resumed = Campaign::resume_from_checkpoint(factory("vkvm"), &cfg, &dir)
         .expect("resume from checkpoint");
     assert_eq!(resumed.hours_done(), split, "checkpoint lags the kill");
     let result = resumed.into_result();
@@ -239,8 +239,8 @@ fn main() {
 
     // The idle-seam gate: a zero-rate plan must leave the campaign
     // bit-identical to one with no plan armed at all.
-    let unarmed = run_campaign(vkvm_factory(), &campaign_config(hours, eph, None));
-    let zeroed = run_campaign(vkvm_factory(), &campaign_config(hours, eph, Some(0.0)));
+    let unarmed = run_campaign(factory("vkvm"), &campaign_config(hours, eph, None));
+    let zeroed = run_campaign(factory("vkvm"), &campaign_config(hours, eph, Some(0.0)));
     let zero_identical = unarmed == zeroed;
 
     let cells: Vec<FaultCell> = RATES.iter().map(|&r| fault_cell(r, hours, eph)).collect();

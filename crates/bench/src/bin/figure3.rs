@@ -11,7 +11,7 @@ fn main() {
     for vendor in [CpuVendor::Intel, CpuVendor::Amd] {
         hr(&format!("Figure 3 — coverage over time ({vendor})"));
         let neco = necofuzz_runs(
-            vkvm_factory,
+            "vkvm",
             vendor,
             HOURS_LONG,
             Mode::Unguided,
@@ -23,7 +23,7 @@ fn main() {
                 .map(|seed| {
                     Task::new(format!("syzkaller/{vendor}/seed{seed}"), move || {
                         nf_baselines::syzkaller(
-                            vkvm_factory(),
+                            factory("vkvm"),
                             vendor,
                             HOURS_LONG,
                             EXECS_PER_HOUR,
@@ -35,7 +35,7 @@ fn main() {
                 .collect(),
         );
         let iris_cov = if vendor == CpuVendor::Intel {
-            Some(nf_baselines::iris(vkvm_factory(), 0).final_coverage)
+            Some(nf_baselines::iris(factory("vkvm"), 0).final_coverage)
         } else {
             None
         };

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use necofuzz::campaign::{run_campaign, CampaignConfig};
 use necofuzz::{Agent, ComponentMask, EngineMode, ExecutionEngine};
-use nf_bench::{hr, vkvm_factory};
+use nf_bench::{factory, hr};
 use nf_coverage::{bitmap, LineSet};
 use nf_fuzz::{ExecFeedback, FuzzInput, Fuzzer, Mode, MAP_SIZE};
 use nf_hv::HvConfig;
@@ -106,7 +106,7 @@ fn feedback_engine() -> (ExecutionEngine, HvConfig) {
     let config = HvConfig::default_for(vendor);
     let caps = VmxCapabilities::from_features(FeatureSet::default_for(vendor).sanitized(vendor));
     (
-        ExecutionEngine::new(vkvm_factory(), config.clone(), caps, EngineMode::Snapshot),
+        ExecutionEngine::new(factory("vkvm"), config.clone(), caps, EngineMode::Snapshot),
         config,
     )
 }
@@ -217,13 +217,13 @@ fn campaign_cell(hours: u32, eph: u32) -> CellResult {
     let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, hours, 0).with_execs_per_hour(eph);
 
     let start = Instant::now();
-    let product = run_campaign(vkvm_factory(), &cfg);
+    let product = run_campaign(factory("vkvm"), &cfg);
     let hotpath_eps = product.execs as f64 / start.elapsed().as_secs_f64();
 
     // The pre-scratch campaign loop: allocate per exec, sample hourly.
     let start = Instant::now();
     let mut agent = Agent::with_engine(
-        vkvm_factory(),
+        factory("vkvm"),
         CpuVendor::Intel,
         ComponentMask::ALL,
         EngineMode::Snapshot,

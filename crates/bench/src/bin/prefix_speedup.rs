@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use necofuzz::campaign::{run_campaign, run_campaign_group, CampaignConfig, GroupMember};
 use necofuzz::{Agent, ComponentMask, EngineMode, ExecutionHarness, PrefixStoreMode};
-use nf_bench::{hr, vkvm_factory, vxen_factory};
+use nf_bench::{factory, hr};
 use nf_fuzz::scenario::InputLayout;
 use nf_fuzz::{FuzzInput, Mode, MutationStrategy};
 use nf_x86::CpuVendor;
@@ -105,7 +105,7 @@ fn share_cell(share: f64, execs: u32) -> ShareCell {
     use rand::{Rng, SeedableRng};
 
     let mut agent = Agent::with_engine(
-        vkvm_factory(),
+        factory("vkvm"),
         CpuVendor::Intel,
         ComponentMask::ALL,
         EngineMode::Snapshot,
@@ -205,7 +205,7 @@ fn budget_cell(
     use rand::{Rng, SeedableRng};
 
     let mut agent = Agent::with_engine(
-        vkvm_factory(),
+        factory("vkvm"),
         CpuVendor::Intel,
         ComponentMask::ALL,
         EngineMode::Snapshot,
@@ -307,13 +307,9 @@ struct AbCell {
     identical: bool,
 }
 
-fn ab_solo(
-    label: &'static str,
-    factory: fn() -> necofuzz::campaign::HvFactory,
-    cfg: CampaignConfig,
-) -> AbCell {
-    let cached = run_campaign(factory(), &cfg.clone().with_prefix_cache(true));
-    let full = run_campaign(factory(), &cfg.with_prefix_cache(false));
+fn ab_solo(label: &'static str, target: &str, cfg: CampaignConfig) -> AbCell {
+    let cached = run_campaign(factory(target), &cfg.clone().with_prefix_cache(true));
+    let full = run_campaign(factory(target), &cfg.with_prefix_cache(false));
     AbCell {
         label,
         identical: cached == full,
@@ -331,7 +327,7 @@ fn ab_group(label: &'static str, hours: u32, eph: u32) -> AbCell {
                     .with_mode(Mode::Guided)
                     .with_sync_interval(2)
                     .with_prefix_cache(prefix);
-                (vkvm_factory(), cfg) as GroupMember
+                (factory("vkvm"), cfg) as GroupMember
             })
             .collect();
         run_campaign_group(members)
@@ -349,10 +345,10 @@ fn identity_cells(hours: u32, eph: u32) -> Vec<AbCell> {
             .with_mode(Mode::Guided)
     };
     vec![
-        ab_solo("vkvm/intel/guided", vkvm_factory, base(CpuVendor::Intel, 1)),
+        ab_solo("vkvm/intel/guided", "vkvm", base(CpuVendor::Intel, 1)),
         ab_solo(
             "vxen/amd/structured",
-            vxen_factory,
+            "vxen",
             base(CpuVendor::Amd, 2).with_strategy(MutationStrategy::Structured),
         ),
         ab_group("vkvm/intel/synced-x2", hours, eph),

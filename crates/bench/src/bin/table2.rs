@@ -14,7 +14,7 @@ fn main() {
     for vendor in [CpuVendor::Intel, CpuVendor::Amd] {
         hr(&format!("Table 2 — KVM nested coverage ({vendor})"));
         let neco = necofuzz_runs(
-            vkvm_factory,
+            "vkvm",
             vendor,
             HOURS_LONG,
             Mode::Unguided,
@@ -26,7 +26,7 @@ fn main() {
             .map(|seed| {
                 Task::new(format!("syzkaller/{vendor}/seed{seed}"), move || {
                     nf_baselines::syzkaller(
-                        vkvm_factory(),
+                        factory("vkvm"),
                         vendor,
                         HOURS_LONG,
                         EXECS_PER_HOUR,
@@ -37,10 +37,10 @@ fn main() {
             })
             .collect();
         baseline_tasks.push(Task::new(format!("selftests/{vendor}"), move || {
-            nf_baselines::selftests(vkvm_factory(), vendor)
+            nf_baselines::selftests(factory("vkvm"), vendor)
         }));
         baseline_tasks.push(Task::new(format!("kvm-unit-tests/{vendor}"), move || {
-            nf_baselines::kvm_unit_tests(vkvm_factory(), vendor)
+            nf_baselines::kvm_unit_tests(factory("vkvm"), vendor)
         }));
         let mut baselines = executor().execute(baseline_tasks);
         let kut = baselines.pop().expect("kvm-unit-tests result");
@@ -85,7 +85,7 @@ fn main() {
             &neco_med.lines.intersect(&syz_med.lines),
         );
         if vendor == CpuVendor::Intel {
-            let iris = nf_baselines::iris(vkvm_factory(), 0);
+            let iris = nf_baselines::iris(factory("vkvm"), 0);
             row("IRIS", &iris.lines);
         } else {
             println!("{:<28} {:>7} {:>7}", "IRIS", "-", "-");

@@ -5,7 +5,7 @@
 //! progression (Figure 4), on Intel and AMD.
 
 use necofuzz::orchestrator::CampaignPlan;
-use necofuzz::ComponentMask;
+use necofuzz::{CampaignConfig, ComponentMask};
 use nf_bench::*;
 use nf_x86::CpuVendor;
 
@@ -40,13 +40,12 @@ fn main() {
         // The whole ablation — every mask × every seed — is one plan;
         // the orchestrator fans the 25 campaigns out together and hands
         // results back in plan order (mask-major, seed-minor).
-        let plan = CampaignPlan::new()
-            .backend(vkvm_backend())
-            .vendors(&[vendor])
+        let base =
+            CampaignConfig::necofuzz(vendor, HOURS_SHORT, 0).with_execs_per_hour(EXECS_PER_HOUR);
+        let plan = CampaignPlan::new(base)
+            .backend(backend("vkvm"))
             .masks(&variants.map(|(_, mask)| mask))
-            .seeds(0..RUNS)
-            .hours(HOURS_SHORT)
-            .execs_per_hour(EXECS_PER_HOUR);
+            .seeds(0..RUNS);
         let results = executor().run(&plan);
 
         let mut curves = Vec::new();

@@ -10,13 +10,13 @@ fn main() {
     for vendor in [CpuVendor::Intel, CpuVendor::Amd] {
         hr(&format!("Table 4 — Xen nested coverage at 24 h ({vendor})"));
         let neco = necofuzz_runs(
-            vxen_factory,
+            "vxen",
             vendor,
             HOURS_SHORT,
             Mode::Unguided,
             necofuzz::ComponentMask::ALL,
         );
-        let xtf = nf_baselines::xtf(vxen_factory(), vendor);
+        let xtf = nf_baselines::xtf(factory("vxen"), vendor);
         let neco_med = median_run(&neco);
         let map = &neco_med.map;
         let file = neco_med.file;

@@ -6,6 +6,7 @@
 //! micro-variations into equivalent post-rounding states (§5.4, §5.6).
 
 use necofuzz::orchestrator::CampaignPlan;
+use necofuzz::CampaignConfig;
 use nf_bench::*;
 use nf_fuzz::Mode;
 use nf_x86::CpuVendor;
@@ -14,13 +15,13 @@ fn main() {
     hr("Table 5 — effect of coverage guidance (KVM, 48 h)");
     // The full 2-vendor × 2-mode × RUNS-seed grid is one plan; results
     // come back vendor-major, then mode, then seed.
-    let plan = CampaignPlan::new()
-        .backend(vkvm_backend())
+    let base = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS_LONG, 0)
+        .with_execs_per_hour(EXECS_PER_HOUR);
+    let plan = CampaignPlan::new(base)
+        .backend(backend("vkvm"))
         .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
         .modes(&[Mode::Unguided, Mode::Guided])
-        .seeds(0..RUNS)
-        .hours(HOURS_LONG)
-        .execs_per_hour(EXECS_PER_HOUR);
+        .seeds(0..RUNS);
     let results = executor().run(&plan);
     let cell = |vendor_idx: usize, mode_idx: usize| {
         let start = (vendor_idx * 2 + mode_idx) * RUNS as usize;

@@ -4,7 +4,7 @@
 //! Intel and AMD, Xen on Intel and AMD, VirtualBox on Intel) and reports
 //! every Table 6 bug with its detector, matching the paper's six finds.
 
-use necofuzz::orchestrator::{Backend, CampaignJob};
+use necofuzz::orchestrator::CampaignJob;
 use nf_bench::*;
 use nf_fuzz::Mode;
 use nf_x86::CpuVendor;
@@ -16,22 +16,21 @@ fn main() {
         "No", "Hypervisor", "CPU", "Bug id", "Detector"
     );
     let mut no = 0;
-    type Target = (fn() -> Backend, CpuVendor, u32);
-    let targets: [Target; 5] = [
-        (vkvm_backend, CpuVendor::Intel, HOURS_LONG),
-        (vkvm_backend, CpuVendor::Amd, HOURS_LONG),
-        (vxen_backend, CpuVendor::Intel, HOURS_SHORT),
-        (vxen_backend, CpuVendor::Amd, HOURS_SHORT),
-        (vvbox_backend, CpuVendor::Intel, HOURS_SHORT),
+    let targets = [
+        ("vkvm", CpuVendor::Intel, HOURS_LONG),
+        ("vkvm", CpuVendor::Amd, HOURS_LONG),
+        ("vxen", CpuVendor::Intel, HOURS_SHORT),
+        ("vxen", CpuVendor::Amd, HOURS_SHORT),
+        ("vvbox", CpuVendor::Intel, HOURS_SHORT),
     ];
     // All five targets × RUNS seeds go out as one 25-job batch; the
     // per-target budgets differ, so this is an explicit job list
     // rather than a cartesian plan.
     let jobs: Vec<CampaignJob> = targets
         .iter()
-        .flat_map(|&(backend, vendor, hours)| {
+        .flat_map(|&(name, vendor, hours)| {
             (0..RUNS).map(move |seed| CampaignJob {
-                backend: backend(),
+                backend: backend(name),
                 cfg: necofuzz::CampaignConfig::necofuzz(vendor, hours, seed)
                     .with_execs_per_hour(EXECS_PER_HOUR)
                     .with_mode(Mode::Unguided),
@@ -41,9 +40,7 @@ fn main() {
     let results = executor().run_jobs(jobs);
 
     let mut all_found = std::collections::BTreeSet::new();
-    for ((backend, vendor, _), target_results) in targets.iter().zip(results.chunks(RUNS as usize))
-    {
-        let name = backend().name().to_string();
+    for ((name, vendor, _), target_results) in targets.iter().zip(results.chunks(RUNS as usize)) {
         // vGIF is an optional feature the configurator must enable; the
         // Xen/AMD campaign explores it via the feature bit-array.
         let mut finds = Vec::new();

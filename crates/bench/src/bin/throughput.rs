@@ -23,10 +23,10 @@
 
 use std::time::Instant;
 
-use necofuzz::campaign::{run_campaign, CampaignConfig};
+use necofuzz::campaign::{run_campaign, CampaignConfig, HvFactory};
 use necofuzz::orchestrator::Task;
 use necofuzz::{ComponentMask, EngineMode, ExecutionEngine};
-use nf_bench::{executor, hr, vkvm_factory, vvbox_factory, vxen_factory, Factory};
+use nf_bench::{executor, hr};
 use nf_fuzz::Mode;
 use nf_hv::HvConfig;
 use nf_silicon::GuestInstr;
@@ -82,7 +82,7 @@ fn churn_configs(vendor: CpuVendor) -> Vec<HvConfig> {
 
 /// Times `execs` churn iterations: every exec reconfigures the host
 /// and runs one probe. Returns execs/sec.
-fn churn_eps(factory: Factory, vendor: CpuVendor, mode: EngineMode, execs: u32) -> f64 {
+fn churn_eps(factory: HvFactory, vendor: CpuVendor, mode: EngineMode, execs: u32) -> f64 {
     let ring = churn_configs(vendor);
     let caps = VmxCapabilities::from_features(FeatureSet::default_for(vendor).sanitized(vendor));
     let mut engine = ExecutionEngine::new(factory, HvConfig::default_for(vendor), caps, mode);
@@ -102,7 +102,7 @@ fn churn_eps(factory: Factory, vendor: CpuVendor, mode: EngineMode, execs: u32) 
 /// Times a full campaign (all components on, configurator churning)
 /// and returns (execs/sec, result).
 fn campaign_eps(
-    factory: Factory,
+    factory: HvFactory,
     vendor: CpuVendor,
     mode: EngineMode,
     hours: u32,
@@ -198,20 +198,20 @@ fn main() {
         (20_000, 12, 150)
     };
 
-    type Cell = (&'static str, fn() -> Factory, CpuVendor);
-    let grid: [Cell; 5] = [
-        ("vkvm", vkvm_factory, CpuVendor::Intel),
-        ("vkvm", vkvm_factory, CpuVendor::Amd),
-        ("vxen", vxen_factory, CpuVendor::Intel),
-        ("vxen", vxen_factory, CpuVendor::Amd),
-        ("vvbox", vvbox_factory, CpuVendor::Intel),
+    let grid = [
+        ("vkvm", CpuVendor::Intel),
+        ("vkvm", CpuVendor::Amd),
+        ("vxen", CpuVendor::Intel),
+        ("vxen", CpuVendor::Amd),
+        ("vvbox", CpuVendor::Intel),
     ];
 
     // One task per cell; both engines are timed inside the task so the
     // ratio is scheduling-independent. Results come back in grid order.
     let tasks: Vec<Task<Vec<CellResult>>> = grid
         .iter()
-        .map(|&(backend, factory, vendor)| {
+        .map(|&(backend, vendor)| {
+            let factory = move || nf_bench::factory(backend);
             Task::new(format!("throughput/{backend}/{vendor}"), move || {
                 // Warm-up (page in code, fill allocator pools), then
                 // measure rebuild and snapshot back to back.

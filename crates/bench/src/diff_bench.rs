@@ -12,7 +12,8 @@
 //!   every sanitizer) diffed against `golden`. The oracle must find
 //!   the planted misvirtualization ([`SEEDED_SIGNATURE`]), and the
 //!   reproducer is minimized under the signature-preserving
-//!   [`necofuzz::DiffOracle`] and replay-validated.
+//!   [`necofuzz::ReplayOracle`] built from the arm's own config, and
+//!   replay-validated.
 //! - **conformance** — the same budget against clean `vkvm` + `golden`.
 //!   Every divergent observation must be covered by the intentional-
 //!   quirk [`necofuzz::ALLOWLIST`]; a single non-allowlisted
@@ -24,9 +25,7 @@
 //!   with the oracle on or off (same execs, same coverage).
 
 use necofuzz::campaign::{Campaign, CampaignConfig, CampaignResult};
-use necofuzz::{
-    backend_factory, ComponentMask, DiffOracle, EngineMode, OracleMode, SEEDED_HLT_BACKEND,
-};
+use necofuzz::{backend_factory, OracleMode, ReplayOracle, SEEDED_HLT_BACKEND};
 use nf_fuzz::Mode;
 use nf_hv::CrashKind;
 use nf_x86::CpuVendor;
@@ -86,23 +85,28 @@ pub struct DiffReport {
     pub json: String,
 }
 
-/// Runs one unguided campaign of the given budget against `target`,
-/// with the differential oracle replaying across `diff_backends`
-/// (empty = sanitizer oracle only).
+/// The config of one unguided arm of the given budget, with the
+/// differential oracle replaying across `diff_backends` (empty =
+/// sanitizer oracle only).
+fn arm_config(diff_backends: &[&str], hours: u32, execs_per_hour: u32) -> CampaignConfig {
+    let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, hours, 0)
+        .with_execs_per_hour(execs_per_hour)
+        .with_mode(Mode::Unguided);
+    if diff_backends.is_empty() {
+        return cfg;
+    }
+    cfg.with_oracle(OracleMode::Differential)
+        .with_diff_backends(diff_backends)
+}
+
+/// Runs one arm ([`arm_config`]) against `target`.
 fn run_arm(
     target: &str,
     diff_backends: &[&str],
     hours: u32,
     execs_per_hour: u32,
 ) -> CampaignResult {
-    let mut cfg = CampaignConfig::necofuzz(CpuVendor::Intel, hours, 0)
-        .with_execs_per_hour(execs_per_hour)
-        .with_mode(Mode::Unguided);
-    if !diff_backends.is_empty() {
-        cfg = cfg
-            .with_oracle(OracleMode::Differential)
-            .with_diff_backends(diff_backends);
-    }
+    let cfg = arm_config(diff_backends, hours, execs_per_hour);
     let factory = backend_factory(target).expect("known backend");
     let mut campaign = Campaign::new(factory, &cfg);
     campaign.run_hours(hours);
@@ -186,12 +190,9 @@ pub fn run(hours: u32, execs_per_hour: u32) -> DiffReport {
     let planted = seeded.finds.iter().find(|f| f.bug_id == SEEDED_SIGNATURE);
     let (minimized_before, minimized_after, replay_validated) = match planted {
         Some(find) => {
-            let backends = [SEEDED_HLT_BACKEND.to_string(), "golden".to_string()];
-            let oracle = DiffOracle::new(
-                &backends,
-                CpuVendor::Intel,
-                ComponentMask::ALL,
-                EngineMode::Snapshot,
+            let oracle = ReplayOracle::new(
+                backend_factory(SEEDED_HLT_BACKEND).expect("known backend"),
+                &arm_config(&seeded_pair, hours, execs_per_hour),
             );
             let minimized = oracle.minimize(&find.bug_id, &find.input);
             let nonzero =

@@ -18,12 +18,11 @@ pub mod diff_bench;
 pub mod mutator_bench;
 pub mod sync_bench;
 
-use necofuzz::campaign::{CampaignConfig, CampaignResult};
+use necofuzz::campaign::{CampaignConfig, CampaignResult, HvFactory};
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignJob};
-use necofuzz::ComponentMask;
+use necofuzz::{backend_factory, ComponentMask};
 use nf_coverage::LineSet;
 use nf_fuzz::Mode;
-use nf_hv::{HvConfig, L0Hypervisor, Vkvm, Vvbox, Vxen};
 use nf_x86::CpuVendor;
 
 /// Number of repeated runs per configuration (Klees et al.; paper §5.1).
@@ -37,37 +36,24 @@ pub const HOURS_SHORT: u32 = 24;
 /// Executions per virtual hour for the experiment drivers.
 pub const EXECS_PER_HOUR: u32 = 120;
 
-/// A hypervisor factory.
-pub type Factory = Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>;
-
-/// Factory for the KVM model.
-pub fn vkvm_factory() -> Factory {
-    Box::new(|cfg| Box::new(Vkvm::new(cfg)))
+/// The orchestrator backend `name` resolves to in necofuzz's backend
+/// table (`vkvm`, `vxen`, `vvbox`, ...).
+///
+/// # Panics
+///
+/// Panics on a name the table does not hold.
+pub fn backend(name: &str) -> Backend {
+    Backend::named(name).unwrap_or_else(|| panic!("unknown backend {name:?}"))
 }
 
-/// Factory for the Xen model.
-pub fn vxen_factory() -> Factory {
-    Box::new(|cfg| Box::new(Vxen::new(cfg)))
-}
-
-/// Factory for the VirtualBox model (Intel only).
-pub fn vvbox_factory() -> Factory {
-    Box::new(|cfg| Box::new(Vvbox::new(cfg)))
-}
-
-/// Orchestrator backend for the KVM model.
-pub fn vkvm_backend() -> Backend {
-    Backend::new("vkvm", |cfg| Box::new(Vkvm::new(cfg)))
-}
-
-/// Orchestrator backend for the Xen model.
-pub fn vxen_backend() -> Backend {
-    Backend::new("vxen", |cfg| Box::new(Vxen::new(cfg)))
-}
-
-/// Orchestrator backend for the VirtualBox model (Intel only).
-pub fn vvbox_backend() -> Backend {
-    Backend::new("vvbox", |cfg| Box::new(Vvbox::new(cfg)))
+/// The hypervisor factory `name` resolves to in necofuzz's backend
+/// table.
+///
+/// # Panics
+///
+/// Panics on a name the table does not hold.
+pub fn factory(name: &str) -> HvFactory {
+    backend_factory(name).unwrap_or_else(|| panic!("unknown backend {name:?}"))
 }
 
 /// Worker-pool width for the experiment drivers: `--jobs N` (or
@@ -106,10 +92,11 @@ pub fn executor() -> CampaignExecutor {
     })
 }
 
-/// Runs NecoFuzz `RUNS` times (seeds `0..RUNS`) on the worker pool and
-/// returns the per-run results in seed order.
+/// Runs NecoFuzz `RUNS` times (seeds `0..RUNS`) against the named
+/// backend on the worker pool and returns the per-run results in seed
+/// order.
 pub fn necofuzz_runs(
-    factory: fn() -> Factory,
+    target: &str,
     vendor: CpuVendor,
     hours: u32,
     mode: Mode,
@@ -117,7 +104,7 @@ pub fn necofuzz_runs(
 ) -> Vec<CampaignResult> {
     let jobs = (0..RUNS)
         .map(|seed| CampaignJob {
-            backend: Backend::new("necofuzz", move |cfg| factory()(cfg)),
+            backend: backend(target),
             cfg: CampaignConfig::necofuzz(vendor, hours, seed)
                 .with_execs_per_hour(EXECS_PER_HOUR)
                 .with_mode(mode)

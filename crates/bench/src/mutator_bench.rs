@@ -14,7 +14,7 @@ use nf_fuzz::{Mode, MutationStats, MutationStrategy, Operator, HAVOC_ARMS};
 use nf_stats::{execs_to_level, median};
 use nf_x86::CpuVendor;
 
-use crate::vkvm_factory;
+use crate::factory;
 
 /// Seeds of the comparison (medianed; Klees et al.'s repeated runs).
 pub const SEEDS: [u64; 5] = [0, 1, 2, 3, 4];
@@ -39,7 +39,7 @@ pub fn run_strategy(strategy: MutationStrategy, seed: u64, hours: u32, eph: u32)
         .with_execs_per_hour(eph)
         .with_mode(Mode::Guided)
         .with_strategy(strategy);
-    let mut campaign = Campaign::new(vkvm_factory(), &cfg);
+    let mut campaign = Campaign::new(factory("vkvm"), &cfg);
     let mut curve = Vec::with_capacity(hours as usize);
     while !campaign.is_complete() {
         campaign.run_hours(1);

@@ -22,7 +22,7 @@ use nf_coverage::{CovMap, FileId, LineSet};
 use nf_fuzz::{Mode, SyncMode, SyncStats, SyncTopology};
 use nf_x86::CpuVendor;
 
-use crate::vkvm_factory;
+use crate::factory;
 
 /// Fleet sizes measured — the single source for the main loop, the
 /// JSON summary, and the smoke gate, so adding a size cannot silently
@@ -137,7 +137,7 @@ fn run_fleet(
                 .with_sync_interval(u32::from(synced))
                 .with_sync_mode(mode)
                 .with_sync_topology(SyncTopology::Tree);
-            (vkvm_factory(), cfg)
+            (factory("vkvm"), cfg)
         })
         .collect();
     let total_lines = map.file_lines(file) as f64;
@@ -311,7 +311,7 @@ fn run_sizes(hours: u32, execs_per_hour: u32, sizes: &[u32], async_sizes: &[u32]
     let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, hours, 0)
         .with_execs_per_hour(execs_per_hour)
         .with_mode(Mode::Unguided);
-    let mut baseline = Campaign::new(vkvm_factory(), &cfg);
+    let mut baseline = Campaign::new(factory("vkvm"), &cfg);
     baseline.run_hours(hours);
     let target = baseline.coverage_fraction();
     let (map, file) = baseline.coverage_geometry();

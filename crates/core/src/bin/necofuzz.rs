@@ -110,16 +110,16 @@
 //! agents hold unpersisted state).
 
 use std::io::Write as _;
+use std::str::FromStr;
 
-use necofuzz::campaign::CampaignResult;
+use necofuzz::campaign::{Campaign, CampaignConfig, CampaignResult};
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
 use necofuzz::{
-    backend_factory, parse_divergence_pair, ComponentMask, DiffOracle, EngineMode, OracleMode,
-    ReplayOracle,
+    backend_factory, check_backend, parse_divergence_pair, EngineMode, OracleMode, ReplayOracle,
 };
 use nf_fuzz::corpus::Corpus;
 use nf_fuzz::{FuzzInput, Mode, MutationStrategy, Operator, SyncMode, SyncTopology, INPUT_LEN};
-use nf_hv::{FaultPlan, HvConfig, L0Hypervisor, Vkvm, Vvbox, Vxen};
+use nf_hv::FaultPlan;
 use nf_x86::CpuVendor;
 
 fn usage() -> ! {
@@ -148,94 +148,136 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn backend_for(target: &str, vendor: CpuVendor) -> Backend {
-    match target {
-        "vkvm" => Backend::new("vkvm", |c| Box::new(Vkvm::new(c))),
-        "vxen" => Backend::new("vxen", |c| Box::new(Vxen::new(c))),
-        "vvbox" => {
-            if vendor != CpuVendor::Intel {
-                eprintln!("vvbox supports only --vendor intel");
-                std::process::exit(2);
-            }
-            Backend::new("vvbox", |c| Box::new(Vvbox::new(c)))
-        }
-        _ => usage(),
-    }
+/// Parses a flag value, or exits with the usage text.
+fn num<T: FromStr>(value: String) -> T {
+    value.parse().unwrap_or_else(|_| usage())
 }
 
-fn main() {
-    let mut target = "vkvm".to_string();
-    let mut vendor = CpuVendor::Intel;
-    let mut hours = 24u32;
-    let mut execs_per_hour = 250u32;
-    let mut seed = 0u64;
-    let mut runs = 1u64;
-    let mut jobs = 0usize; // 0 = available parallelism
-    let mut mode = Mode::Unguided;
-    let mut mask = ComponentMask::ALL;
-    let mut engine = EngineMode::Snapshot;
-    let mut prefix_cache = false;
-    let mut prefix_budget = necofuzz::DEFAULT_PREFIX_BUDGET;
-    let mut prefix_budget_set = false;
-    let mut cache_capacity = necofuzz::DEFAULT_CACHE_CAPACITY;
-    let mut strategy = MutationStrategy::Havoc;
-    let mut oracle = OracleMode::Sanitizer;
-    let mut diff_backends: Vec<String> = Vec::new();
-    let mut sync_interval = 0u32;
-    let mut sync_mode = SyncMode::Lockstep;
-    let mut sync_topology = SyncTopology::Tree;
-    let mut corpus_dir: Option<String> = None;
-    let mut resume_corpus: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut fault_plan: Option<(u64, f64)> = None;
-    let mut watchdog_fuel: Option<u64> = None;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut checkpoint_interval = 0u32; // 0 = unset; defaults to 1 with --checkpoint-dir
-    let mut resume_checkpoint: Option<String> = None;
+/// Prints a diagnostic and exits 2 (a usage error).
+fn reject(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("corpus") {
-        corpus_main(&args[1..]);
-        return;
+/// The hypervisors `--target` may name; the backend table's other
+/// entries (`golden`, the seeded-bug vkvm) only serve as diff backends.
+const TARGETS: [&str; 3] = ["vkvm", "vxen", "vvbox"];
+
+/// What the flags shared by a campaign run and `corpus repro` set: the
+/// target's name and the campaign config every other flag writes into.
+struct Flags {
+    target: String,
+    cfg: CampaignConfig,
+    prefix_budget_set: bool,
+}
+
+impl Flags {
+    fn new() -> Self {
+        Flags {
+            target: "vkvm".to_string(),
+            cfg: CampaignConfig::necofuzz(CpuVendor::Intel, 24, 0),
+            prefix_budget_set: false,
+        }
     }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--target" => target = value(),
+
+    /// Applies `arg` if it is a shared flag (target, vendor, engine
+    /// knobs); `false` when it is not one.
+    fn shared(&mut self, arg: &str, value: &mut impl FnMut() -> String) -> bool {
+        match arg {
+            "--target" => self.target = value(),
             "--vendor" => {
-                vendor = match value().as_str() {
+                self.cfg.vendor = match value().as_str() {
                     "intel" => CpuVendor::Intel,
                     "amd" => CpuVendor::Amd,
                     _ => usage(),
                 }
             }
-            "--hours" => hours = value().parse().unwrap_or_else(|_| usage()),
-            "--execs-per-hour" => execs_per_hour = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
-            "--runs" => runs = value().parse().unwrap_or_else(|_| usage()),
-            "--jobs" => jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--guided" => mode = Mode::Guided,
-            "--mutator" => strategy = MutationStrategy::parse(&value()).unwrap_or_else(|| usage()),
-            "--no-harness" => mask.harness = false,
-            "--no-validator" => mask.validator = false,
-            "--no-configurator" => mask.configurator = false,
-            "--engine" => engine = EngineMode::parse(&value()).unwrap_or_else(|| usage()),
-            "--prefix-cache" => prefix_cache = true,
+            "--engine" => self.cfg.engine = EngineMode::parse(&value()).unwrap_or_else(|| usage()),
+            "--prefix-cache" => self.cfg.prefix_cache = true,
             "--prefix-budget" => {
-                prefix_budget = value().parse().unwrap_or_else(|_| usage());
-                prefix_budget_set = true;
+                self.cfg.prefix_budget = num(value());
+                self.prefix_budget_set = true;
             }
-            "--cache-capacity" => cache_capacity = value().parse().unwrap_or_else(|_| usage()),
-            "--oracle" => oracle = OracleMode::parse(&value()).unwrap_or_else(|| usage()),
+            "--cache-capacity" => self.cfg.cache_capacity = num(value()),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The shared flags' consistency checks; `context` prefixes the
+    /// diagnostic.
+    fn check_engine(&self, context: &str) {
+        if self.cfg.prefix_cache && self.cfg.engine != EngineMode::Snapshot {
+            reject(format_args!(
+                "{context}--prefix-cache requires --engine snapshot (the trie restores snapshots)"
+            ));
+        }
+        if self.prefix_budget_set && !self.cfg.prefix_cache {
+            reject(format_args!(
+                "{context}--prefix-budget requires --prefix-cache (it sizes the prefix trie)"
+            ));
+        }
+        if self.cfg.cache_capacity == 0 {
+            reject(format_args!("{context}--cache-capacity must be at least 1"));
+        }
+    }
+
+    /// The `--target` backend, checked against the vendor.
+    fn target_backend(&self) -> Backend {
+        if !TARGETS.contains(&self.target.as_str()) {
+            usage();
+        }
+        check_backend(&self.target, self.cfg.vendor).unwrap_or_else(|e| reject(e));
+        Backend::named(&self.target).expect("every target is in the backend table")
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("corpus") {
+        corpus_main(&args[1..]);
+        return;
+    }
+    let mut flags = Flags::new();
+    let mut runs = 1u64;
+    let mut jobs = 0usize; // 0 = available parallelism
+    let mut corpus_dir: Option<String> = None;
+    let mut resume_corpus: Option<String> = None;
+    let mut out: Option<String> = None;
+    let mut bench_out: Option<String> = None;
+    let mut fault_plan: Option<(u64, f64)> = None;
+    let mut checkpoint_dir: Option<String> = None;
+    let mut checkpoint_interval = 0u32; // 0 = unset; defaults to 1 with --checkpoint-dir
+    let mut resume_checkpoint: Option<String> = None;
+
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
+        if flags.shared(arg, &mut value) {
+            continue;
+        }
+        let cfg = &mut flags.cfg;
+        match arg.as_str() {
+            "--hours" => cfg.hours = num(value()),
+            "--execs-per-hour" => cfg.execs_per_hour = num(value()),
+            "--seed" => cfg.seed = num(value()),
+            "--runs" => runs = num(value()),
+            "--jobs" => jobs = num(value()),
+            "--guided" => cfg.mode = Mode::Guided,
+            "--mutator" => {
+                cfg.strategy = MutationStrategy::parse(&value()).unwrap_or_else(|| usage());
+            }
+            "--no-harness" => cfg.mask.harness = false,
+            "--no-validator" => cfg.mask.validator = false,
+            "--no-configurator" => cfg.mask.configurator = false,
+            "--oracle" => cfg.oracle = OracleMode::parse(&value()).unwrap_or_else(|| usage()),
             "--diff-backends" => {
-                diff_backends = value().split(',').map(str::to_string).collect();
+                cfg.diff_backends = value().split(',').map(str::to_string).collect();
             }
-            "--sync-interval" => sync_interval = value().parse().unwrap_or_else(|_| usage()),
-            "--sync-mode" => sync_mode = SyncMode::parse(&value()).unwrap_or_else(|| usage()),
+            "--sync-interval" => cfg.sync_interval = num(value()),
+            "--sync-mode" => cfg.sync_mode = SyncMode::parse(&value()).unwrap_or_else(|| usage()),
             "--sync-topology" => {
-                sync_topology = SyncTopology::parse(&value()).unwrap_or_else(|| usage());
+                cfg.sync_topology = SyncTopology::parse(&value()).unwrap_or_else(|| usage());
             }
             "--corpus-dir" => corpus_dir = Some(value()),
             "--resume-corpus" => resume_corpus = Some(value()),
@@ -244,192 +286,112 @@ fn main() {
             "--fault-plan" => {
                 let v = value();
                 let (s, r) = v.split_once(':').unwrap_or_else(|| usage());
-                let plan_seed: u64 = s.parse().unwrap_or_else(|_| usage());
-                let rate: f64 = r.parse().unwrap_or_else(|_| usage());
-                fault_plan = Some((plan_seed, rate));
+                fault_plan = Some((num(s.to_string()), num(r.to_string())));
             }
-            "--watchdog-fuel" => watchdog_fuel = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--watchdog-fuel" => cfg.watchdog_fuel = num(value()),
             "--checkpoint-dir" => checkpoint_dir = Some(value()),
-            "--checkpoint-interval" => {
-                checkpoint_interval = value().parse().unwrap_or_else(|_| usage());
-            }
+            "--checkpoint-interval" => checkpoint_interval = num(value()),
             "--resume-checkpoint" => resume_checkpoint = Some(value()),
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
     if runs == 0 {
         usage();
     }
-    if prefix_cache && engine != EngineMode::Snapshot {
-        eprintln!("--prefix-cache requires --engine snapshot (the trie restores snapshots)");
-        std::process::exit(2);
-    }
-    if prefix_budget_set && !prefix_cache {
-        eprintln!("--prefix-budget requires --prefix-cache (it sizes the prefix trie)");
-        std::process::exit(2);
-    }
-    if cache_capacity == 0 {
-        eprintln!("--cache-capacity must be at least 1");
-        std::process::exit(2);
-    }
-    if sync_mode == SyncMode::Async && sync_interval == 0 {
-        eprintln!("--sync-mode async needs --sync-interval N (any N > 0 switches gossip on)");
-        std::process::exit(2);
+    flags.check_engine("");
+    let cfg = &mut flags.cfg;
+    if cfg.sync_mode == SyncMode::Async && cfg.sync_interval == 0 {
+        reject("--sync-mode async needs --sync-interval N (any N > 0 switches gossip on)");
     }
     if let Some((_, rate)) = fault_plan {
         if !(0.0..=1.0).contains(&rate) {
-            eprintln!("--fault-plan: RATE must be a fraction within [0, 1]");
-            std::process::exit(2);
+            reject("--fault-plan: RATE must be a fraction within [0, 1]");
         }
     }
-    if watchdog_fuel == Some(0) {
-        eprintln!("--watchdog-fuel must be at least 1 (a zero budget starves every exec)");
-        std::process::exit(2);
+    if cfg.watchdog_fuel == 0 {
+        reject("--watchdog-fuel must be at least 1 (a zero budget starves every exec)");
     }
     if checkpoint_interval != 0 && checkpoint_dir.is_none() {
-        eprintln!("--checkpoint-interval requires --checkpoint-dir (it paces checkpoint writes)");
-        std::process::exit(2);
+        reject("--checkpoint-interval requires --checkpoint-dir (it paces checkpoint writes)");
     }
-    if checkpoint_dir.is_some() || resume_checkpoint.is_some() {
-        let flag = if resume_checkpoint.is_some() {
-            "--resume-checkpoint"
-        } else {
-            "--checkpoint-dir"
-        };
+    // A lone campaign — resumed from a corpus or a checkpoint, or
+    // checkpointing — runs on `Campaign` directly: the checkpoint and
+    // corpus seams live there, not on the orchestrator's grid.
+    let lone = if resume_checkpoint.is_some() {
+        Some("--resume-checkpoint")
+    } else if checkpoint_dir.is_some() {
+        Some("--checkpoint-dir")
+    } else {
+        resume_corpus.as_ref().map(|_| "--resume-corpus")
+    };
+    if let Some(flag) = lone {
         if runs != 1 {
-            eprintln!("{flag} drives exactly one campaign; drop --runs");
-            std::process::exit(2);
+            reject(format_args!(
+                "{flag} drives exactly one campaign; drop --runs"
+            ));
         }
-        if sync_interval != 0 {
-            eprintln!("{flag} runs a lone campaign; drop --sync-interval");
-            std::process::exit(2);
+        if cfg.sync_interval != 0 {
+            reject(format_args!(
+                "{flag} runs a lone campaign; drop --sync-interval"
+            ));
         }
-        if oracle == OracleMode::Differential {
-            eprintln!("{flag} does not support the differential oracle (its replay agents hold unpersisted state)");
-            std::process::exit(2);
+        if flag != "--resume-corpus" && cfg.oracle == OracleMode::Differential {
+            reject(format_args!("{flag} does not support the differential oracle (its replay agents hold unpersisted state)"));
         }
         if bench_out.is_some() {
-            eprintln!("{flag} does not record throughput; drop --bench-out");
-            std::process::exit(2);
+            reject(format_args!(
+                "{flag} does not record throughput; drop --bench-out"
+            ));
         }
     }
     if resume_checkpoint.is_some() && resume_corpus.is_some() {
-        eprintln!("--resume-checkpoint restores its own corpus; drop --resume-corpus");
-        std::process::exit(2);
+        reject("--resume-checkpoint restores its own corpus; drop --resume-corpus");
     }
-    match oracle {
+    match cfg.oracle {
         OracleMode::Sanitizer => {
-            if !diff_backends.is_empty() {
-                eprintln!("--diff-backends requires --oracle differential");
-                std::process::exit(2);
+            if !cfg.diff_backends.is_empty() {
+                reject("--diff-backends requires --oracle differential");
             }
         }
         OracleMode::Differential => {
-            if diff_backends.is_empty() {
-                diff_backends = vec![target.clone(), "golden".to_string()];
+            if cfg.diff_backends.is_empty() {
+                cfg.diff_backends = vec![flags.target.clone(), "golden".to_string()];
             }
-            if diff_backends.len() < 2 {
-                eprintln!("--diff-backends needs at least two backends to diff");
-                std::process::exit(2);
+            if cfg.diff_backends.len() < 2 {
+                reject("--diff-backends needs at least two backends to diff");
             }
-            for name in &diff_backends {
-                if backend_factory(name).is_none() {
-                    eprintln!("--diff-backends: unknown backend {name:?}");
-                    std::process::exit(2);
-                }
-                if name == "vvbox" && vendor != CpuVendor::Intel {
-                    eprintln!("--diff-backends: vvbox supports only --vendor intel");
-                    std::process::exit(2);
-                }
+            for name in &cfg.diff_backends {
+                check_backend(name, cfg.vendor)
+                    .unwrap_or_else(|e| reject(format_args!("--diff-backends: {e}")));
             }
         }
     }
+    cfg.fault_plan = fault_plan.map(|(plan_seed, rate)| FaultPlan::uniform(plan_seed, rate));
+    let backend = flags.target_backend();
+    let target = backend.name();
+    let cfg = flags.cfg;
+    let CampaignConfig {
+        vendor,
+        hours,
+        execs_per_hour,
+        seed,
+        mode,
+        ..
+    } = cfg;
 
-    let backend = backend_for(&target, vendor);
-
-    if let Some(dir) = &resume_corpus {
-        if runs != 1 {
-            eprintln!("--resume-corpus resumes exactly one campaign; drop --runs");
-            std::process::exit(2);
-        }
-        // Reject flags the resume path would silently ignore.
-        if sync_interval != 0 {
-            eprintln!("--resume-corpus runs a lone campaign; drop --sync-interval");
-            std::process::exit(2);
-        }
-        if bench_out.is_some() {
-            eprintln!("--resume-corpus does not record throughput; drop --bench-out");
-            std::process::exit(2);
-        }
-        let loaded = load_corpus(&resolve_corpus_dir(dir));
-        println!(
-            "necofuzz: resuming from {dir} ({} entries, worker {}) — target={target} \
-             vendor={vendor} hours={hours} execs/h={execs_per_hour} seed={seed} mode={mode:?}",
-            loaded.len(),
-            loaded.worker()
-        );
-        let diff_refs: Vec<&str> = diff_backends.iter().map(String::as_str).collect();
-        let mut cfg = necofuzz::campaign::CampaignConfig::necofuzz(vendor, hours, seed)
-            .with_execs_per_hour(execs_per_hour)
-            .with_mode(mode)
-            .with_mask(mask)
-            .with_engine(engine)
-            .with_prefix_cache(prefix_cache)
-            .with_prefix_budget(prefix_budget)
-            .with_cache_capacity(cache_capacity)
-            .with_strategy(strategy)
-            .with_oracle(oracle)
-            .with_diff_backends(&diff_refs);
-        if let Some((plan_seed, rate)) = fault_plan {
-            cfg = cfg.with_fault_plan(FaultPlan::uniform(plan_seed, rate));
-        }
-        if let Some(fuel) = watchdog_fuel {
-            cfg = cfg.with_watchdog_fuel(fuel);
-        }
-        let mut campaign =
-            necofuzz::campaign::Campaign::with_corpus(backend.factory(), &cfg, loaded);
-        if let Some(ck_dir) = &checkpoint_dir {
-            campaign.set_checkpoint(ck_dir, checkpoint_interval.max(1));
-        }
-        let result = campaign.into_result();
-        report_run(seed, &result, false);
-        if let Some(dir) = &out {
-            save_crashes(dir, seed, &result);
-        }
-        if let Some(dir) = &corpus_dir {
-            save_corpus(dir, seed, &result);
-        }
-        std::process::exit(i32::from(!result.finds.is_empty()));
-    }
-
-    if checkpoint_dir.is_some() || resume_checkpoint.is_some() {
-        // Checkpointed (and resumed) campaigns run the single-campaign
-        // path directly: the checkpoint seam lives on `Campaign`, not
-        // on the orchestrator's grid.
-        let mut cfg = necofuzz::campaign::CampaignConfig::necofuzz(vendor, hours, seed)
-            .with_execs_per_hour(execs_per_hour)
-            .with_mode(mode)
-            .with_mask(mask)
-            .with_engine(engine)
-            .with_prefix_cache(prefix_cache)
-            .with_prefix_budget(prefix_budget)
-            .with_cache_capacity(cache_capacity)
-            .with_strategy(strategy)
-            .with_oracle(oracle);
-        if let Some((plan_seed, rate)) = fault_plan {
-            cfg = cfg.with_fault_plan(FaultPlan::uniform(plan_seed, rate));
-        }
-        if let Some(fuel) = watchdog_fuel {
-            cfg = cfg.with_watchdog_fuel(fuel);
-        }
-        let mut campaign = if let Some(dir) = &resume_checkpoint {
-            let campaign =
-                necofuzz::campaign::Campaign::resume_from_checkpoint(backend.factory(), &cfg, dir)
-                    .unwrap_or_else(|e| {
-                        eprintln!("--resume-checkpoint {dir}: {e}");
-                        std::process::exit(2);
-                    });
+    if lone.is_some() {
+        let mut campaign = if let Some(dir) = &resume_corpus {
+            let loaded = load_corpus(&resolve_corpus_dir(dir));
+            println!(
+                "necofuzz: resuming from {dir} ({} entries, worker {}) — target={target} \
+                 vendor={vendor} hours={hours} execs/h={execs_per_hour} seed={seed} mode={mode:?}",
+                loaded.len(),
+                loaded.worker()
+            );
+            Campaign::with_corpus(backend.factory(), &cfg, loaded)
+        } else if let Some(dir) = &resume_checkpoint {
+            let campaign = Campaign::resume_from_checkpoint(backend.factory(), &cfg, dir)
+                .unwrap_or_else(|e| reject(format_args!("--resume-checkpoint {dir}: {e}")));
             println!(
                 "necofuzz: resumed checkpoint {dir} at hour {}/{} — target={target} \
                  vendor={vendor} seed={seed} mode={mode:?}",
@@ -444,7 +406,7 @@ fn main() {
                  checkpointing every {}h",
                 checkpoint_interval.max(1)
             );
-            necofuzz::campaign::Campaign::new(backend.factory(), &cfg)
+            Campaign::new(backend.factory(), &cfg)
         };
         if let Some(ck_dir) = &checkpoint_dir {
             campaign.set_checkpoint(ck_dir, checkpoint_interval.max(1));
@@ -460,18 +422,21 @@ fn main() {
         std::process::exit(i32::from(!result.finds.is_empty()));
     }
 
-    let oracle_desc = match oracle {
-        OracleMode::Sanitizer => oracle.to_string(),
-        OracleMode::Differential => format!("{oracle}[{}]", diff_backends.join("+")),
+    let oracle_desc = match cfg.oracle {
+        OracleMode::Sanitizer => cfg.oracle.to_string(),
+        OracleMode::Differential => format!("{}[{}]", cfg.oracle, cfg.diff_backends.join("+")),
     };
-    let engine_desc = if prefix_cache {
-        format!("{engine}+prefix(cap {cache_capacity}, budget {prefix_budget} B)")
+    let engine_desc = if cfg.prefix_cache {
+        format!(
+            "{}+prefix(cap {}, budget {} B)",
+            cfg.engine, cfg.cache_capacity, cfg.prefix_budget
+        )
     } else {
-        engine.to_string()
+        cfg.engine.to_string()
     };
-    let sync_desc = match sync_mode {
-        SyncMode::Lockstep => format!("{sync_interval}h"),
-        SyncMode::Async => format!("async-{sync_topology}"),
+    let sync_desc = match cfg.sync_mode {
+        SyncMode::Lockstep => format!("{}h", cfg.sync_interval),
+        SyncMode::Async => format!("async-{}", cfg.sync_topology),
     };
     let fault_desc = match fault_plan {
         Some((plan_seed, rate)) => format!("{plan_seed}:{rate}"),
@@ -479,40 +444,20 @@ fn main() {
     };
     println!(
         "necofuzz: target={target} vendor={vendor} hours={hours} execs/h={execs_per_hour} \
-         seeds={seed}..{} runs={runs} mode={mode:?} mutator={strategy} engine={engine_desc} \
+         seeds={seed}..{} runs={runs} mode={mode:?} mutator={} engine={engine_desc} \
          oracle={oracle_desc} sync={sync_desc} faults={fault_desc} \
          components[harness={} validator={} configurator={}]",
         seed + runs,
-        mask.harness,
-        mask.validator,
-        mask.configurator
+        cfg.strategy,
+        cfg.mask.harness,
+        cfg.mask.validator,
+        cfg.mask.configurator
     );
 
-    let diff_refs: Vec<&str> = diff_backends.iter().map(String::as_str).collect();
-    let mut plan = CampaignPlan::new()
+    let engine = cfg.engine;
+    let plan = CampaignPlan::new(cfg)
         .backend(backend)
-        .vendors(&[vendor])
-        .modes(&[mode])
-        .masks(&[mask])
-        .seeds(seed..seed + runs)
-        .hours(hours)
-        .execs_per_hour(execs_per_hour)
-        .engine(engine)
-        .prefix_cache(prefix_cache)
-        .prefix_budget(prefix_budget)
-        .cache_capacity(cache_capacity)
-        .sync_interval(sync_interval)
-        .sync_mode(sync_mode)
-        .sync_topology(sync_topology)
-        .strategy(strategy)
-        .oracle(oracle)
-        .diff_backends(&diff_refs);
-    if let Some((plan_seed, rate)) = fault_plan {
-        plan = plan.fault_plan(FaultPlan::uniform(plan_seed, rate));
-    }
-    if let Some(fuel) = watchdog_fuel {
-        plan = plan.watchdog_fuel(fuel);
-    }
+        .seeds(seed..seed + runs);
     let executor = CampaignExecutor::new()
         .jobs(jobs)
         .on_progress(|p| {
@@ -560,7 +505,7 @@ fn main() {
         println!(
             "\n{} runs: median coverage {:.1}%, {} unique bug(s): {:?}",
             runs,
-            nf_stats_median(&coverages) * 100.0,
+            nf_stats::median(&coverages) * 100.0,
             ids.len(),
             ids
         );
@@ -588,13 +533,7 @@ fn corpus_main(args: &[String]) {
     let mut it = args.iter();
     let action = it.next().map(String::as_str).unwrap_or_else(|| usage());
     let path = it.next().cloned().unwrap_or_else(|| usage());
-    let mut target = "vkvm".to_string();
-    let mut vendor = CpuVendor::Intel;
-    let mut engine = EngineMode::Snapshot;
-    let mut prefix_cache = false;
-    let mut prefix_budget = necofuzz::DEFAULT_PREFIX_BUDGET;
-    let mut prefix_budget_set = false;
-    let mut cache_capacity = necofuzz::DEFAULT_CACHE_CAPACITY;
+    let mut flags = Flags::new();
     let mut minimize = false;
     let mut out: Option<String> = None;
     while let Some(arg) = it.next() {
@@ -603,67 +542,32 @@ fn corpus_main(args: &[String]) {
         // --minimize` silently doing nothing would read as success.
         let only_repro = |flag: &str| {
             if action != "repro" {
-                eprintln!("corpus {action}: {flag} applies only to repro");
-                std::process::exit(2);
+                reject(format_args!(
+                    "corpus {action}: {flag} applies only to repro"
+                ));
             }
         };
         match arg.as_str() {
-            "--target" => {
-                only_repro("--target");
-                target = value();
-            }
-            "--vendor" => {
-                only_repro("--vendor");
-                vendor = match value().as_str() {
-                    "intel" => CpuVendor::Intel,
-                    "amd" => CpuVendor::Amd,
-                    _ => usage(),
-                }
-            }
-            "--engine" => {
-                only_repro("--engine");
-                engine = EngineMode::parse(&value()).unwrap_or_else(|| usage());
-            }
-            "--prefix-cache" => {
-                only_repro("--prefix-cache");
-                prefix_cache = true;
-            }
-            "--prefix-budget" => {
-                only_repro("--prefix-budget");
-                prefix_budget = value().parse().unwrap_or_else(|_| usage());
-                prefix_budget_set = true;
-            }
-            "--cache-capacity" => {
-                only_repro("--cache-capacity");
-                cache_capacity = value().parse().unwrap_or_else(|_| usage());
-            }
             "--minimize" => {
                 only_repro("--minimize");
                 minimize = true;
             }
             "--out" => {
                 if action == "stat" {
-                    eprintln!("corpus stat: --out is not supported");
-                    std::process::exit(2);
+                    reject("corpus stat: --out is not supported");
                 }
                 out = Some(value());
             }
-            _ => usage(),
+            flag => {
+                if !flags.shared(flag, &mut value) {
+                    usage();
+                }
+                only_repro(flag);
+            }
         }
     }
 
-    if prefix_cache && engine != EngineMode::Snapshot {
-        eprintln!("corpus repro: --prefix-cache requires --engine snapshot");
-        std::process::exit(2);
-    }
-    if prefix_budget_set && !prefix_cache {
-        eprintln!("corpus repro: --prefix-budget requires --prefix-cache");
-        std::process::exit(2);
-    }
-    if cache_capacity == 0 {
-        eprintln!("corpus repro: --cache-capacity must be at least 1");
-        std::process::exit(2);
-    }
+    flags.check_engine("corpus repro: ");
     let path = match action {
         "stat" | "minimize" => resolve_corpus_dir(&path),
         _ => path,
@@ -726,10 +630,8 @@ fn corpus_main(args: &[String]) {
             );
         }
         "repro" => {
-            let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-                eprintln!("read {path}: {e}");
-                std::process::exit(2);
-            });
+            let bytes =
+                std::fs::read(&path).unwrap_or_else(|e| reject(format_args!("read {path}: {e}")));
             let mut input = FuzzInput::zeroed();
             let n = bytes.len().min(INPUT_LEN);
             input.bytes[..n].copy_from_slice(&bytes[..n]);
@@ -739,48 +641,42 @@ fn corpus_main(args: &[String]) {
             // replay across the recorded pair with the differential
             // oracle (printing the first-divergent exit); everything
             // else replays against the single --target sanitizer
-            // oracle as before.
-            let (bugs, minimized) = if let Some((a, b)) = parse_divergence_pair(&path) {
-                for name in [&a, &b] {
-                    if backend_factory(name).is_none() {
-                        eprintln!("corpus repro: unknown differential backend {name:?} in {path}");
-                        std::process::exit(2);
+            // oracle.
+            let mut cfg = flags.cfg.clone();
+            let (factory, miss) = match parse_divergence_pair(&path) {
+                Some((a, b)) => {
+                    for name in [&a, &b] {
+                        check_backend(name, cfg.vendor)
+                            .unwrap_or_else(|e| reject(format_args!("corpus repro: {path}: {e}")));
                     }
+                    println!("{path}: divergence finding, replaying across {a}+{b}");
+                    cfg.oracle = OracleMode::Differential;
+                    cfg.diff_backends = vec![a.clone(), b.clone()];
+                    // The pair's first backend stands in for the
+                    // campaign's target; divergence replays never run it.
+                    let factory = backend_factory(&a).expect("checked above");
+                    (
+                        factory,
+                        format!("no divergence reproduced between {a} and {b}"),
+                    )
                 }
-                println!("{path}: divergence finding, replaying across {a}+{b}");
-                let backends = [a.clone(), b.clone()];
-                let oracle = DiffOracle::new(&backends, vendor, ComponentMask::ALL, engine)
-                    .with_prefix_cache(prefix_cache)
-                    .with_prefix_budget(prefix_budget)
-                    .with_cache_capacity(cache_capacity);
-                let bugs = oracle.replay(&input);
-                if bugs.is_empty() {
-                    println!("{path}: no divergence reproduced between {a} and {b}");
-                    std::process::exit(1);
-                }
-                let min = minimize.then(|| oracle.minimize(&bugs[0].0, &input));
-                (bugs, min)
-            } else {
-                let backend = backend_for(&target, vendor);
-                let factory =
-                    move |cfg: HvConfig| -> Box<dyn L0Hypervisor> { backend.factory()(cfg) };
-                let oracle = ReplayOracle::new(factory, vendor, ComponentMask::ALL, engine)
-                    .with_prefix_cache(prefix_cache)
-                    .with_prefix_budget(prefix_budget)
-                    .with_cache_capacity(cache_capacity);
-                let bugs = oracle.replay(&input);
-                if bugs.is_empty() {
-                    println!("{path}: no anomaly reproduced on {target}/{vendor}");
-                    std::process::exit(1);
-                }
-                let min = minimize.then(|| oracle.minimize(&bugs[0].0, &input));
-                (bugs, min)
+                None => (
+                    flags.target_backend().factory(),
+                    format!("no anomaly reproduced on {}/{}", flags.target, cfg.vendor),
+                ),
             };
+            let oracle = ReplayOracle::new(factory, &cfg);
+            let bugs = oracle.replay(&input, recorded_bug_id(&path));
+            if bugs.is_empty() {
+                println!("{path}: {miss}");
+                std::process::exit(1);
+            }
             for (id, kind, message) in &bugs {
                 println!("{path}: reproduced [{kind}] {id}: {message}");
             }
-            if let Some(minimized) = minimized {
+            if minimize {
                 let bug_id = &bugs[0].0;
+                let minimized = oracle.minimize(bug_id, &input);
                 let nonzero = minimized.bytes.iter().filter(|&&b| b != 0).count();
                 let dest = out.unwrap_or_else(|| format!("{path}.min.bin"));
                 std::fs::write(&dest, &minimized.bytes)
@@ -794,6 +690,15 @@ fn corpus_main(args: &[String]) {
         }
         _ => usage(),
     }
+}
+
+/// The bug id a saved crash file's name records
+/// (`crash-sNNN-execNNNNNN-<bug id>.bin`, as [`save_crashes`] writes it).
+fn recorded_bug_id(path: &str) -> Option<&str> {
+    let name = std::path::Path::new(path).file_name()?.to_str()?;
+    let rest = name.strip_prefix("crash-s")?.strip_suffix(".bin")?;
+    let (_, rest) = rest.split_once("-exec")?;
+    rest.split_once('-').map(|(_, bug_id)| bug_id)
 }
 
 /// Resolves a `corpus` subcommand directory argument: a corpus dir is
@@ -864,21 +769,6 @@ fn save_bench(path: &str, engine: EngineMode, elapsed: f64, results: &[CampaignR
     );
     std::fs::write(path, json).expect("write bench output");
     println!("wrote {path}");
-}
-
-/// Median without pulling `nf-stats` into the core crate's deps.
-fn nf_stats_median(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
 }
 
 fn report_run(run_seed: u64, result: &CampaignResult, multi: bool) {

@@ -391,6 +391,29 @@ impl PartialEq for CampaignResult {
     }
 }
 
+/// Where a campaign's virtual clock stands: the samples and marks taken
+/// so far, the hour and the execs into it, and the adoptions made.
+struct Clock {
+    hourly: Vec<HourSample>,
+    hour: u32,
+    hour_execs: u32,
+    corpus_marks: Vec<u64>,
+    adopted: u64,
+}
+
+impl Clock {
+    /// A fresh clock at hour 0, with room for `hours` samples.
+    fn start(hours: u32) -> Clock {
+        Clock {
+            hourly: Vec::with_capacity(hours as usize),
+            hour: 0,
+            hour_execs: 0,
+            corpus_marks: Vec::with_capacity(hours as usize),
+            adopted: 0,
+        }
+    }
+}
+
 /// A resumable campaign: agent + fuzzer + the virtual clock.
 ///
 /// `run_campaign` drives one to completion in a single call; sync
@@ -446,20 +469,7 @@ impl Campaign {
         let agent = Campaign::make_agent(factory, cfg);
         let mut fuzzer = Fuzzer::with_strategy(cfg.seed, cfg.mode, cfg.strategy);
         fuzzer.set_worker(worker);
-        Campaign {
-            agent,
-            fuzzer,
-            diff: Campaign::make_diff(cfg),
-            cfg: cfg.clone(),
-            hourly: Vec::with_capacity(cfg.hours as usize),
-            hour: 0,
-            hour_execs: 0,
-            corpus_marks: Vec::with_capacity(cfg.hours as usize),
-            adopted: 0,
-            sync_stats: SyncStats::default(),
-            input: FuzzInput::zeroed(),
-            checkpoint: None,
-        }
+        Campaign::assemble(agent, fuzzer, cfg, Clock::start(cfg.hours))
     }
 
     /// Creates a campaign resuming from a persisted corpus.
@@ -470,16 +480,23 @@ impl Campaign {
     ) -> Self {
         let agent = Campaign::make_agent(factory, cfg);
         let fuzzer = Fuzzer::with_corpus_strategy(cfg.seed, cfg.mode, cfg.strategy, corpus);
+        Campaign::assemble(agent, fuzzer, cfg, Clock::start(cfg.hours))
+    }
+
+    /// The one constructor body behind every way to create a campaign:
+    /// a fresh one starts its clock at hour 0, a resumed one at its
+    /// checkpoint's.
+    fn assemble(agent: Agent, fuzzer: Fuzzer, cfg: &CampaignConfig, clock: Clock) -> Self {
         Campaign {
             agent,
             fuzzer,
             diff: Campaign::make_diff(cfg),
             cfg: cfg.clone(),
-            hourly: Vec::with_capacity(cfg.hours as usize),
-            hour: 0,
-            hour_execs: 0,
-            corpus_marks: Vec::with_capacity(cfg.hours as usize),
-            adopted: 0,
+            hourly: clock.hourly,
+            hour: clock.hour,
+            hour_execs: clock.hour_execs,
+            corpus_marks: clock.corpus_marks,
+            adopted: clock.adopted,
             sync_stats: SyncStats::default(),
             input: FuzzInput::zeroed(),
             checkpoint: None,
@@ -487,9 +504,10 @@ impl Campaign {
     }
 
     /// Builds the campaign's agent, applying every engine/fault knob
-    /// the config carries — shared by all constructors so fresh and
-    /// resumed campaigns run identically-configured agents.
-    fn make_agent(
+    /// the config carries — shared by all constructors and the replay
+    /// oracle, so fresh, resumed and replaying agents are configured
+    /// identically.
+    pub(crate) fn make_agent(
         factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
         cfg: &CampaignConfig,
     ) -> Agent {
@@ -506,7 +524,9 @@ impl Campaign {
         agent
     }
 
-    fn make_diff(cfg: &CampaignConfig) -> Option<DifferentialRunner> {
+    /// Builds the campaign's differential runner (`None` unless the
+    /// config arms the differential oracle).
+    pub(crate) fn make_diff(cfg: &CampaignConfig) -> Option<DifferentialRunner> {
         (cfg.oracle == OracleMode::Differential).then(|| {
             DifferentialRunner::new(&cfg.diff_backends, cfg.vendor, cfg.mask, cfg.engine)
                 .with_prefix_cache(cfg.prefix_cache)
@@ -730,20 +750,14 @@ impl Campaign {
             agent.triage_mut().record(find.into_find());
         }
         let fuzzer = Fuzzer::from_checkpoint(cfg.mode, cfg.strategy, corpus, ck.fuzzer);
-        Ok(Campaign {
-            agent,
-            fuzzer,
-            diff: None,
-            cfg: cfg.clone(),
+        let clock = Clock {
             hourly: ck.hourly,
             hour: ck.hour,
             hour_execs: ck.hour_execs,
             corpus_marks: ck.corpus_marks,
             adopted: ck.adopted,
-            sync_stats: SyncStats::default(),
-            input: FuzzInput::zeroed(),
-            checkpoint: None,
-        })
+        };
+        Ok(Campaign::assemble(agent, fuzzer, cfg, clock))
     }
 
     /// Turns on corpus recording regardless of feedback mode, so an

@@ -41,12 +41,12 @@
 //! sanitizer oracle owns those. Known-intentional backend quirks are
 //! filtered by an explicit [`AllowRule`] table.
 //!
-//! [`DiffOracle`] is the replay/minimization half: like
-//! [`crate::triage::ReplayOracle`] it re-runs findings from clean
-//! agents (cold then converged validator), and its minimizer only
-//! accepts truncations that preserve the *divergence signature* — a
-//! reproducer that merely still crashes, or diverges somewhere else,
-//! is rejected.
+//! [`crate::triage::ReplayOracle`] is the replay/minimization half:
+//! built from a differential campaign's config, it re-runs divergence
+//! findings on fresh runners (cold then converged validators), and its
+//! minimizer only accepts truncations that preserve the *divergence
+//! signature* — a reproducer that merely still crashes, or diverges
+//! somewhere else, is rejected.
 
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -59,7 +59,7 @@ use crate::agent::{Agent, BugFind, ComponentMask};
 use crate::campaign::HvFactory;
 use crate::engine::EngineMode;
 use crate::harness::ExecObserver;
-use crate::triage::{minimize_input, CrashTriage};
+use crate::triage::CrashTriage;
 
 /// Which anomaly oracle a campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,24 +106,60 @@ impl std::fmt::Display for OracleMode {
 /// configuration.
 pub const SEEDED_HLT_BACKEND: &str = "vkvm-hltbug";
 
-/// Resolves a differential-backend name to a hypervisor factory.
-///
-/// Known names: `vkvm`, `vxen`, `vvbox`, `golden` (the
-/// [`SiliconGolden`] bare-metal reference), and
-/// [`SEEDED_HLT_BACKEND`] (test-only).
+/// Makes a backend's boxed factory. The factory is a capture-free
+/// closure, so boxing it allocates nothing.
+pub(crate) type FactoryMaker = fn() -> HvFactory;
+
+/// The backend table: every hypervisor a campaign, the differential
+/// oracle, the CLI or a bench can name — `(name, factory maker, models
+/// AMD)`. `golden` is the [`SiliconGolden`] bare-metal reference, and
+/// [`SEEDED_HLT_BACKEND`] is test-only. VirtualBox's nested support is
+/// Intel-only, so `vvbox` rejects AMD.
+const BACKENDS: &[(&str, FactoryMaker, bool)] = &[
+    ("vkvm", || Box::new(|c| Box::new(Vkvm::new(c))), true),
+    ("vxen", || Box::new(|c| Box::new(Vxen::new(c))), true),
+    ("vvbox", || Box::new(|c| Box::new(Vvbox::new(c))), false),
+    (
+        "golden",
+        || Box::new(|c| Box::new(SiliconGolden::new(c))),
+        true,
+    ),
+    (
+        SEEDED_HLT_BACKEND,
+        || {
+            Box::new(|c| {
+                let mut hv = Vkvm::new(c);
+                hv.bugs.misreport_hlt_exit = true;
+                Box::new(hv)
+            })
+        },
+        true,
+    ),
+];
+
+/// Resolves a backend name to a hypervisor factory through the backend
+/// table (`vkvm`, `vxen`, `vvbox`, `golden`, and the test-only
+/// [`SEEDED_HLT_BACKEND`]).
 pub fn backend_factory(name: &str) -> Option<HvFactory> {
-    Some(match name {
-        "vkvm" => Box::new(|c| Box::new(Vkvm::new(c))),
-        "vxen" => Box::new(|c| Box::new(Vxen::new(c))),
-        "vvbox" => Box::new(|c| Box::new(Vvbox::new(c))),
-        "golden" => Box::new(|c| Box::new(SiliconGolden::new(c))),
-        SEEDED_HLT_BACKEND => Box::new(|c| {
-            let mut hv = Vkvm::new(c);
-            hv.bugs.misreport_hlt_exit = true;
-            Box::new(hv)
-        }),
-        _ => return None,
-    })
+    backend_maker(name).map(|make| make())
+}
+
+/// The table's factory maker for `name`: a plain function pointer, so
+/// it can back a `Send + Sync` orchestrator [`crate::Backend`].
+pub(crate) fn backend_maker(name: &str) -> Option<FactoryMaker> {
+    BACKENDS.iter().find(|b| b.0 == name).map(|b| b.1)
+}
+
+/// Checks that `name` is in the backend table and models `vendor`;
+/// the error is the diagnostic the CLI prints before exiting 2.
+pub fn check_backend(name: &str, vendor: CpuVendor) -> Result<(), String> {
+    match BACKENDS.iter().find(|b| b.0 == name) {
+        None => Err(format!("unknown backend {name:?}")),
+        Some(&(_, _, false)) if vendor == CpuVendor::Amd => {
+            Err(format!("{name} supports only --vendor intel"))
+        }
+        Some(_) => Ok(()),
+    }
 }
 
 /// One canonical L1-visible event result, backend-neutral.
@@ -580,7 +616,7 @@ impl DifferentialRunner {
 
     /// Fast-forwards every backend's validator to its converged state
     /// (see [`Agent::converge_validator`]) — the replay context
-    /// [`DiffOracle`] uses for late-campaign findings.
+    /// [`crate::triage::ReplayOracle`] uses for late-campaign findings.
     pub fn converge_validators(&mut self) {
         for agent in &mut self.agents {
             agent.converge_validator();
@@ -669,125 +705,6 @@ pub fn parse_divergence_pair(bug_id: &str) -> Option<(String, String)> {
         return None;
     }
     Some((a.to_string(), b.to_string()))
-}
-
-/// Replay/minimization oracle for divergence findings — the
-/// differential twin of [`crate::triage::ReplayOracle`].
-///
-/// Replays run against *fresh* runners, trying the cold validator
-/// context first and the converged one second (saved findings depend
-/// on which oracle corrections were learned at discovery time).
-/// Minimization fixes the reproducing context once and only accepts
-/// truncations under which the exact divergence signature — the bug
-/// id — still fires, so the minimized reproducer stays *divergent*,
-/// not merely anomalous.
-pub struct DiffOracle {
-    backends: Vec<String>,
-    vendor: CpuVendor,
-    mask: ComponentMask,
-    engine: EngineMode,
-    prefix_cache: bool,
-    cache_capacity: usize,
-    prefix_budget: usize,
-}
-
-impl DiffOracle {
-    /// An oracle replaying across `backends` with the given agent
-    /// configuration (backend names as for [`backend_factory`]).
-    pub fn new(
-        backends: &[String],
-        vendor: CpuVendor,
-        mask: ComponentMask,
-        engine: EngineMode,
-    ) -> Self {
-        DiffOracle {
-            backends: backends.to_vec(),
-            vendor,
-            mask,
-            engine,
-            prefix_cache: false,
-            cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
-            prefix_budget: crate::engine::DEFAULT_PREFIX_BUDGET,
-        }
-    }
-
-    /// Routes every replay through the prefix-cached execution path,
-    /// matching the engine configuration the campaign ran with
-    /// (divergence signatures reproduce bit-identically either way).
-    pub fn with_prefix_cache(mut self, enabled: bool) -> Self {
-        self.prefix_cache = enabled;
-        self
-    }
-
-    /// Sets the booted-image cache capacity of the replay agents.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the prefix trie's byte budget of the replay agents.
-    pub fn with_prefix_budget(mut self, bytes: usize) -> Self {
-        self.prefix_budget = bytes;
-        self
-    }
-
-    /// Replays `input` from clean runners; returns the divergence
-    /// findings it triggers, in detection order.
-    pub fn replay(&self, input: &FuzzInput) -> Vec<(String, CrashKind, String)> {
-        for converged in [false, true] {
-            let mut runner = self.runner(converged);
-            runner.observe_exec(input, 0);
-            if !runner.triage().is_empty() {
-                return runner
-                    .triage()
-                    .iter()
-                    .map(|f| (f.bug_id.clone(), f.kind, f.message.clone()))
-                    .collect();
-            }
-        }
-        Vec::new()
-    }
-
-    /// `true` when a clean replay of `input` (cold or converged
-    /// validators) reproduces the divergence signature `bug_id`.
-    pub fn reproduces(&self, bug_id: &str, input: &FuzzInput) -> bool {
-        [false, true]
-            .iter()
-            .any(|&converged| self.reproduces_in(bug_id, input, converged))
-    }
-
-    /// [`minimize_input`] against this oracle for `bug_id`: every
-    /// truncation candidate must reproduce the *same signature* in the
-    /// context fixed from the original input.
-    pub fn minimize(&self, bug_id: &str, input: &FuzzInput) -> FuzzInput {
-        let Some(converged) = [false, true]
-            .into_iter()
-            .find(|&c| self.reproduces_in(bug_id, input, c))
-        else {
-            return input.clone();
-        };
-        minimize_input(input, |candidate| {
-            self.reproduces_in(bug_id, candidate, converged)
-        })
-    }
-
-    fn reproduces_in(&self, bug_id: &str, input: &FuzzInput, converged: bool) -> bool {
-        let mut runner = self.runner(converged);
-        runner.observe_exec(input, 0);
-        runner.triage().contains(bug_id)
-    }
-
-    fn runner(&self, converged: bool) -> DifferentialRunner {
-        let mut runner =
-            DifferentialRunner::new(&self.backends, self.vendor, self.mask, self.engine)
-                .with_prefix_cache(self.prefix_cache)
-                .with_cache_capacity(self.cache_capacity)
-                .with_prefix_budget(self.prefix_budget);
-        if converged {
-            runner.converge_validators();
-        }
-        runner
-    }
 }
 
 #[cfg(test)]
@@ -951,7 +868,13 @@ mod tests {
     fn unknown_backend_names_have_no_factory() {
         for name in ["vkvm", "vxen", "vvbox", "golden", SEEDED_HLT_BACKEND] {
             assert!(backend_factory(name).is_some(), "{name} must resolve");
+            assert_eq!(check_backend(name, CpuVendor::Intel), Ok(()));
         }
         assert!(backend_factory("qemu").is_none());
+        assert!(check_backend("qemu", CpuVendor::Intel).is_err());
+        // VirtualBox's nested model is Intel-only; the check refuses
+        // what `Vvbox::new` would assert on.
+        assert!(check_backend("vvbox", CpuVendor::Amd).is_err());
+        assert_eq!(check_backend("golden", CpuVendor::Amd), Ok(()));
     }
 }

@@ -31,16 +31,14 @@
 //! back in plan order, identical to a serial run:
 //!
 //! ```
+//! use necofuzz::campaign::CampaignConfig;
 //! use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
-//! use nf_hv::Vkvm;
 //! use nf_x86::CpuVendor;
 //!
-//! let plan = CampaignPlan::new()
-//!     .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
-//!     .vendors(&[CpuVendor::Intel])
-//!     .seeds(0..2)
-//!     .hours(1)
-//!     .execs_per_hour(50);
+//! let base = CampaignConfig::necofuzz(CpuVendor::Intel, 1, 0).with_execs_per_hour(50);
+//! let plan = CampaignPlan::new(base)
+//!     .backend(Backend::named("vkvm").expect("vkvm is a known backend"))
+//!     .seeds(0..2);
 //!
 //! let results = CampaignExecutor::new().jobs(2).run(&plan);
 //! assert_eq!(results.len(), 2);
@@ -54,11 +52,7 @@
 //! use nf_hv::Vkvm;
 //! use nf_x86::CpuVendor;
 //!
-//! let cfg = CampaignConfig {
-//!     hours: 1,
-//!     execs_per_hour: 50,
-//!     ..CampaignConfig::necofuzz(CpuVendor::Intel, 1, 0)
-//! };
+//! let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, 1, 0).with_execs_per_hour(50);
 //! let result = run_campaign(Box::new(|c| Box::new(Vkvm::new(c))), &cfg);
 //! assert!(result.final_coverage > 0.2);
 //! ```
@@ -83,9 +77,9 @@ pub use campaign::{
 pub use checkpoint::{read_checkpoint, write_checkpoint, CampaignCheckpoint, FindRecord};
 pub use configurator::{HvAdapter, KvmAdapter, VboxAdapter, VcpuConfigurator, XenAdapter};
 pub use differential::{
-    allowed_by, backend_factory, diff_observations, parse_divergence_pair, AllowRule, DiffOracle,
-    DifferentialRunner, DivergenceSite, DivergenceStats, ExecObservation, ObsResult, OracleMode,
-    ALLOWLIST, SEEDED_HLT_BACKEND,
+    allowed_by, backend_factory, check_backend, diff_observations, parse_divergence_pair,
+    AllowRule, DifferentialRunner, DivergenceSite, DivergenceStats, ExecObservation, ObsResult,
+    OracleMode, ALLOWLIST, SEEDED_HLT_BACKEND,
 };
 pub use engine::{
     EngineError, EngineMode, EngineStats, ExecutionEngine, PrefixStoreMode, DEFAULT_CACHE_CAPACITY,

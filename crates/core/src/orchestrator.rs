@@ -11,8 +11,8 @@
 //! - [`CampaignExecutor`] runs the jobs on a `std::thread` pool
 //!   (`jobs(n)`, default = available parallelism) and returns results
 //!   **in plan order**, so output is byte-identical to a serial run;
-//! - [`SyncGroup`] is the corpus-sharing seam: when a plan sets a
-//!   `sync_interval`, grid cells that share (backend, vendor, mode,
+//! - [`SyncGroup`] is the corpus-sharing seam: when a plan's base
+//!   config sets a `sync_interval`, grid cells that share (backend, vendor, mode,
 //!   mask, engine, budget) pool their corpora across seeds — the group
 //!   becomes one scheduling unit whose members interleave in lockstep
 //!   epochs, so plan-order determinism and the serial==parallel
@@ -30,16 +30,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nf_fuzz::{Mode, MutationStrategy, SyncMode, SyncTopology};
-use nf_hv::{FaultPlan, HvConfig, L0Hypervisor};
+use nf_fuzz::{Mode, MutationStrategy, SyncMode};
+use nf_hv::{HvConfig, L0Hypervisor};
 use nf_x86::CpuVendor;
 
 use crate::agent::ComponentMask;
-use crate::campaign::{
-    run_campaign, run_campaign_group_observed, CampaignConfig, CampaignResult, EXECS_PER_HOUR,
-};
-use crate::differential::OracleMode;
-use crate::engine::{EngineMode, PrefixStoreMode};
+use crate::campaign::{run_campaign, run_campaign_group_observed, CampaignConfig, CampaignResult};
+use crate::differential::{backend_maker, OracleMode};
+use crate::engine::EngineMode;
 
 /// A hypervisor factory shareable across worker threads.
 pub type SharedFactory = Arc<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor> + Send + Sync>;
@@ -61,6 +59,13 @@ impl Backend {
             name: name.into(),
             factory: Arc::new(factory),
         }
+    }
+
+    /// The backend the backend table holds under `name` (see
+    /// [`crate::differential::backend_factory`]).
+    pub fn named(name: &str) -> Option<Self> {
+        let make = backend_maker(name)?;
+        Some(Backend::new(name, move |cfg| make()(cfg)))
     }
 
     /// The backend's display name (`vkvm`, `vxen`, `vvbox`, ...).
@@ -163,7 +168,12 @@ impl CampaignJob {
 }
 
 /// A cartesian grid of campaigns: backends × vendors × modes × masks ×
-/// seeds, all at the same virtual-hour budget.
+/// seeds, fanned out from one base [`CampaignConfig`].
+///
+/// Every other knob — budget, engine, sync, strategy, oracle, fault
+/// plan — is the base config's, declared once there. Each axis
+/// defaults to the base's own value, so a plan with one backend and no
+/// axis set is exactly one job running the base config.
 ///
 /// The grid expands in a fixed nesting order (backend, then vendor,
 /// then mode, then mask, then seed), so a plan is a deterministic,
@@ -171,51 +181,25 @@ impl CampaignJob {
 /// come back in exactly this order regardless of worker count.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
+    base: CampaignConfig,
     backends: Vec<Backend>,
     vendors: Vec<CpuVendor>,
     modes: Vec<Mode>,
     masks: Vec<ComponentMask>,
     seeds: Vec<u64>,
-    hours: u32,
-    execs_per_hour: u32,
-    engine: EngineMode,
-    prefix_cache: bool,
-    cache_capacity: usize,
-    prefix_budget: usize,
-    sync_interval: u32,
-    sync_mode: SyncMode,
-    sync_topology: SyncTopology,
-    strategy: MutationStrategy,
-    oracle: OracleMode,
-    diff_backends: Vec<String>,
-    fault_plan: Option<FaultPlan>,
-    watchdog_fuel: u64,
 }
 
 impl CampaignPlan {
-    /// An empty plan with the paper's defaults: Intel, unguided, all
-    /// components, seed 0, 24 virtual hours.
-    pub fn new() -> Self {
+    /// A plan fanning `base` out; every axis starts at the base's own
+    /// value and the backend list starts empty.
+    pub fn new(base: CampaignConfig) -> Self {
         CampaignPlan {
             backends: Vec::new(),
-            vendors: vec![CpuVendor::Intel],
-            modes: vec![Mode::Unguided],
-            masks: vec![ComponentMask::ALL],
-            seeds: vec![0],
-            hours: 24,
-            execs_per_hour: EXECS_PER_HOUR,
-            engine: EngineMode::Snapshot,
-            prefix_cache: false,
-            cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
-            prefix_budget: crate::engine::DEFAULT_PREFIX_BUDGET,
-            sync_interval: 0,
-            sync_mode: SyncMode::Lockstep,
-            sync_topology: SyncTopology::Tree,
-            strategy: MutationStrategy::Havoc,
-            oracle: OracleMode::Sanitizer,
-            diff_backends: Vec::new(),
-            fault_plan: None,
-            watchdog_fuel: nf_hv::DEFAULT_WATCHDOG_FUEL,
+            vendors: vec![base.vendor],
+            modes: vec![base.mode],
+            masks: vec![base.mask],
+            seeds: vec![base.seed],
+            base,
         }
     }
 
@@ -249,113 +233,6 @@ impl CampaignPlan {
         self
     }
 
-    /// Sets the virtual duration of every campaign.
-    pub fn hours(mut self, hours: u32) -> Self {
-        self.hours = hours;
-        self
-    }
-
-    /// Sets the executions-per-virtual-hour rate.
-    pub fn execs_per_hour(mut self, execs: u32) -> Self {
-        self.execs_per_hour = execs;
-        self
-    }
-
-    /// Selects the iteration hot-path engine for every campaign of the
-    /// grid (default: [`EngineMode::Snapshot`]). Results are
-    /// bit-identical across engines; only wall-clock time changes.
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Enables prefix-cached execution for every campaign of the grid
-    /// (default: off). Results are bit-identical with the cache on or
-    /// off; only wall-clock time changes.
-    pub fn prefix_cache(mut self, prefix_cache: bool) -> Self {
-        self.prefix_cache = prefix_cache;
-        self
-    }
-
-    /// Sets the booted-image cache capacity for every campaign of the
-    /// grid (default: [`crate::engine::DEFAULT_CACHE_CAPACITY`]).
-    pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Sets the prefix trie's byte budget for every campaign of the
-    /// grid (default: [`crate::engine::DEFAULT_PREFIX_BUDGET`]).
-    /// Results are bit-identical at any budget.
-    pub fn prefix_budget(mut self, prefix_budget: usize) -> Self {
-        self.prefix_budget = prefix_budget;
-        self
-    }
-
-    /// Sets the corpus-sync epoch length in virtual hours (default
-    /// `0`: no syncing, every job independent). With `n > 0`, grid
-    /// cells sharing (backend, vendor, mode, mask, engine, budget)
-    /// form a [`SyncGroup`] pooling their corpora across seeds.
-    pub fn sync_interval(mut self, sync_interval: u32) -> Self {
-        self.sync_interval = sync_interval;
-        self
-    }
-
-    /// Selects how sync groups exchange corpora (default:
-    /// [`SyncMode::Lockstep`], the hourly epoch barrier). Under
-    /// [`SyncMode::Async`] any non-zero `sync_interval` switches on
-    /// watermark-based gossip.
-    pub fn sync_mode(mut self, sync_mode: SyncMode) -> Self {
-        self.sync_mode = sync_mode;
-        self
-    }
-
-    /// Selects the async gossip topology (default:
-    /// [`SyncTopology::Tree`]); lockstep grids ignore it.
-    pub fn sync_topology(mut self, sync_topology: SyncTopology) -> Self {
-        self.sync_topology = sync_topology;
-        self
-    }
-
-    /// Selects the guided-mode mutation strategy for every campaign of
-    /// the grid (default: [`MutationStrategy::Havoc`], bit-identical to
-    /// the original engine).
-    pub fn strategy(mut self, strategy: MutationStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Selects the anomaly oracle for every campaign of the grid
-    /// (default: [`OracleMode::Sanitizer`]).
-    pub fn oracle(mut self, oracle: OracleMode) -> Self {
-        self.oracle = oracle;
-        self
-    }
-
-    /// Sets the differential-oracle backend set for every campaign of
-    /// the grid (ignored under [`OracleMode::Sanitizer`]).
-    pub fn diff_backends(mut self, backends: &[&str]) -> Self {
-        self.diff_backends = backends.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    /// Installs a deterministic fault plan into every campaign of the
-    /// grid (default: none). A zero-rate plan is bit-identical to no
-    /// plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the exec watchdog's per-execution fuel budget for every
-    /// campaign of the grid (default:
-    /// [`nf_hv::DEFAULT_WATCHDOG_FUEL`]; metered only when a fault
-    /// plan is installed).
-    pub fn watchdog_fuel(mut self, fuel: u64) -> Self {
-        self.watchdog_fuel = fuel;
-        self
-    }
-
     /// Number of jobs the grid expands to.
     pub fn len(&self) -> usize {
         self.backends.len()
@@ -382,24 +259,10 @@ impl CampaignPlan {
                                 backend: backend.clone(),
                                 cfg: CampaignConfig {
                                     vendor,
-                                    hours: self.hours,
-                                    execs_per_hour: self.execs_per_hour,
                                     seed,
                                     mode,
                                     mask,
-                                    engine: self.engine,
-                                    prefix_cache: self.prefix_cache,
-                                    cache_capacity: self.cache_capacity,
-                                    prefix_budget: self.prefix_budget,
-                                    prefix_store: PrefixStoreMode::Cow,
-                                    sync_interval: self.sync_interval,
-                                    sync_mode: self.sync_mode,
-                                    sync_topology: self.sync_topology,
-                                    strategy: self.strategy,
-                                    oracle: self.oracle,
-                                    diff_backends: self.diff_backends.clone(),
-                                    fault_plan: self.fault_plan,
-                                    watchdog_fuel: self.watchdog_fuel,
+                                    ..self.base.clone()
                                 },
                             });
                         }
@@ -408,12 +271,6 @@ impl CampaignPlan {
             }
         }
         jobs
-    }
-}
-
-impl Default for CampaignPlan {
-    fn default() -> Self {
-        CampaignPlan::new()
     }
 }
 
@@ -846,14 +703,36 @@ mod tests {
     use super::*;
     use nf_hv::{Vkvm, Vxen};
 
-    fn small_plan() -> CampaignPlan {
-        CampaignPlan::new()
+    fn small_base() -> CampaignConfig {
+        CampaignConfig::necofuzz(CpuVendor::Intel, 2, 0).with_execs_per_hour(30)
+    }
+
+    fn small_plan_of(base: CampaignConfig) -> CampaignPlan {
+        CampaignPlan::new(base)
             .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
             .backend(Backend::new("vxen", |c| Box::new(Vxen::new(c))))
             .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
             .seeds(0..3)
-            .hours(2)
-            .execs_per_hour(30)
+    }
+
+    fn small_plan() -> CampaignPlan {
+        small_plan_of(small_base())
+    }
+
+    #[test]
+    fn a_plan_without_axes_is_its_base_config() {
+        let base = CampaignConfig::necofuzz(CpuVendor::Amd, 3, 11)
+            .with_execs_per_hour(17)
+            .with_mode(Mode::Guided)
+            .with_strategy(MutationStrategy::Structured)
+            .with_sync_interval(2)
+            .with_fault_plan(nf_hv::FaultPlan::uniform(4, 0.02))
+            .with_watchdog_fuel(999);
+        let jobs = CampaignPlan::new(base.clone())
+            .backend(Backend::named("vkvm").expect("vkvm is in the table"))
+            .jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(format!("{:?}", jobs[0].cfg), format!("{base:?}"));
     }
 
     #[test]
@@ -912,7 +791,7 @@ mod tests {
 
     #[test]
     fn sync_groups_partition_per_cell_in_plan_order() {
-        let plan = small_plan().sync_interval(1);
+        let plan = small_plan_of(small_base().with_sync_interval(1));
         let groups = SyncGroup::partition(plan.jobs());
         // 2 backends × 2 vendors = 4 cells of 3 seeds each.
         assert_eq!(groups.len(), 4);
@@ -926,7 +805,7 @@ mod tests {
 
     #[test]
     fn synced_grid_is_identical_serial_and_parallel() {
-        let plan = small_plan().modes(&[Mode::Guided]).sync_interval(1);
+        let plan = small_plan_of(small_base().with_sync_interval(1)).modes(&[Mode::Guided]);
         let serial = CampaignExecutor::new().jobs(1).run(&plan);
         let parallel = CampaignExecutor::new().jobs(8).run(&plan);
         assert_eq!(serial.len(), parallel.len());
@@ -944,10 +823,9 @@ mod tests {
 
     #[test]
     fn structured_grid_is_labeled_and_identical_serial_and_parallel() {
-        let plan = small_plan()
+        let plan = small_plan_of(small_base().with_strategy(MutationStrategy::Structured))
             .seeds(0..2)
-            .modes(&[Mode::Guided])
-            .strategy(MutationStrategy::Structured);
+            .modes(&[Mode::Guided]);
         let labels: Vec<String> = plan.jobs().iter().map(|j| j.label()).collect();
         assert!(
             labels.iter().all(|l| l.contains("/structured/")),

@@ -11,11 +11,11 @@
 use std::collections::HashSet;
 
 use nf_fuzz::FuzzInput;
-use nf_hv::{CrashKind, HvConfig, L0Hypervisor};
-use nf_x86::CpuVendor;
+use nf_hv::{CrashKind, FaultPlan, HvConfig, L0Hypervisor};
 
-use crate::agent::{Agent, BugFind, ComponentMask};
-use crate::engine::EngineMode;
+use crate::agent::BugFind;
+use crate::campaign::{Campaign, CampaignConfig};
+use crate::differential::OracleMode;
 
 /// The deduplicating crash index. Replaces the agent's linear-scan
 /// `Vec<BugFind>`: membership is a hash lookup, discovery order is
@@ -119,105 +119,77 @@ pub fn minimize_input(
     current
 }
 
-/// A replay oracle bound to one engine configuration: runs a candidate
-/// input through a fresh [`Agent`] and reports whether `bug_id` fires.
+/// The replay oracle: re-runs a saved finding under the configuration
+/// of the campaign that found it, and reports whether it fires again.
 /// This is the "validated against the engine" half of reproducer
 /// minimization.
+///
+/// Replays are faithful to the campaign's config: sanitizer findings
+/// run through the agent [`Campaign`] builds (with the fault plan
+/// reduced by [`FaultPlan::replay_subset`]: an input that hung under
+/// injection hangs again, while faults tied to the original
+/// campaign's exec positions never fire spuriously), and divergence
+/// findings run through the campaign's differential runner, whose
+/// minimizer only accepts truncations that keep the exact divergence
+/// signature — the bug id.
 pub struct ReplayOracle {
     factory: std::rc::Rc<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
-    vendor: CpuVendor,
-    mask: ComponentMask,
-    engine: EngineMode,
-    prefix_cache: bool,
-    cache_capacity: usize,
-    prefix_budget: usize,
-    fault_plan: Option<nf_hv::FaultPlan>,
-    watchdog_fuel: u64,
+    cfg: CampaignConfig,
 }
 
 impl ReplayOracle {
-    /// An oracle replaying against `factory` with the given agent
-    /// configuration.
+    /// An oracle replaying against `factory` (the campaign's target)
+    /// under the campaign configuration `cfg`.
     pub fn new(
         factory: impl Fn(HvConfig) -> Box<dyn L0Hypervisor> + 'static,
-        vendor: CpuVendor,
-        mask: ComponentMask,
-        engine: EngineMode,
+        cfg: &CampaignConfig,
     ) -> Self {
         ReplayOracle {
             factory: std::rc::Rc::new(factory),
-            vendor,
-            mask,
-            engine,
-            prefix_cache: false,
-            cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
-            prefix_budget: crate::engine::DEFAULT_PREFIX_BUDGET,
-            fault_plan: None,
-            watchdog_fuel: nf_hv::DEFAULT_WATCHDOG_FUEL,
+            cfg: CampaignConfig {
+                fault_plan: cfg.fault_plan.as_ref().map(FaultPlan::replay_subset),
+                ..cfg.clone()
+            },
         }
     }
 
-    /// Replays under the *content-indexed subset* of a campaign's fault
-    /// plan ([`nf_hv::FaultPlan::replay_subset`]): an input that hung
-    /// under injection hangs again here (so `HungExec` finds reproduce
-    /// and minimize), while schedule-indexed faults — tied to the
-    /// original campaign's exec positions — never fire spuriously.
-    pub fn with_fault_plan(mut self, plan: nf_hv::FaultPlan) -> Self {
-        self.fault_plan = Some(plan.replay_subset());
-        self
-    }
-
-    /// Matches the campaign's exec-watchdog fuel budget so hang replays
-    /// exhaust it the same way.
-    pub fn with_watchdog_fuel(mut self, fuel: u64) -> Self {
-        self.watchdog_fuel = fuel;
-        self
-    }
-
-    /// Routes replays through the prefix-cached execution path, so
-    /// `corpus repro` exercises exactly the engine configuration the
-    /// campaign ran with; findings reproduce bit-identically with the
-    /// cache on or off.
-    pub fn with_prefix_cache(mut self, enabled: bool) -> Self {
-        self.prefix_cache = enabled;
-        self
-    }
-
-    /// Sets the booted-image cache capacity of the replay agents.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the prefix trie's byte budget of the replay agents.
-    pub fn with_prefix_budget(mut self, bytes: usize) -> Self {
-        self.prefix_budget = bytes;
-        self
-    }
-
-    /// Replays `input` from a clean agent; returns the bugs it
-    /// triggers, in detection order.
+    /// Replays `input` from a clean context; returns the bugs it
+    /// triggers, in detection order — the divergence findings under a
+    /// differential config, the sanitizer findings otherwise.
     ///
-    /// Two contexts are tried: a *cold* agent (no oracle corrections —
-    /// the early-campaign validator), then, if nothing fired, a
-    /// *converged* one ([`Agent::converge_validator`] — the
-    /// late-campaign validator crash inputs were usually saved under).
-    /// The harness VM generated from an input depends on which
-    /// corrections were learned at discovery time, so a single context
-    /// cannot reproduce every find.
-    pub fn replay(&self, input: &FuzzInput) -> Vec<(String, CrashKind, String)> {
+    /// Two contexts are tried: a *cold* one (no oracle corrections —
+    /// the early-campaign validator), then a *converged* one
+    /// ([`crate::Agent::converge_validator`] — the late-campaign
+    /// validator crash inputs were usually saved under). The harness
+    /// VM generated from an input depends on which corrections were
+    /// learned at discovery time, so a single context cannot reproduce
+    /// every find. The first context in which `expect` (the bug the
+    /// input was saved for) fires wins; without one, or when it fires
+    /// in neither, the first context in which anything fires.
+    pub fn replay(
+        &self,
+        input: &FuzzInput,
+        expect: Option<&str>,
+    ) -> Vec<(String, CrashKind, String)> {
+        let divergence = self.cfg.oracle == OracleMode::Differential;
+        let mut found = None;
         for converged in [false, true] {
-            let mut agent = self.agent(converged);
-            agent.run_iteration(input);
-            if !agent.triage().is_empty() {
-                return agent
-                    .triage()
-                    .iter()
-                    .map(|f| (f.bug_id.clone(), f.kind, f.message.clone()))
-                    .collect();
+            let triage = self.run(input, converged, divergence);
+            if triage.is_empty() {
+                continue;
             }
+            if expect.is_none_or(|id| triage.contains(id)) {
+                found = Some(triage);
+                break;
+            }
+            found.get_or_insert(triage);
         }
-        Vec::new()
+        found.map_or_else(Vec::new, |triage| {
+            triage
+                .iter()
+                .map(|f| (f.bug_id.clone(), f.kind, f.message.clone()))
+                .collect()
+        })
     }
 
     /// `true` when a clean replay of `input` (cold or converged
@@ -250,31 +222,31 @@ impl ReplayOracle {
 
     /// One replay of `input` in a fixed validator context.
     fn reproduces_in(&self, bug_id: &str, input: &FuzzInput, converged: bool) -> bool {
-        let mut agent = self.agent(converged);
-        agent.run_iteration(input);
-        agent.triage().contains(bug_id)
+        self.run(input, converged, bug_id.starts_with("diff_"))
+            .contains(bug_id)
     }
 
-    fn agent(&self, converged: bool) -> Agent {
-        let factory = std::rc::Rc::clone(&self.factory);
-        let mut agent = Agent::with_engine(
-            Box::new(move |cfg| factory(cfg)),
-            self.vendor,
-            self.mask,
-            self.engine,
-        )
-        .with_prefix_cache(self.prefix_cache)
-        .with_cache_capacity(self.cache_capacity)
-        .with_prefix_budget(self.prefix_budget);
-        if let Some(plan) = self.fault_plan {
-            agent = agent
-                .with_fault_plan(plan)
-                .with_watchdog_fuel(self.watchdog_fuel);
+    /// The one per-kind replay: `input` through a fresh differential
+    /// runner (`divergence`) or a fresh agent, built exactly as the
+    /// campaign builds them; returns the findings it recorded.
+    fn run(&self, input: &FuzzInput, converged: bool, divergence: bool) -> CrashTriage {
+        if divergence {
+            let Some(mut runner) = Campaign::make_diff(&self.cfg) else {
+                return CrashTriage::new();
+            };
+            if converged {
+                runner.converge_validators();
+            }
+            runner.observe_exec(input, 0);
+            return runner.triage().clone();
         }
+        let factory = std::rc::Rc::clone(&self.factory);
+        let mut agent = Campaign::make_agent(Box::new(move |cfg| factory(cfg)), &self.cfg);
         if converged {
             agent.converge_validator();
         }
-        agent
+        agent.run_iteration(input);
+        agent.triage().clone()
     }
 }
 
@@ -341,8 +313,58 @@ mod tests {
     }
 
     #[test]
+    fn hung_exec_finds_reproduce_only_under_the_campaigns_fault_plan() {
+        use crate::campaign::run_campaign;
+        use nf_fuzz::Mode;
+        use nf_x86::CpuVendor;
+
+        // The oracle replays under the content-indexed subset of the
+        // campaign's fault plan: every hang it saved hangs again, and
+        // none does once the plan is gone.
+        let kvm = |c| Box::new(nf_hv::Vkvm::new(c)) as Box<dyn L0Hypervisor>;
+        let plan = FaultPlan::uniform(9, 0.05);
+        let mut hangs = 0;
+        for seed in 5..8 {
+            let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, 4, seed)
+                .with_execs_per_hour(40)
+                .with_mode(Mode::Guided)
+                .with_fault_plan(plan);
+            let result = run_campaign(Box::new(kvm), &cfg);
+            let planned = ReplayOracle::new(kvm, &cfg);
+            // Schedule-indexed faults are tied to the campaign's exec
+            // positions, so the oracle keeps only the hang class.
+            assert_eq!(planned.cfg.fault_plan, Some(plan.replay_subset()));
+            let unplanned = ReplayOracle::new(
+                kvm,
+                &CampaignConfig {
+                    fault_plan: None,
+                    ..cfg.clone()
+                },
+            );
+            for find in result
+                .finds
+                .iter()
+                .filter(|f| f.kind == CrashKind::HungExec)
+            {
+                hangs += 1;
+                assert!(
+                    planned.reproduces(&find.bug_id, &find.input),
+                    "seed {seed}: {} must hang again under the campaign's plan",
+                    find.bug_id
+                );
+                assert!(
+                    !unplanned.reproduces(&find.bug_id, &find.input),
+                    "seed {seed}: {} hung without a fault plan",
+                    find.bug_id
+                );
+            }
+        }
+        assert!(hangs > 0, "a 5% plan must hang some exec over three seeds");
+    }
+
+    #[test]
     fn oracle_replays_and_minimizes_a_real_campaign_find() {
-        use crate::campaign::{run_campaign, CampaignConfig};
+        use crate::campaign::run_campaign;
         use nf_x86::CpuVendor;
 
         // A short Xen/Intel campaign reliably hits the wait-for-SIPI
@@ -355,12 +377,7 @@ mod tests {
             .find(|f| f.bug_id == "xen-wait-for-sipi")
             .expect("the campaign must find the hang");
 
-        let oracle = ReplayOracle::new(
-            |c| Box::new(nf_hv::Vxen::new(c)) as Box<dyn L0Hypervisor>,
-            CpuVendor::Intel,
-            ComponentMask::ALL,
-            EngineMode::Snapshot,
-        );
+        let oracle = ReplayOracle::new(|c| Box::new(nf_hv::Vxen::new(c)), &cfg);
         assert!(
             oracle.reproduces(&find.bug_id, &find.input),
             "the saved input must replay against a clean engine"

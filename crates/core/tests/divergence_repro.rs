@@ -11,9 +11,11 @@ use nf_x86::CpuVendor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use necofuzz::differential::{DiffOracle, DifferentialRunner, SEEDED_HLT_BACKEND};
+use necofuzz::differential::{DifferentialRunner, SEEDED_HLT_BACKEND};
 use necofuzz::triage::minimize_input;
-use necofuzz::{backend_factory, ComponentMask, EngineMode, ReplayOracle};
+use necofuzz::{
+    backend_factory, CampaignConfig, ComponentMask, EngineMode, OracleMode, ReplayOracle,
+};
 
 /// The planted bug's divergence signature: the buggy vkvm reflects
 /// PAUSE (0x28) where bare metal reflects HLT (0xc).
@@ -21,6 +23,18 @@ const SEEDED_SIGNATURE: &str = "diff_vkvm-hltbug+golden_rfl28vrflc";
 
 fn seeded_pair() -> Vec<String> {
     vec![SEEDED_HLT_BACKEND.to_string(), "golden".to_string()]
+}
+
+/// The replay oracle of a differential campaign fuzzing the seeded-bug
+/// backend against `golden`.
+fn seeded_oracle() -> ReplayOracle {
+    let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, 1, 0)
+        .with_oracle(OracleMode::Differential)
+        .with_diff_backends(&[SEEDED_HLT_BACKEND, "golden"]);
+    ReplayOracle::new(
+        backend_factory(SEEDED_HLT_BACKEND).expect("known backend"),
+        &cfg,
+    )
 }
 
 /// Finds the planted HLT-misreport divergence by random search: the
@@ -37,12 +51,7 @@ fn find_seeded_divergence() -> (String, FuzzInput) {
         ComponentMask::ALL,
         EngineMode::Snapshot,
     );
-    let oracle = DiffOracle::new(
-        &seeded_pair(),
-        CpuVendor::Intel,
-        ComponentMask::ALL,
-        EngineMode::Snapshot,
-    );
+    let oracle = seeded_oracle();
     let mut rng = SmallRng::seed_from_u64(7);
     let mut input = FuzzInput::zeroed();
     for exec in 0..2000u64 {
@@ -65,13 +74,8 @@ fn seeded_bug_is_found_by_diffing_and_missed_by_sanitizers() {
     assert_eq!(bug_id, SEEDED_SIGNATURE);
 
     // The differential oracle replays it from clean runners.
-    let oracle = DiffOracle::new(
-        &seeded_pair(),
-        CpuVendor::Intel,
-        ComponentMask::ALL,
-        EngineMode::Snapshot,
-    );
-    let replayed = oracle.replay(&input);
+    let oracle = seeded_oracle();
+    let replayed = oracle.replay(&input, None);
     assert!(
         replayed.iter().any(|(id, _, _)| id == SEEDED_SIGNATURE),
         "divergence replay lost the signature: {replayed:?}"
@@ -84,11 +88,9 @@ fn seeded_bug_is_found_by_diffing_and_missed_by_sanitizers() {
     let replay_sanitizers = |backend: &str| {
         ReplayOracle::new(
             backend_factory(backend).expect("known backend"),
-            CpuVendor::Intel,
-            ComponentMask::ALL,
-            EngineMode::Snapshot,
+            &CampaignConfig::necofuzz(CpuVendor::Intel, 1, 0),
         )
-        .replay(&input)
+        .replay(&input, None)
     };
     let buggy = replay_sanitizers(SEEDED_HLT_BACKEND);
     assert_eq!(
@@ -105,12 +107,7 @@ fn seeded_bug_is_found_by_diffing_and_missed_by_sanitizers() {
 #[test]
 fn minimization_preserves_the_divergence_signature() {
     let (bug_id, input) = find_seeded_divergence();
-    let oracle = DiffOracle::new(
-        &seeded_pair(),
-        CpuVendor::Intel,
-        ComponentMask::ALL,
-        EngineMode::Snapshot,
-    );
+    let oracle = seeded_oracle();
     let minimized = oracle.minimize(&bug_id, &input);
     let nonzero = |input: &FuzzInput| input.bytes.iter().filter(|&&b| b != 0).count();
     assert!(
@@ -132,7 +129,7 @@ fn signature_check_rejects_truncations_that_flip_the_divergent_exit() {
     // so zeroing it keeps the input divergent while flipping the
     // signature. A naive "still diverges" minimizer (the plain crash
     // minimizer's condition) happily zeroes it; the signature check
-    // `DiffOracle::minimize` applies must keep it.
+    // `ReplayOracle::minimize` applies to divergence ids must keep it.
     let mut input = FuzzInput::zeroed();
     input.bytes[0] = 5;
     input.bytes[100] = 9;
@@ -172,12 +169,34 @@ fn corpus_repro_cli_replays_divergence_findings_across_the_recorded_pair() {
     let path = dir.join(format!("crash-s007-exec000298-{bug_id}.bin"));
     std::fs::write(&path, &input.bytes).expect("write crash input");
 
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_necofuzz"))
-        .args(["corpus", "repro", path.to_str().expect("utf-8 path")])
-        .output()
-        .expect("run necofuzz corpus repro");
+    let repro = |path: &std::path::Path, extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_necofuzz"))
+            .args(["corpus", "repro", path.to_str().expect("utf-8 path")])
+            .args(extra)
+            .output()
+            .expect("run necofuzz corpus repro")
+    };
+    let output = repro(&path, &[]);
     let stdout = String::from_utf8_lossy(&output.stdout);
+
+    // A recovered pair goes through the same backend/vendor check as
+    // `--diff-backends`: VirtualBox's model is Intel-only, so replaying
+    // a vvbox pair on AMD is a usage error, not a panic.
+    let vvbox = dir.join("crash-s000-exec000001-diff_vvbox+golden_x.bin");
+    std::fs::write(&vvbox, &input.bytes).expect("write crash input");
+    let amd = repro(&vvbox, &["--vendor", "amd"]);
     std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        amd.status.code(),
+        Some(2),
+        "a vvbox pair on AMD must be rejected\nstderr: {}",
+        String::from_utf8_lossy(&amd.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&amd.stderr).contains("vvbox supports only --vendor intel"),
+        "missing vendor diagnostic: {}",
+        String::from_utf8_lossy(&amd.stderr)
+    );
 
     assert!(
         output.status.success(),

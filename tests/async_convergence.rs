@@ -139,22 +139,20 @@ fn ring_and_tree_converge_to_the_same_union() {
     assert_eq!(ring_min, ring_union);
 }
 
-fn async_plan(topology: SyncTopology) -> CampaignPlan {
-    CampaignPlan::new()
+fn async_plan(mode: SyncMode, topology: SyncTopology) -> CampaignPlan {
+    let base = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, 0)
+        .with_execs_per_hour(EXECS_PER_HOUR)
+        .with_sync_interval(1)
+        .with_sync_mode(mode)
+        .with_sync_topology(topology);
+    CampaignPlan::new(base)
         .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
-        .vendors(&[CpuVendor::Intel])
-        .modes(&[Mode::Unguided])
         .seeds(0..4)
-        .hours(HOURS)
-        .execs_per_hour(EXECS_PER_HOUR)
-        .sync_interval(1)
-        .sync_mode(SyncMode::Async)
-        .sync_topology(topology)
 }
 
 #[test]
 fn orchestrated_async_grid_is_identical_serial_and_parallel() {
-    let plan = async_plan(SyncTopology::Tree);
+    let plan = async_plan(SyncMode::Async, SyncTopology::Tree);
     let serial = CampaignExecutor::new().jobs(1).run(&plan);
     let parallel = CampaignExecutor::new().jobs(8).run(&plan);
     assert_eq!(serial.len(), parallel.len());
@@ -174,7 +172,7 @@ fn async_cells_are_labeled_with_their_topology() {
         (SyncTopology::Tree, "async-tree"),
         (SyncTopology::Ring, "async-ring"),
     ] {
-        let jobs = async_plan(topology).jobs();
+        let jobs = async_plan(SyncMode::Async, topology).jobs();
         assert_eq!(jobs.len(), 4);
         for job in &jobs {
             let label = job.label();
@@ -185,10 +183,7 @@ fn async_cells_are_labeled_with_their_topology() {
         }
     }
     // Lockstep labels are unchanged — the mode is the unlabeled default.
-    for job in async_plan(SyncTopology::Tree)
-        .sync_mode(SyncMode::Lockstep)
-        .jobs()
-    {
+    for job in async_plan(SyncMode::Lockstep, SyncTopology::Tree).jobs() {
         let label = job.label();
         assert!(
             !label.contains("async"),

@@ -73,16 +73,8 @@ fn same_seed_and_backend_set_reproduce_identical_signatures() {
 #[test]
 fn differential_grid_serial_equals_parallel() {
     for mode in [Mode::Unguided, Mode::Guided] {
-        let plan = CampaignPlan::new()
-            .backend(buggy_backend())
-            .vendors(&[CpuVendor::Intel])
-            .modes(&[mode])
-            .seeds(0..3)
-            .hours(HOURS)
-            .execs_per_hour(EXECS_PER_HOUR)
-            .sync_interval(1)
-            .oracle(OracleMode::Differential)
-            .diff_backends(&PAIR);
+        let base = differential_cfg(0).with_mode(mode).with_sync_interval(1);
+        let plan = CampaignPlan::new(base).backend(buggy_backend()).seeds(0..3);
         let serial = CampaignExecutor::new().jobs(1).run(&plan);
         let parallel = CampaignExecutor::new().jobs(8).run(&plan);
         assert_eq!(serial.len(), parallel.len());
@@ -114,16 +106,9 @@ fn lone_campaign_equals_never_and_final_boundary_synced_members() {
         .collect();
 
     for sync_interval in [0, HOURS] {
-        let plan = CampaignPlan::new()
+        let plan = CampaignPlan::new(differential_cfg(0).with_sync_interval(sync_interval))
             .backend(buggy_backend())
-            .vendors(&[CpuVendor::Intel])
-            .modes(&[Mode::Unguided])
-            .seeds(0..3)
-            .hours(HOURS)
-            .execs_per_hour(EXECS_PER_HOUR)
-            .sync_interval(sync_interval)
-            .oracle(OracleMode::Differential)
-            .diff_backends(&PAIR);
+            .seeds(0..3);
         let grouped = CampaignExecutor::new().jobs(4).run(&plan);
         assert_eq!(grouped.len(), lone.len());
         for (i, (member, plain)) in grouped.iter().zip(&lone).enumerate() {

@@ -9,7 +9,7 @@
 //! orchestrator, so this doubles as a parallel-execution check.
 
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
-use necofuzz::{ComponentMask, EngineMode};
+use necofuzz::{CampaignConfig, ComponentMask, EngineMode};
 use nf_fuzz::Mode;
 use nf_hv::{Vkvm, Vvbox, Vxen};
 use nf_x86::CpuVendor;
@@ -35,15 +35,14 @@ fn masks() -> Vec<ComponentMask> {
 }
 
 fn plan(engine: EngineMode, backend: Backend, vendors: &[CpuVendor]) -> CampaignPlan {
-    CampaignPlan::new()
+    let base = CampaignConfig::necofuzz(CpuVendor::Intel, 24, 1)
+        .with_execs_per_hour(20)
+        .with_engine(engine);
+    CampaignPlan::new(base)
         .backend(backend)
         .vendors(vendors)
         .modes(&[Mode::Unguided, Mode::Guided])
         .masks(&masks())
-        .seeds([1])
-        .hours(24)
-        .execs_per_hour(20)
-        .engine(engine)
 }
 
 fn assert_equivalent(backend: fn() -> Backend, vendors: &[CpuVendor]) {

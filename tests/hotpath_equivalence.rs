@@ -21,9 +21,12 @@ use necofuzz::campaign::{
     run_campaign, run_campaign_group, CampaignConfig, CampaignResult, GroupMember,
 };
 use necofuzz::{Agent, EngineMode};
-use nf_bench::vkvm_factory as factory;
 use nf_fuzz::{Fuzzer, Mode, MutationStrategy, SharedCorpus};
 use nf_x86::CpuVendor;
+
+fn factory() -> necofuzz::campaign::HvFactory {
+    nf_bench::factory("vkvm")
+}
 
 /// A campaign driven entirely on the compat allocating path: the exact
 /// loop `Campaign::run_hours` ships, with every scratch-reusing call

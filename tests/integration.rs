@@ -197,12 +197,11 @@ fn orchestrator_grid_matches_serial_loop() {
     // serial loop it replaced.
     use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
 
-    let plan = CampaignPlan::new()
-        .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
-        .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
-        .seeds(0..3)
-        .hours(2)
-        .execs_per_hour(40);
+    let plan =
+        CampaignPlan::new(CampaignConfig::necofuzz(CpuVendor::Intel, 2, 0).with_execs_per_hour(40))
+            .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
+            .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
+            .seeds(0..3);
     let pooled = CampaignExecutor::new().jobs(4).run(&plan);
 
     let mut serial = Vec::new();

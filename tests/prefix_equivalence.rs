@@ -14,7 +14,7 @@
 //! - a replay-oracle regression: a real campaign find reproduces and
 //!   minimizes byte-identically through the prefix-cached path.
 
-use necofuzz::campaign::CampaignResult;
+use necofuzz::campaign::{CampaignConfig, CampaignResult};
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
 use necofuzz::{Agent, ComponentMask, EngineMode, PrefixStoreMode, ReplayOracle};
 use nf_fuzz::{FuzzInput, Mode, MutationStrategy};
@@ -24,27 +24,33 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn plan(prefix: bool, backend: Backend, vendors: &[CpuVendor]) -> CampaignPlan {
-    CampaignPlan::new()
+/// The equivalence grid: `shape` turns the base config (seed 1, 8 h at
+/// 40 execs/h, prefix cache on or off) into a plan.
+fn plan(
+    prefix: bool,
+    backend: Backend,
+    vendors: &[CpuVendor],
+    shape: &impl Fn(CampaignConfig) -> CampaignPlan,
+) -> CampaignPlan {
+    let base = CampaignConfig::necofuzz(CpuVendor::Intel, 8, 1)
+        .with_execs_per_hour(40)
+        .with_prefix_cache(prefix);
+    shape(base)
         .backend(backend)
         .vendors(vendors)
         .modes(&[Mode::Unguided, Mode::Guided])
-        .seeds([1])
-        .hours(8)
-        .execs_per_hour(40)
-        .prefix_cache(prefix)
 }
 
 fn assert_equivalent(
     backend: fn() -> Backend,
     vendors: &[CpuVendor],
-    shape: impl Fn(CampaignPlan) -> CampaignPlan,
+    shape: impl Fn(CampaignConfig) -> CampaignPlan,
 ) -> Vec<CampaignResult> {
     let executor = CampaignExecutor::new();
-    let cached = executor.run(&shape(plan(true, backend(), vendors)));
-    let full = executor.run(&shape(plan(false, backend(), vendors)));
+    let cached = executor.run(&plan(true, backend(), vendors, &shape));
+    let full = executor.run(&plan(false, backend(), vendors, &shape));
     assert_eq!(cached.len(), full.len());
-    let labels: Vec<String> = shape(plan(true, backend(), vendors))
+    let labels: Vec<String> = plan(true, backend(), vendors, &shape)
         .jobs()
         .iter()
         .map(|j| j.label())
@@ -70,7 +76,7 @@ fn vkvm_campaigns_match_with_prefix_cache() {
     assert_equivalent(
         || Backend::new("vkvm", |c| Box::new(Vkvm::new(c))),
         &[CpuVendor::Intel, CpuVendor::Amd],
-        |p| p,
+        CampaignPlan::new,
     );
 }
 
@@ -79,7 +85,7 @@ fn vxen_campaigns_match_with_prefix_cache() {
     assert_equivalent(
         || Backend::new("vxen", |c| Box::new(Vxen::new(c))),
         &[CpuVendor::Intel, CpuVendor::Amd],
-        |p| p,
+        CampaignPlan::new,
     );
 }
 
@@ -88,7 +94,7 @@ fn vvbox_campaigns_match_with_prefix_cache() {
     assert_equivalent(
         || Backend::new("vvbox", |c| Box::new(Vvbox::new(c))),
         &[CpuVendor::Intel],
-        |p| p,
+        CampaignPlan::new,
     );
 }
 
@@ -97,7 +103,7 @@ fn structured_campaigns_match_with_prefix_cache() {
     assert_equivalent(
         || Backend::new("vkvm", |c| Box::new(Vkvm::new(c))),
         &[CpuVendor::Intel],
-        |p| p.strategy(MutationStrategy::Structured),
+        |base| CampaignPlan::new(base.with_strategy(MutationStrategy::Structured)),
     );
 }
 
@@ -106,7 +112,7 @@ fn synced_fleets_match_with_prefix_cache() {
     assert_equivalent(
         || Backend::new("vkvm", |c| Box::new(Vkvm::new(c))),
         &[CpuVendor::Intel],
-        |p| p.seeds(0..3).sync_interval(2),
+        |base| CampaignPlan::new(base.with_sync_interval(2)).seeds(0..3),
     );
 }
 
@@ -316,7 +322,7 @@ fn cow_and_deep_stores_are_execution_equivalent_under_churn() {
 
 #[test]
 fn replay_oracle_reproduces_and_minimizes_identically_through_the_cache() {
-    use necofuzz::campaign::{run_campaign, CampaignConfig};
+    use necofuzz::campaign::run_campaign;
 
     // The short Xen/Intel campaign that reliably hits the
     // wait-for-SIPI hang (Table 6 bug #4) — run it prefix-cached, then
@@ -333,19 +339,16 @@ fn replay_oracle_reproduces_and_minimizes_identically_through_the_cache() {
 
     let oracle = |prefix: bool| {
         ReplayOracle::new(
-            |c| Box::new(Vxen::new(c)) as Box<dyn L0Hypervisor>,
-            CpuVendor::Intel,
-            ComponentMask::ALL,
-            EngineMode::Snapshot,
+            |c| Box::new(Vxen::new(c)),
+            &cfg.clone().with_prefix_cache(prefix),
         )
-        .with_prefix_cache(prefix)
     };
     let cached = oracle(true);
     let full = oracle(false);
     assert!(cached.reproduces(&find.bug_id, &find.input));
     assert_eq!(
-        cached.replay(&find.input),
-        full.replay(&find.input),
+        cached.replay(&find.input, None),
+        full.replay(&find.input, None),
         "replay findings must match across cache modes"
     );
     let min_cached = cached.minimize(&find.bug_id, &find.input);

@@ -20,15 +20,15 @@ const HOURS: u32 = 3;
 const EXECS_PER_HOUR: u32 = 40;
 
 fn grid(mode: Mode, sync_interval: u32) -> CampaignPlan {
-    CampaignPlan::new()
+    let base = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, 0)
+        .with_execs_per_hour(EXECS_PER_HOUR)
+        .with_mode(mode)
+        .with_sync_interval(sync_interval);
+    CampaignPlan::new(base)
         .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
         .backend(Backend::new("vxen", |c| Box::new(Vxen::new(c))))
         .vendors(&[CpuVendor::Intel, CpuVendor::Amd])
-        .modes(&[mode])
         .seeds(0..3)
-        .hours(HOURS)
-        .execs_per_hour(EXECS_PER_HOUR)
-        .sync_interval(sync_interval)
 }
 
 #[test]
@@ -66,14 +66,13 @@ fn never_sync_and_final_boundary_sync_match_unsynced_results() {
         .collect();
 
     for sync_interval in [0, HOURS] {
-        let plan = CampaignPlan::new()
+        let base = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, 0)
+            .with_execs_per_hour(EXECS_PER_HOUR)
+            .with_mode(Mode::Guided)
+            .with_sync_interval(sync_interval);
+        let plan = CampaignPlan::new(base)
             .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
-            .vendors(&[CpuVendor::Intel])
-            .modes(&[Mode::Guided])
-            .seeds(0..3)
-            .hours(HOURS)
-            .execs_per_hour(EXECS_PER_HOUR)
-            .sync_interval(sync_interval);
+            .seeds(0..3);
         let results = CampaignExecutor::new().jobs(4).run(&plan);
         assert_eq!(results.len(), unsynced.len());
         for (i, (synced, plain)) in results.iter().zip(&unsynced).enumerate() {
