@@ -4,10 +4,10 @@
 //! The grid runs the same guided campaign under a fault-rate sweep
 //! (`0`, `1%`, `5%` — each rate split by [`FaultPlan::uniform`]
 //! across hung vmexit loops, transient and permanent restore
-//! failures, snapshot-capture corruption, and silent host deaths)
-//! and reports what the runtime did to absorb the faults: watchdog
-//! reaps, restore retries and their exponential backoff, image and
-//! trie-node quarantines, factory rebuilds, degraded-mode execs.
+//! failures, and silent host deaths) and reports what the runtime did
+//! to absorb the faults: watchdog reaps, restore retries and their
+//! exponential backoff, image quarantines, factory rebuilds,
+//! degraded-mode execs.
 //!
 //! The **overhead** metric is a deterministic model cost, not wall
 //! clock: engine service operations (snapshot restores + retries +
@@ -66,7 +66,6 @@ struct FaultCell {
     quarantines: u64,
     rebuilds: u64,
     degraded: u64,
-    captures_corrupted: u64,
 }
 
 impl FaultCell {
@@ -100,10 +99,9 @@ fn cell_of(rate: f64, result: &CampaignResult) -> FaultCell {
         restores: es.snapshot_restores,
         retries: es.restore_retries,
         backoff_units: es.restore_backoff_units,
-        quarantines: es.quarantined_images + es.quarantined_prefix_nodes,
+        quarantines: es.quarantined_images,
         rebuilds: es.factory_builds,
         degraded: es.degraded_mode,
-        captures_corrupted: es.captures_corrupted,
     }
 }
 
@@ -162,8 +160,7 @@ fn write_json(path: &str, cells: &[FaultCell], resume: &ResumeCell, zero_identic
                 "    {{\"rate\": {:.2}, \"execs\": {}, \"coverage\": {:.4}, \
                  \"finds\": {}, \"hangs\": {}, \"deaths\": {}, \"restores\": {}, \
                  \"retries\": {}, \"backoff_units\": {}, \"quarantines\": {}, \
-                 \"rebuilds\": {}, \"degraded\": {}, \"captures_corrupted\": {}, \
-                 \"service_ops_per_exec\": {:.4}}}",
+                 \"rebuilds\": {}, \"degraded\": {}, \"service_ops_per_exec\": {:.4}}}",
                 c.rate,
                 c.execs,
                 c.coverage,
@@ -176,7 +173,6 @@ fn write_json(path: &str, cells: &[FaultCell], resume: &ResumeCell, zero_identic
                 c.quarantines,
                 c.rebuilds,
                 c.degraded,
-                c.captures_corrupted,
                 c.service_ops_per_exec(),
             )
         })
@@ -187,8 +183,8 @@ fn write_json(path: &str, cells: &[FaultCell], resume: &ResumeCell, zero_identic
         "{{\n  \"bench\": \"fault_tolerance\",\n  \"version\": 1,\n  \
          \"unit\": \"engine_service_ops\",\n  \
          \"description\": \"campaigns under deterministic fault injection: each rate is \
-         split across hung vmexit loops, transient/permanent restore failures, capture \
-         corruption, and silent host deaths; service_ops_per_exec = (snapshot restores + \
+         split across hung vmexit loops, transient/permanent restore failures, and silent \
+         host deaths; service_ops_per_exec = (snapshot restores + \
          retries + factory builds + degraded rebuilds) / execs; overhead_1pct normalizes \
          the 1% cell to the zero-fault cell. resume kills the 5% campaign cold at its \
          midpoint and resumes from the hourly checkpoint. Virtual cost model, \

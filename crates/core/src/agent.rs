@@ -27,19 +27,12 @@ use nf_hv::{CrashKind, FaultPlan, HvConfig, L0Hypervisor, SharedFaults, DEFAULT_
 use nf_vmx::{MsrArea, Vmcb, Vmcs, VmxCapabilities};
 use nf_x86::CpuVendor;
 
-use nf_fuzz::scenario::{prefix_extend, prefix_extend_u64, prefix_root};
-
 use crate::configurator::VcpuConfigurator;
 use crate::engine::{EngineMode, EngineStats, ExecutionEngine};
-use crate::harness::{ExecEvent, ExecObserver, ExecPhase, ExecutionHarness, InitPlan, NopObserver};
+use crate::harness::{ExecObserver, ExecutionHarness, InitPlan, NopObserver};
 use crate::input::InputView;
 use crate::triage::CrashTriage;
 use crate::validator::VmStateValidator;
-
-/// Canonical prefix-hash discriminant framing a runtime step record
-/// (init steps use their own 0–11 discriminants; see
-/// [`crate::harness::InitStep::fold_prefix`]).
-const RUNTIME_UNIT_TAG: u64 = 12;
 
 /// Component toggles for the ablation study (paper §5.3, Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,12 +131,6 @@ pub struct Agent {
     /// The crash-triage index: saved vulnerability reports,
     /// deduplicated by bug id, in discovery order.
     triage: CrashTriage,
-    /// Reusable rolling prefix-hash chain of the current execution
-    /// (`chain[k]` = hash after `k` scenario units; prefix mode only).
-    chain: Vec<u64>,
-    /// Reusable event log of the current execution (prefix mode only):
-    /// what a boundary capture records, and what a restore replays.
-    events: Vec<ExecEvent>,
     /// The engine's shared fault injector, when a plan is installed:
     /// the agent opens every execution on it (exec index + input
     /// digest), which is what keeps the fault schedule a pure function
@@ -193,8 +180,6 @@ impl Agent {
             restarts: 0,
             cumulative,
             triage: CrashTriage::new(),
-            chain: Vec::new(),
-            events: Vec::new(),
             faults: None,
             watchdog_fuel: DEFAULT_WATCHDOG_FUEL,
         }
@@ -230,11 +215,9 @@ impl Agent {
         }
     }
 
-    /// Enables (or disables) the engine's mid-scenario snapshot trie
-    /// (`--prefix-cache`). Requires the snapshot engine; the builder
-    /// delegates to [`ExecutionEngine::set_prefix_cache`].
-    pub fn with_prefix_cache(mut self, enabled: bool) -> Self {
-        self.engine.set_prefix_cache(enabled);
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_cache(self, _enabled: bool) -> Self {
         self
     }
 
@@ -244,23 +227,15 @@ impl Agent {
         self
     }
 
-    /// Sets the prefix trie's byte budget (tests: adversarial eviction).
-    pub fn with_prefix_budget(mut self, bytes: usize) -> Self {
-        self.engine.set_prefix_budget(bytes);
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_budget(self, _bytes: usize) -> Self {
         self
     }
 
-    /// Sets the prefix capture threshold (`1` = snapshot at every
-    /// scenario boundary).
-    pub fn with_prefix_threshold(mut self, threshold: u32) -> Self {
-        self.engine.set_prefix_threshold(threshold);
-        self
-    }
-
-    /// Selects the prefix trie's snapshot store (benches: the CoW /
-    /// deep-copy A/B).
-    pub fn with_prefix_store(mut self, mode: crate::engine::PrefixStoreMode) -> Self {
-        self.engine.set_prefix_store(mode);
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_store(self, _mode: crate::campaign::PrefixStoreMode) -> Self {
         self
     }
 
@@ -554,16 +529,8 @@ impl Agent {
     }
 
     /// Steps 4–5 of the iteration loop: runs a staged VM's init and
-    /// runtime phases on this agent's prepared host, through the
-    /// prefix trie when it is enabled.
+    /// runtime phases on this agent's prepared host.
     fn run_staged<O: ExecObserver>(&mut self, vm: &StagedVm, observer: &mut O) {
-        if self.engine.prefix_enabled() {
-            // Prefix-cached steps 4–5: restore the deepest cached
-            // ancestor and execute only the suffix.
-            self.execute_prefixed(vm, observer);
-            return;
-        }
-
         // 4. Initialization phase.
         let init = self.harness.run_init_observed(
             self.engine.hv_mut(),
@@ -601,122 +568,6 @@ impl Agent {
         let crashed = !reports.is_empty();
         reports.clear();
         crashed
-    }
-
-    /// Prefix-cached execution of the harness phases: builds the
-    /// scenario's rolling prefix-hash chain, restores the deepest
-    /// cached ancestor from the engine's snapshot trie (replaying its
-    /// recorded events into `observer`), executes only the remaining
-    /// suffix through the same per-unit harness kernels the full-replay
-    /// loops use, and notes each crossed boundary so hot prefixes get
-    /// captured.
-    ///
-    /// Bit-identity with the full-replay path is structural: the unit
-    /// kernels ([`ExecutionHarness::exec_init_step`],
-    /// [`ExecutionHarness::exec_runtime_step`]) and the phase machine
-    /// ([`ExecPhase::apply`]) are shared, a restored node's key covers
-    /// the entire execution context up to its boundary, and the event
-    /// replay fires exactly the hooks live execution fired.
-    fn execute_prefixed<O: ExecObserver>(&mut self, vm: &StagedVm, observer: &mut O) {
-        use nf_fuzz::InputLayout;
-
-        let StagedVm {
-            config,
-            vmcs12,
-            msr_area,
-            vmcb12,
-            plan,
-            runtime: runtime_bytes,
-        } = vm;
-
-        // Root hash: everything that shapes execution before the first
-        // scenario unit. The generated-image digests make the root (and
-        // with it every node key) sensitive to validator corrections —
-        // a learned correction changes the images, so stale nodes
-        // become unreachable rather than wrong.
-        let mut h = prefix_root();
-        h = prefix_extend_u64(
-            h,
-            match self.vendor {
-                CpuVendor::Intel => 0,
-                CpuVendor::Amd => 1,
-            },
-        );
-        h = prefix_extend_u64(h, config.features.0 as u64);
-        h = prefix_extend_u64(h, config.nested as u64);
-        h = prefix_extend_u64(h, nf_hv::GuestObservation::digest_vmcs(vmcs12));
-        h = prefix_extend_u64(h, nf_hv::GuestObservation::digest_vmcb(vmcb12));
-        h = prefix_extend_u64(h, msr_area.entries.len() as u64);
-        for entry in &msr_area.entries {
-            h = prefix_extend_u64(h, entry.index as u64);
-            h = prefix_extend_u64(h, entry.value);
-        }
-
-        // The chain: one hash per scenario boundary.
-        self.chain.clear();
-        self.chain.push(h);
-        for step in &plan.steps {
-            h = step.fold_prefix(h);
-            self.chain.push(h);
-        }
-        for chunk in runtime_bytes.chunks(InputLayout::STEP_BYTES) {
-            h = prefix_extend_u64(h, RUNTIME_UNIT_TAG);
-            h = prefix_extend(h, chunk);
-            self.chain.push(h);
-        }
-
-        // Restore the deepest cached ancestor (if any) and replay its
-        // recorded events — the observer stream must be bit-identical
-        // to a full replay.
-        self.events.clear();
-        let (mut phase, start) = match self.engine.prefix_restore(&self.chain) {
-            Some(idx) => {
-                for event in self.engine.prefix_node_events(idx) {
-                    event.replay(observer);
-                    self.events.push(event.clone());
-                }
-                (
-                    self.engine.prefix_node_phase(idx),
-                    self.engine.prefix_node_depth(idx),
-                )
-            }
-            None => (ExecPhase::boot(), 0),
-        };
-
-        // Execute the suffix through the shared per-unit kernels.
-        let harness = self.harness;
-        let init_len = plan.steps.len();
-        let total = self.chain.len() - 1;
-        let mut unit = start;
-        while unit < total && !phase.host_dead {
-            let event = if unit < init_len {
-                ExecEvent::Init(harness.exec_init_step(
-                    self.engine.hv_mut(),
-                    plan.steps[unit],
-                    vmcs12,
-                    vmcb12,
-                    msr_area,
-                ))
-            } else {
-                let off = (unit - init_len) * InputLayout::STEP_BYTES;
-                let end = (off + InputLayout::STEP_BYTES).min(runtime_bytes.len());
-                harness.exec_runtime_step(
-                    self.engine.hv_mut(),
-                    &runtime_bytes[off..end],
-                    phase.l2_live,
-                )
-            };
-            event.replay(observer);
-            phase.apply(&event);
-            self.events.push(event);
-            unit += 1;
-            // A boundary past a host death is not a resumable prefix:
-            // execution stops here, exactly like the full-replay loops.
-            if !phase.host_dead {
-                self.engine
-                    .prefix_note_boundary(self.chain[unit], unit, phase, &self.events);
-            }
-        }
     }
 
     /// Drains sanitizer/log reports into the triage index (O(1) dedup

@@ -6,7 +6,7 @@
 //!          [--jobs N] [--guided] [--mutator havoc|structured]
 //!          [--no-harness] [--no-validator]
 //!          [--no-configurator] [--engine snapshot|rebuild]
-//!          [--prefix-cache] [--prefix-budget BYTES] [--cache-capacity N]
+//!          [--cache-capacity N]
 //!          [--oracle sanitizer|differential] [--diff-backends LIST]
 //!          [--sync-interval N] [--sync-mode lockstep|async]
 //!          [--sync-topology ring|tree] [--corpus-dir DIR]
@@ -17,8 +17,7 @@
 //! necofuzz corpus stat DIR
 //! necofuzz corpus minimize DIR [--out DIR]
 //! necofuzz corpus repro FILE [--target T] [--vendor V]
-//!          [--engine E] [--prefix-cache] [--prefix-budget BYTES]
-//!          [--cache-capacity N] [--minimize] [--out FILE]
+//!          [--engine E] [--cache-capacity N] [--minimize] [--out FILE]
 //! ```
 //!
 //! Runs one campaign — or, with `--runs N`, a whole grid of campaigns
@@ -62,18 +61,6 @@
 //! are bit-identical either way. `--bench-out PATH` records the run's
 //! throughput (total execs, wall-clock seconds, overall execs/sec,
 //! and per-run exec/restart counts) as JSON for offline comparison.
-//!
-//! `--prefix-cache` (snapshot engine only) arms the incremental
-//! snapshot trie: mid-scenario snapshots are captured at hot
-//! instruction boundaries, and each execution resumes from the deepest
-//! cached ancestor of its scenario prefix, executing only the suffix.
-//! Full replay is the built-in A/B oracle — campaign results are
-//! bit-identical with the cache on or off; only wall-clock changes.
-//! `--prefix-budget BYTES` (requires `--prefix-cache`) sets the trie's
-//! byte budget (default 8 MiB); past it the stalest nodes are evicted,
-//! and results stay bit-identical at any budget — the trie's
-//! content-addressed store charges each unique blob once, so the same
-//! budget holds far more boundaries than a deep-copy store would.
 //! `--cache-capacity N` sizes the engine's booted-image cache (parked
 //! config → booted-hypervisor images; default 16).
 //!
@@ -91,8 +78,8 @@
 //! `--fault-plan SEED:RATE` arms deterministic fault injection in
 //! every backend the run touches: `RATE` (a fraction in `[0, 1]`) is
 //! split across hung vmexit loops, transient and permanent restore
-//! failures, snapshot-capture corruption, and silent host deaths,
-//! all scheduled by `SEED` independently of the fuzzing seed. The
+//! failures, and silent host deaths, all scheduled by `SEED`
+//! independently of the fuzzing seed. The
 //! same plan against the same campaign reproduces the same faults,
 //! fault counters, and findings, byte for byte. `--watchdog-fuel N`
 //! sets the per-execution fuel budget after which the exec watchdog
@@ -108,8 +95,11 @@
 //! result the uninterrupted run would have produced. Differential
 //! oracle campaigns are not checkpointable (the oracle's replay
 //! agents hold unpersisted state).
+//!
+//! `--out` and `--corpus-dir` are created before the first campaign
+//! starts; a path that cannot be created, like any other output write
+//! that fails, exits 2 with a one-line diagnostic.
 
-use std::io::Write as _;
 use std::str::FromStr;
 
 use necofuzz::campaign::{Campaign, CampaignConfig, CampaignResult};
@@ -129,7 +119,6 @@ fn usage() -> ! {
          \x20               [--guided] [--mutator havoc|structured]\n\
          \x20               [--no-harness] [--no-validator]\n\
          \x20               [--no-configurator] [--engine snapshot|rebuild]\n\
-         \x20               [--prefix-cache] [--prefix-budget BYTES]\n\
          \x20               [--cache-capacity N]\n\
          \x20               [--oracle sanitizer|differential] [--diff-backends LIST]\n\
          \x20               [--sync-interval N] [--sync-mode lockstep|async]\n\
@@ -141,8 +130,7 @@ fn usage() -> ! {
          \x20      necofuzz corpus stat DIR\n\
          \x20      necofuzz corpus minimize DIR [--out DIR]\n\
          \x20      necofuzz corpus repro FILE [--target T] [--vendor V]\n\
-         \x20               [--engine E] [--prefix-cache] [--prefix-budget BYTES]\n\
-         \x20               [--cache-capacity N]\n\
+         \x20               [--engine E] [--cache-capacity N]\n\
          \x20               [--minimize] [--out FILE]"
     );
     std::process::exit(2);
@@ -159,6 +147,11 @@ fn reject(message: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes an output file, or exits 2 with a one-line diagnostic.
+fn write_output(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| reject(format_args!("write {path}: {e}")));
+}
+
 /// The hypervisors `--target` may name; the backend table's other
 /// entries (`golden`, the seeded-bug vkvm) only serve as diff backends.
 const TARGETS: [&str; 3] = ["vkvm", "vxen", "vvbox"];
@@ -168,7 +161,6 @@ const TARGETS: [&str; 3] = ["vkvm", "vxen", "vvbox"];
 struct Flags {
     target: String,
     cfg: CampaignConfig,
-    prefix_budget_set: bool,
 }
 
 impl Flags {
@@ -176,7 +168,6 @@ impl Flags {
         Flags {
             target: "vkvm".to_string(),
             cfg: CampaignConfig::necofuzz(CpuVendor::Intel, 24, 0),
-            prefix_budget_set: false,
         }
     }
 
@@ -193,11 +184,6 @@ impl Flags {
                 }
             }
             "--engine" => self.cfg.engine = EngineMode::parse(&value()).unwrap_or_else(|| usage()),
-            "--prefix-cache" => self.cfg.prefix_cache = true,
-            "--prefix-budget" => {
-                self.cfg.prefix_budget = num(value());
-                self.prefix_budget_set = true;
-            }
             "--cache-capacity" => self.cfg.cache_capacity = num(value()),
             _ => return false,
         }
@@ -207,16 +193,6 @@ impl Flags {
     /// The shared flags' consistency checks; `context` prefixes the
     /// diagnostic.
     fn check_engine(&self, context: &str) {
-        if self.cfg.prefix_cache && self.cfg.engine != EngineMode::Snapshot {
-            reject(format_args!(
-                "{context}--prefix-cache requires --engine snapshot (the trie restores snapshots)"
-            ));
-        }
-        if self.prefix_budget_set && !self.cfg.prefix_cache {
-            reject(format_args!(
-                "{context}--prefix-budget requires --prefix-cache (it sizes the prefix trie)"
-            ));
-        }
         if self.cfg.cache_capacity == 0 {
             reject(format_args!("{context}--cache-capacity must be at least 1"));
         }
@@ -300,6 +276,13 @@ fn main() {
     }
     flags.check_engine("");
     let cfg = &mut flags.cfg;
+    if cfg.seed.checked_add(runs).is_none() {
+        reject(format_args!(
+            "--seed {} --runs {runs}: the seed range must end at or below {}",
+            cfg.seed,
+            u64::MAX
+        ));
+    }
     if cfg.sync_mode == SyncMode::Async && cfg.sync_interval == 0 {
         reject("--sync-mode async needs --sync-interval N (any N > 0 switches gossip on)");
     }
@@ -369,6 +352,12 @@ fn main() {
     cfg.fault_plan = fault_plan.map(|(plan_seed, rate)| FaultPlan::uniform(plan_seed, rate));
     let backend = flags.target_backend();
     let target = backend.name();
+    for (flag, dir) in [("--out", &out), ("--corpus-dir", &corpus_dir)] {
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| reject(format_args!("{flag} {dir}: {e}")));
+        }
+    }
     let cfg = flags.cfg;
     let CampaignConfig {
         vendor,
@@ -426,14 +415,6 @@ fn main() {
         OracleMode::Sanitizer => cfg.oracle.to_string(),
         OracleMode::Differential => format!("{}[{}]", cfg.oracle, cfg.diff_backends.join("+")),
     };
-    let engine_desc = if cfg.prefix_cache {
-        format!(
-            "{}+prefix(cap {}, budget {} B)",
-            cfg.engine, cfg.cache_capacity, cfg.prefix_budget
-        )
-    } else {
-        cfg.engine.to_string()
-    };
     let sync_desc = match cfg.sync_mode {
         SyncMode::Lockstep => format!("{}h", cfg.sync_interval),
         SyncMode::Async => format!("async-{}", cfg.sync_topology),
@@ -444,11 +425,12 @@ fn main() {
     };
     println!(
         "necofuzz: target={target} vendor={vendor} hours={hours} execs/h={execs_per_hour} \
-         seeds={seed}..{} runs={runs} mode={mode:?} mutator={} engine={engine_desc} \
+         seeds={seed}..{} runs={runs} mode={mode:?} mutator={} engine={} \
          oracle={oracle_desc} sync={sync_desc} faults={fault_desc} \
          components[harness={} validator={} configurator={}]",
         seed + runs,
         cfg.strategy,
+        cfg.engine,
         cfg.mask.harness,
         cfg.mask.validator,
         cfg.mask.configurator
@@ -621,7 +603,7 @@ fn corpus_main(args: &[String]) {
             let dest = out.unwrap_or_else(|| path.clone());
             minimized
                 .save_to(&dest)
-                .unwrap_or_else(|e| panic!("save minimized corpus to {dest}: {e}"));
+                .unwrap_or_else(|e| reject(format_args!("save minimized corpus to {dest}: {e}")));
             println!(
                 "minimized {path}: {} -> {} entries ({} lines preserved), wrote {dest}",
                 before.0,
@@ -679,8 +661,7 @@ fn corpus_main(args: &[String]) {
                 let minimized = oracle.minimize(bug_id, &input);
                 let nonzero = minimized.bytes.iter().filter(|&&b| b != 0).count();
                 let dest = out.unwrap_or_else(|| format!("{path}.min.bin"));
-                std::fs::write(&dest, &minimized.bytes)
-                    .unwrap_or_else(|e| panic!("write {dest}: {e}"));
+                write_output(&dest, &minimized.bytes);
                 println!(
                     "minimized reproducer for {bug_id}: {} -> {} non-zero bytes, wrote {dest}",
                     input.bytes.iter().filter(|&&b| b != 0).count(),
@@ -738,7 +719,7 @@ fn save_corpus(dir: &str, run_seed: u64, result: &CampaignResult) {
     result
         .corpus
         .save_to(&run_dir)
-        .unwrap_or_else(|e| panic!("save corpus to {run_dir}: {e}"));
+        .unwrap_or_else(|e| reject(format_args!("save corpus to {run_dir}: {e}")));
     println!(
         "saved corpus ({} entries) to {run_dir}",
         result.corpus.len()
@@ -767,7 +748,7 @@ fn save_bench(path: &str, engine: EngineMode, elapsed: f64, results: &[CampaignR
         total_execs as f64 / elapsed,
         per_run.join(", ")
     );
-    std::fs::write(path, json).expect("write bench output");
+    write_output(path, json);
     println!("wrote {path}");
 }
 
@@ -786,26 +767,6 @@ fn report_run(run_seed: u64, result: &CampaignResult, multi: bool) {
         result.execs,
         result.restarts,
     );
-    let es = &result.engine_stats;
-    if es.prefix_hits + es.prefix_misses > 0 {
-        println!(
-            "{prefix}prefix cache: {} hits / {} misses, {} scenario units skipped, \
-             {} snapshots captured, {} evicted",
-            es.prefix_hits,
-            es.prefix_misses,
-            es.prefix_units_skipped,
-            es.prefix_captures,
-            es.prefix_evictions,
-        );
-        println!(
-            "{prefix}prefix trie: {} nodes resident ({} B), dedup ratio {:.2}, \
-             max restored hit depth {}",
-            es.prefix_nodes,
-            es.prefix_bytes_resident,
-            es.prefix_dedup_ratio(),
-            es.prefix_max_hit_depth,
-        );
-    }
     let sync = &result.sync;
     if sync.deltas_published + sync.deltas_applied > 0 {
         println!(
@@ -869,25 +830,17 @@ fn report_run(run_seed: u64, result: &CampaignResult, multi: bool) {
 }
 
 /// Saves crashing inputs for reproduction (§4.5: "saves the current
-/// fuzzing input to a timestamped file within a designated directory").
+/// fuzzing input to a timestamped file within a designated directory";
+/// `main` creates the directory before the first campaign).
 fn save_crashes(dir: &str, run_seed: u64, result: &CampaignResult) {
-    std::fs::create_dir_all(dir).expect("create output directory");
     for f in &result.finds {
-        let path = format!(
-            "{dir}/crash-s{run_seed:03}-exec{:06}-{}.bin",
-            f.exec, f.bug_id
-        );
-        let mut file = std::fs::File::create(&path).expect("create crash file");
-        file.write_all(&f.input.bytes).expect("write crash input");
-        let meta = format!(
-            "{dir}/crash-s{run_seed:03}-exec{:06}-{}.txt",
-            f.exec, f.bug_id
-        );
-        std::fs::write(
-            &meta,
+        let stem = format!("{dir}/crash-s{run_seed:03}-exec{:06}-{}", f.exec, f.bug_id);
+        let path = format!("{stem}.bin");
+        write_output(&path, &f.input.bytes);
+        write_output(
+            &format!("{stem}.txt"),
             format!("{} via {}\n{}\n", f.bug_id, f.kind, f.message),
-        )
-        .expect("write crash metadata");
+        );
         println!("saved {path}");
     }
 }

@@ -22,14 +22,20 @@ use nf_x86::CpuVendor;
 
 use crate::agent::{Agent, BugFind, ComponentMask};
 use crate::differential::{DifferentialRunner, DivergenceStats, OracleMode};
-use crate::engine::{
-    EngineMode, EngineStats, PrefixStoreMode, DEFAULT_CACHE_CAPACITY, DEFAULT_PREFIX_BUDGET,
-};
+use crate::engine::{EngineMode, EngineStats, DEFAULT_CACHE_CAPACITY};
 
 /// Executions one virtual hour stands for. The paper's harness reaches
 /// hundreds of executions per second on bare metal; the simulation
 /// compresses that to a benchmark-friendly rate with the same shape.
 pub const EXECS_PER_HOUR: u32 = 250;
+
+/// The type of [`CampaignConfig::prefix_store`]. Nothing reads it; it
+/// stays only because perfbench names the field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefixStoreMode {
+    /// The only value.
+    Cow,
+}
 
 /// Configuration of one campaign run.
 #[derive(Debug, Clone)]
@@ -50,26 +56,15 @@ pub struct CampaignConfig {
     /// `Rebuild` keeps the original full-reboot semantics for A/B
     /// measurement — results are bit-identical either way).
     pub engine: EngineMode,
-    /// Prefix-cached execution (`--prefix-cache`): mid-scenario
-    /// snapshots are captured at hot instruction boundaries and each
-    /// exec resumes from the deepest cached ancestor of its scenario
-    /// prefix, executing only the suffix. Off by default; results are
-    /// bit-identical with the cache on or off — full replay is the A/B
-    /// oracle. Requires [`EngineMode::Snapshot`].
+    /// Unused: kept only because perfbench reads it.
     pub prefix_cache: bool,
     /// Booted-image cache capacity of the execution engine
     /// (`--cache-capacity`): how many (config → booted hypervisor +
     /// boot snapshot) images the engine parks across config flips.
     pub cache_capacity: usize,
-    /// Byte budget of the prefix trie (`--prefix-budget`): the LRU
-    /// evicts stalest nodes past it. Ignored unless `prefix_cache` is
-    /// on. Results are bit-identical at any budget — the budget only
-    /// moves work between restore and re-execution.
+    /// Unused: kept only because perfbench reads it.
     pub prefix_budget: usize,
-    /// How the prefix trie stores captured nodes: the content-addressed
-    /// CoW store (default) or self-contained deep copies (the A/B
-    /// baseline `prefix_speedup` measures against). Bit-identical
-    /// either way.
+    /// Unused: kept only because perfbench reads it.
     pub prefix_store: PrefixStoreMode,
     /// Corpus-sync epoch length in virtual hours. `0` (the default)
     /// never syncs; `n` exchanges [`CorpusDelta`]s with the sync group
@@ -103,7 +98,7 @@ pub struct CampaignConfig {
     /// or off.
     pub diff_backends: Vec<String>,
     /// Deterministic fault plan (`--fault-plan`): injected hangs,
-    /// restore/capture failures, and host deaths, scheduled as a pure
+    /// restore failures, and host deaths, scheduled as a pure
     /// function of (plan, exec index, input content). `None` (the
     /// default) installs nothing; a zero-rate plan is bit-identical to
     /// `None`.
@@ -131,7 +126,7 @@ impl CampaignConfig {
             engine: EngineMode::Snapshot,
             prefix_cache: false,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            prefix_budget: DEFAULT_PREFIX_BUDGET,
+            prefix_budget: 0,
             prefix_store: PrefixStoreMode::Cow,
             sync_interval: 0,
             sync_mode: SyncMode::Lockstep,
@@ -168,27 +163,9 @@ impl CampaignConfig {
         self
     }
 
-    /// Enables (or disables) prefix-cached execution.
-    pub fn with_prefix_cache(mut self, prefix_cache: bool) -> Self {
-        self.prefix_cache = prefix_cache;
-        self
-    }
-
     /// Sets the booted-image cache capacity.
     pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Sets the prefix trie's byte budget.
-    pub fn with_prefix_budget(mut self, prefix_budget: usize) -> Self {
-        self.prefix_budget = prefix_budget;
-        self
-    }
-
-    /// Selects the prefix trie's snapshot store.
-    pub fn with_prefix_store(mut self, prefix_store: PrefixStoreMode) -> Self {
-        self.prefix_store = prefix_store;
         self
     }
 
@@ -311,8 +288,8 @@ fn compute_alarms(hourly: &[HourSample], corpus_marks: &[u64]) -> HealthAlarms {
 ///
 /// `PartialEq` compares every *semantic* field; the orchestrator's
 /// equivalence tests rely on it to show parallel execution is
-/// bit-identical to serial, and the prefix-cache equivalence suite
-/// relies on it to show cached execution matches full replay. The
+/// bit-identical to serial, and the engine equivalence suite relies
+/// on it to show the snapshot engine matches rebuilds. The
 /// [`EngineStats`] counters are excluded: they describe *how* the
 /// engine serviced the run (cache hits, snapshots restored), which
 /// legitimately differs between equivalent executions.
@@ -352,7 +329,7 @@ pub struct CampaignResult {
     /// `BENCH_diff.json`.
     pub diff_execs: u64,
     /// Execution-engine counters (boot-image cache, snapshot restores,
-    /// prefix-trie hits/evictions). Diagnostic only: excluded from
+    /// restore faults). Diagnostic only: excluded from
     /// `PartialEq`, since equivalent campaigns may service the same
     /// execution stream through different cache paths.
     pub engine_stats: EngineStats,
@@ -512,10 +489,7 @@ impl Campaign {
         cfg: &CampaignConfig,
     ) -> Agent {
         let mut agent = Agent::with_engine(factory, cfg.vendor, cfg.mask, cfg.engine)
-            .with_prefix_cache(cfg.prefix_cache)
-            .with_cache_capacity(cfg.cache_capacity)
-            .with_prefix_budget(cfg.prefix_budget)
-            .with_prefix_store(cfg.prefix_store);
+            .with_cache_capacity(cfg.cache_capacity);
         if let Some(plan) = cfg.fault_plan {
             agent = agent
                 .with_fault_plan(plan)
@@ -529,10 +503,7 @@ impl Campaign {
     pub(crate) fn make_diff(cfg: &CampaignConfig) -> Option<DifferentialRunner> {
         (cfg.oracle == OracleMode::Differential).then(|| {
             DifferentialRunner::new(&cfg.diff_backends, cfg.vendor, cfg.mask, cfg.engine)
-                .with_prefix_cache(cfg.prefix_cache)
                 .with_cache_capacity(cfg.cache_capacity)
-                .with_prefix_budget(cfg.prefix_budget)
-                .with_prefix_store(cfg.prefix_store)
         })
     }
 

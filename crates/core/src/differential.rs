@@ -549,16 +549,9 @@ impl DifferentialRunner {
         }
     }
 
-    /// Enables prefix-cached execution on every backend agent. The
-    /// 1+N replay structure of the oracle makes the trie especially
-    /// effective: each backend replays the *same* input, so the shared
-    /// scenario prefix is hot on every agent after the first exec.
-    pub fn with_prefix_cache(mut self, enabled: bool) -> Self {
-        self.agents = self
-            .agents
-            .into_iter()
-            .map(|a| a.with_prefix_cache(enabled))
-            .collect();
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_cache(self, _enabled: bool) -> Self {
         self
     }
 
@@ -572,23 +565,15 @@ impl DifferentialRunner {
         self
     }
 
-    /// Sets the prefix trie's byte budget on every backend agent.
-    pub fn with_prefix_budget(mut self, bytes: usize) -> Self {
-        self.agents = self
-            .agents
-            .into_iter()
-            .map(|a| a.with_prefix_budget(bytes))
-            .collect();
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_budget(self, _bytes: usize) -> Self {
         self
     }
 
-    /// Selects the prefix trie's snapshot store on every backend agent.
-    pub fn with_prefix_store(mut self, mode: crate::engine::PrefixStoreMode) -> Self {
-        self.agents = self
-            .agents
-            .into_iter()
-            .map(|a| a.with_prefix_store(mode))
-            .collect();
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_prefix_store(self, _mode: crate::campaign::PrefixStoreMode) -> Self {
         self
     }
 

@@ -57,40 +57,8 @@ pub enum InitStep {
     Vmrun(u64),
 }
 
-impl InitStep {
-    /// Folds this step's canonical encoding (discriminant + argument)
-    /// into a rolling scenario-prefix hash (see
-    /// [`nf_fuzz::scenario::prefix_extend`]). Argument-less steps whose
-    /// effect depends on generated state (`WriteVmcs`, `StageMsrArea`,
-    /// `StageVmcb`) hash only their discriminant — the prefix root is
-    /// expected to already cover the generated image digests.
-    pub fn fold_prefix(self, h: u64) -> u64 {
-        use nf_fuzz::scenario::prefix_extend_u64 as ext;
-        match self {
-            InitStep::EnableVmx => ext(h, 0),
-            InitStep::EnableVmxBadCr0 => ext(h, 1),
-            InitStep::EnableSvm => ext(h, 2),
-            InitStep::Vmxon(addr) => ext(ext(h, 3), addr),
-            InitStep::Vmclear(addr) => ext(ext(h, 4), addr),
-            InitStep::StageRevision(rev) => ext(ext(h, 5), rev as u64),
-            InitStep::Vmptrld(addr) => ext(ext(h, 6), addr),
-            InitStep::WriteVmcs => ext(h, 7),
-            InitStep::StageMsrArea => ext(h, 8),
-            InitStep::Launch => ext(h, 9),
-            InitStep::StageVmcb => ext(h, 10),
-            InitStep::Vmrun(addr) => ext(ext(h, 11), addr),
-        }
-    }
-}
-
 /// One observable unit of a harness execution: the result of an init
 /// step, an L2 instruction, or an L1 exit-handler action.
-///
-/// Events are what a mid-scenario snapshot records alongside the VM
-/// state: restoring a cached prefix replays its events into the
-/// caller's [`ExecObserver`] (via [`ExecEvent::replay`]) so the
-/// observed stream — the differential oracle's comparison unit — is
-/// bit-identical to a full replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecEvent {
     /// An initialization step completed (fires
@@ -105,9 +73,7 @@ pub enum ExecEvent {
 }
 
 impl ExecEvent {
-    /// Fires the observer hook this event corresponds to — the same
-    /// hook live execution fires, so replaying a recorded prefix is
-    /// indistinguishable from re-executing it.
+    /// Fires the observer hook this event corresponds to.
     pub fn replay<O: ExecObserver>(&self, observer: &mut O) {
         match self {
             ExecEvent::Init(r) => observer.on_init_step(r),
@@ -119,9 +85,8 @@ impl ExecEvent {
 
 /// The harness phase machine threaded across scenario units: whether a
 /// nested guest is live, whether the host died, and the VM-exit count.
-/// [`ExecPhase::apply`] is the single transition function both the
-/// full-replay loops and the prefix-cached driver use, so the two paths
-/// cannot drift.
+/// [`ExecPhase::apply`] is the transition function both phase loops
+/// use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPhase {
     /// A nested guest is live.
@@ -354,9 +319,8 @@ impl ExecutionHarness {
         }
     }
 
-    /// Executes one initialization step — the per-unit kernel both
-    /// [`run_init_observed`](Self::run_init_observed) and the
-    /// prefix-cached driver step through.
+    /// Executes one initialization step — the per-unit kernel of
+    /// [`run_init_observed`](Self::run_init_observed).
     pub fn exec_init_step(
         &self,
         hv: &mut dyn L0Hypervisor,
@@ -566,8 +530,8 @@ impl ExecutionHarness {
 
     /// Executes one 4-byte runtime step record — an L2 instruction when
     /// a nested guest is live, an L1 exit-handler action otherwise. The
-    /// per-unit kernel both [`run_runtime_observed`](Self::run_runtime_observed)
-    /// and the prefix-cached driver step through.
+    /// per-unit kernel of
+    /// [`run_runtime_observed`](Self::run_runtime_observed).
     pub fn exec_runtime_step(
         &self,
         hv: &mut dyn L0Hypervisor,
@@ -636,34 +600,6 @@ mod tests {
         ExecEvent::L2(L2Result::NoGuest).replay(&mut counts);
         ExecEvent::L1(L1Result::Ok(1)).replay(&mut counts);
         assert_eq!((counts.0, counts.1, counts.2), (1, 2, 1));
-    }
-
-    #[test]
-    fn init_step_prefix_folds_are_injective_over_the_plan_vocabulary() {
-        use nf_fuzz::scenario::prefix_root;
-        // Every distinct step must fold the rolling hash to a distinct
-        // value — a collision would alias two different scenario
-        // prefixes into one trie node.
-        let steps = [
-            InitStep::EnableVmx,
-            InitStep::EnableVmxBadCr0,
-            InitStep::EnableSvm,
-            InitStep::Vmxon(0x1000),
-            InitStep::Vmxon(0x2000),
-            InitStep::Vmclear(0x2000),
-            InitStep::StageRevision(1),
-            InitStep::StageRevision(2),
-            InitStep::Vmptrld(0x2000),
-            InitStep::WriteVmcs,
-            InitStep::StageMsrArea,
-            InitStep::Launch,
-            InitStep::StageVmcb,
-            InitStep::Vmrun(0x5000),
-        ];
-        let mut folded: Vec<u64> = steps.iter().map(|s| s.fold_prefix(prefix_root())).collect();
-        folded.sort_unstable();
-        folded.dedup();
-        assert_eq!(folded.len(), steps.len(), "prefix fold collision");
     }
 
     #[test]

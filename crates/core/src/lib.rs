@@ -72,7 +72,7 @@ pub mod validator;
 pub use agent::{Agent, BugFind, ComponentMask};
 pub use campaign::{
     run_campaign, run_campaign_group, Campaign, CampaignConfig, CampaignResult, FaultCounters,
-    HealthAlarms, HourSample, EXECS_PER_HOUR, PLATEAU_ALARM_HOURS,
+    HealthAlarms, HourSample, PrefixStoreMode, EXECS_PER_HOUR, PLATEAU_ALARM_HOURS,
 };
 pub use checkpoint::{read_checkpoint, write_checkpoint, CampaignCheckpoint, FindRecord};
 pub use configurator::{HvAdapter, KvmAdapter, VboxAdapter, VcpuConfigurator, XenAdapter};
@@ -82,8 +82,8 @@ pub use differential::{
     OracleMode, ALLOWLIST, SEEDED_HLT_BACKEND,
 };
 pub use engine::{
-    EngineError, EngineMode, EngineStats, ExecutionEngine, PrefixStoreMode, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_PREFIX_BUDGET, DEFAULT_PREFIX_THRESHOLD, MAX_RESTORE_RETRIES,
+    EngineError, EngineMode, EngineStats, ExecutionEngine, DEFAULT_CACHE_CAPACITY,
+    MAX_RESTORE_RETRIES,
 };
 pub use harness::{
     ExecEvent, ExecObserver, ExecPhase, ExecutionHarness, InitPlan, InitStep, NopObserver,

@@ -122,9 +122,6 @@ impl CampaignJob {
             EngineMode::Snapshot => "",
             EngineMode::Rebuild => "/rebuild",
         };
-        // Prefix-cached cells are labeled; the default (off) stays
-        // unlabeled so existing labels are unchanged.
-        let prefix = if self.cfg.prefix_cache { "/prefix" } else { "" };
         // Havoc (the default) stays unlabeled so existing labels — and
         // the determinism suites diffing them — are unchanged.
         let strategy = match self.cfg.strategy {
@@ -144,7 +141,7 @@ impl CampaignJob {
             SyncMode::Async => format!("/async-{}", self.cfg.sync_topology),
         };
         format!(
-            "{}/{}/{mode}{mask}{engine}{prefix}{strategy}{oracle}{sync}",
+            "{}/{}/{mode}{mask}{engine}{strategy}{oracle}{sync}",
             self.backend.name, self.cfg.vendor
         )
     }

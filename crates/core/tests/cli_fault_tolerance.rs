@@ -1,7 +1,8 @@
 //! Process-spawn coverage for the fault-tolerance CLI surface:
 //!
 //! - every invalid flag combination exits 2 with a pointed diagnostic
-//!   (never a silent partial run);
+//!   (never a silent partial run), and so does an output path that
+//!   cannot be written, before any campaign runs;
 //! - a faulty campaign reports its fault counters;
 //! - `--checkpoint-dir` + kill + `--resume-checkpoint` converges to
 //!   the exact stdout of the uninterrupted run.
@@ -72,6 +73,71 @@ fn invalid_fault_tolerance_flags_exit_2() {
             "necofuzz {args:?} stderr must mention {needle:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn usage_errors_exit_2_before_any_campaign_runs() {
+    let scratch = std::env::temp_dir().join(format!("nf-cli-usage-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    // A regular file: no directory can be created below it, on any OS.
+    let file = scratch.join("file");
+    std::fs::write(&file, [0u8; 64]).expect("write scratch file");
+    let file = file.to_str().expect("utf-8 temp dir");
+    let below_file = format!("{file}/x");
+    let corpus = scratch.join("corpus");
+    necofuzz::Corpus::new()
+        .save_to(&corpus)
+        .expect("save an empty corpus");
+    let corpus = corpus.to_str().expect("utf-8 temp dir");
+
+    let short = ["--hours", "1", "--execs-per-hour", "10"];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["--seed", "18446744073709551615"], "--seed"),
+        (
+            vec!["--seed", "18446744073709551614", "--runs", "3"],
+            "--seed",
+        ),
+        ([&short[..], &["--out", &below_file]].concat(), "--out"),
+        (
+            [&short[..], &["--corpus-dir", &below_file]].concat(),
+            "--corpus-dir",
+        ),
+        (
+            vec!["corpus", "minimize", corpus, "--out", &below_file],
+            "minimized corpus",
+        ),
+        (vec!["--prefix-cache"], "usage"),
+        (vec!["--prefix-budget", "1"], "usage"),
+        (vec!["corpus", "repro", file, "--prefix-cache"], "usage"),
+    ];
+    for (args, needle) in &cases {
+        let out = necofuzz(args);
+        let stderr = stderr_of(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "necofuzz {args:?} must exit 2, got {:?}\nstderr: {stderr}",
+            out.status.code()
+        );
+        assert!(
+            stderr.contains(needle),
+            "necofuzz {args:?} stderr must mention {needle:?}: {stderr}"
+        );
+        if *needle != "usage" {
+            assert_eq!(
+                stderr.lines().count(),
+                1,
+                "necofuzz {args:?} must print a one-line diagnostic: {stderr}"
+            );
+        }
+        assert!(
+            out.stdout.is_empty(),
+            "necofuzz {args:?} must fail before any campaign runs: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    std::fs::remove_dir_all(&scratch).ok();
 }
 
 #[test]

@@ -131,8 +131,8 @@ pub struct ExecTrace {
 
 /// Semantic equality: two traces are equal when they recorded the same
 /// hit sequence. `counts` and `uniq` are derived from `order` (and
-/// `counts` may carry trailing-zero capacity from [`ExecTrace::copy_from`]
-/// on a recycled buffer), so only the sequence is compared.
+/// `counts` may carry trailing zeros on a recycled buffer), so only the
+/// sequence is compared.
 impl PartialEq for ExecTrace {
     fn eq(&self, other: &Self) -> bool {
         self.order == other.order
@@ -229,46 +229,6 @@ impl ExecTrace {
         project_edges(&self.order, size, |edge| {
             bitmap[edge] = bitmap[edge].saturating_add(1);
         });
-    }
-
-    /// Overwrites this trace with the contents of `other`, reusing this
-    /// trace's buffers (no allocation once capacities are warm). This is
-    /// the prefix-cache restore path: a mid-scenario snapshot's recorded
-    /// trace is copied back into the hypervisor's in-flight trace so the
-    /// suffix extends it exactly as a full replay would have.
-    pub fn copy_from(&mut self, other: &ExecTrace) {
-        self.clear();
-        self.order.extend_from_slice(&other.order);
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for &b in &other.uniq {
-            self.uniq.push(b);
-            self.counts[b as usize] = other.counts[b as usize];
-        }
-    }
-
-    /// 128-bit FNV-1a digest of the hit sequence — the content key the
-    /// prefix cache's blob store interns recorded traces under. Equal
-    /// traces (see the [`PartialEq`] impl) digest equal regardless of
-    /// buffer capacities.
-    pub fn content_digest(&self) -> u128 {
-        let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        for &BlockId(b) in &self.order {
-            for byte in b.to_le_bytes() {
-                h ^= u128::from(byte);
-                h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-            }
-        }
-        h
-    }
-
-    /// Approximate heap footprint of the trace's buffers in bytes (the
-    /// prefix cache's byte-budget accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.order.len() * std::mem::size_of::<BlockId>()
-            + self.counts.len() * std::mem::size_of::<u32>()
-            + self.uniq.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -984,42 +944,6 @@ mod tests {
         assert_eq!(map.file_lines(f), 35);
         assert_eq!(map.block(BlockId(1)).line_start, 10);
         assert_eq!(map.block_count(), 3);
-    }
-
-    #[test]
-    fn trace_copy_from_replicates_hits_and_order() {
-        let (_, _, ids) = small_map();
-        let mut src = ExecTrace::new();
-        src.hit(ids[1]);
-        src.hit(ids[0]);
-        src.hit(ids[1]);
-        // The destination carries unrelated residue that copy_from must
-        // clear, including counts for blocks the source never touched.
-        let mut dst = ExecTrace::new();
-        dst.hit(ids[2]);
-        dst.copy_from(&src);
-        // The full hit sequence (with repeats and order) survives: the
-        // AFL edge projection is order-sensitive, so identical bitmaps
-        // mean identical sequences.
-        let (mut bm_src, mut bm_dst) = ([0u8; 64], [0u8; 64]);
-        src.fill_afl_bitmap(&mut bm_src);
-        dst.fill_afl_bitmap(&mut bm_dst);
-        assert_eq!(bm_src, bm_dst);
-        assert_eq!(
-            dst.unique_blocks().collect::<Vec<_>>(),
-            src.unique_blocks().collect::<Vec<_>>()
-        );
-        assert_eq!(dst.hits_of(ids[1]), 2);
-        assert_eq!(dst.hits_of(ids[0]), 1);
-        assert_eq!(dst.hits_of(ids[2]), 0, "residue must be cleared");
-        assert_eq!(dst.len(), src.len());
-        // Restored traces keep accumulating normally.
-        dst.hit(ids[1]);
-        assert_eq!(dst.hits_of(ids[1]), 3);
-        assert!(dst.approx_bytes() > 0);
-        let empty = ExecTrace::new();
-        dst.copy_from(&empty);
-        assert!(dst.is_empty());
     }
 
     #[test]

@@ -252,13 +252,14 @@ impl Corpus {
     /// Prefix-affinity batching: when the cursor leaves an entry, pull
     /// the nearest queued entry in its affinity group
     /// ([`same_affinity`]) into the next slot, so consecutive parents
-    /// share deep snapshot ancestors and the engine's prefix cache stays
-    /// hot. Membership is a byte comparison made on the fly (nothing is
-    /// stored or persisted), the scan is a small fixed window, and the
-    /// reorder is a single swap strictly above the sync watermark —
-    /// published entries never move, every entry is still scheduled
-    /// exactly as often, and the result is a pure function of the
-    /// corpus state.
+    /// share their early scenario. No cache reads that order; the
+    /// batching stays only until a comparison of campaign outcomes
+    /// shows whether reordering every guided schedule helps. Membership
+    /// is a byte comparison made on the fly (nothing is stored or
+    /// persisted), the scan is a small fixed window, and the reorder is
+    /// a single swap strictly above the sync watermark — published
+    /// entries never move, every entry is still scheduled exactly as
+    /// often, and the result is a pure function of the corpus state.
     fn batch_by_affinity(&mut self, idx: usize) {
         const WINDOW: usize = 8;
         let next = idx + 1;
@@ -974,8 +975,7 @@ mod tests {
         }
         // Drain the head entry's energy; when the cursor advances, the
         // nearest affinity sibling (queued last) is pulled into the
-        // next slot so consecutive parents share deep snapshot
-        // ancestors.
+        // next slot.
         for _ in 0..8 {
             assert_eq!(c.schedule_next().unwrap(), base);
         }

@@ -25,8 +25,8 @@ use rand::{Rng, SeedableRng};
 
 pub use corpus::{Corpus, CorpusDelta, CorpusEntry, Provenance, SharedCorpus};
 pub use scenario::{
-    prefix_extend, prefix_extend_u64, prefix_root, same_affinity, InputLayout, MutatorProfile,
-    Operator, OperatorStats, ProfileState, Scenario, SectionSpan,
+    same_affinity, InputLayout, MutatorProfile, Operator, OperatorStats, ProfileState, Scenario,
+    SectionSpan,
 };
 pub use sync::{DeltaBus, GossipNode, SeqDelta, SyncMode, SyncStats, SyncTopology};
 

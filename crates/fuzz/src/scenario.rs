@@ -125,51 +125,14 @@ impl InputLayout {
     pub const INIT_REST: usize = Self::INIT_DROP + 2;
 }
 
-/// FNV-1a offset basis: the root of every scenario-prefix hash chain
-/// (the same constants as the hypervisor state digests, so the two
-/// hash families stay consistent across the workspace).
-const PREFIX_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const PREFIX_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The root of a scenario-prefix hash chain (the empty prefix).
-///
-/// The prefix cache keys mid-scenario snapshots by a rolling hash over
-/// everything that shapes execution up to an instruction boundary:
-/// callers fold the execution context (hypervisor config, generated
-/// VMCS/VMCB/MSR images) into the root first, then extend once per
-/// scenario instruction. Two inputs share a cached ancestor exactly
-/// when their chains agree through that boundary.
-pub const fn prefix_root() -> u64 {
-    PREFIX_OFFSET
-}
-
-/// Extends a rolling scenario-prefix hash with one canonical byte unit.
-///
-/// Pure FNV-1a over the bytes, seeded by `h` — associative-free and
-/// order-sensitive, so `prefix_extend(prefix_extend(root, a), b)`
-/// differs from any reordering. Callers frame variable-length units
-/// with [`prefix_extend_u64`] discriminants to keep encodings
-/// prefix-free.
-pub fn prefix_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(PREFIX_PRIME);
-    }
-    h
-}
-
-/// Extends a rolling scenario-prefix hash with one little-endian `u64`
-/// (discriminants, lengths, digests).
-pub fn prefix_extend_u64(h: u64, v: u64) -> u64 {
-    prefix_extend(h, &v.to_le_bytes())
-}
-
 /// Whether two inputs share a scheduling affinity group: byte equality
 /// of every section that shapes the *early* execution prefix (init
 /// directives, VMCS seed, invalidation directives, vCPU config, MSR
 /// area, and the first half of the runtime steps). Corpus scheduling
-/// batches consecutive parents by it so back-to-back executions share
-/// deep snapshot ancestors. Sections are compared in that order and
-/// the comparison stops at the first differing byte, which for two
+/// batches consecutive parents by it; no cache reads that order, and it
+/// stays only until a comparison of campaign outcomes shows whether the
+/// reordering helps. Sections are compared in that order and the
+/// comparison stops at the first differing byte, which for two
 /// unrelated inputs is almost always the first.
 pub fn same_affinity(a: &FuzzInput, b: &FuzzInput) -> bool {
     let same = |s: SectionSpan| a.bytes[s.range()] == b.bytes[s.range()];
@@ -909,30 +872,12 @@ mod tests {
     }
 
     #[test]
-    fn prefix_hash_is_deterministic_and_order_sensitive() {
-        let a = prefix_extend(prefix_root(), &[1, 2, 3]);
-        assert_eq!(a, prefix_extend(prefix_root(), &[1, 2, 3]));
-        assert_ne!(a, prefix_extend(prefix_root(), &[3, 2, 1]));
-        assert_ne!(a, prefix_root());
-        // Extending is associative over concatenation: hashing a full
-        // chain equals hashing its pieces in sequence — the property
-        // the rolling per-unit chain relies on.
-        let ab = prefix_extend(prefix_extend(prefix_root(), &[1, 2]), &[3]);
-        assert_eq!(a, ab);
-        assert_eq!(
-            prefix_extend_u64(prefix_root(), 7),
-            prefix_extend(prefix_root(), &7u64.to_le_bytes())
-        );
-    }
-
-    #[test]
     fn prefix_affinity_keys_on_scenario_shape_not_runtime_tail() {
         let mut rng = SmallRng::seed_from_u64(9);
         let base = FuzzInput::random(&mut rng);
         assert!(same_affinity(&base, &base.clone()), "reflexive");
-        // The back half of the runtime section — the part a deep trie
-        // hit never re-executes differently — must not split affinity
-        // groups.
+        // The back half of the runtime section must not split
+        // affinity groups.
         let mut tail = base.clone();
         let run = InputLayout::RUNTIME;
         tail.bytes[run.offset + run.len - 1] ^= 0xff;

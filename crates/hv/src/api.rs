@@ -16,7 +16,7 @@ use nf_silicon::{GuestInstr, VmInstrError};
 use nf_x86::{CpuVendor, FeatureSet};
 
 use crate::fault::{RestoreFault, SharedFaults};
-use crate::l1::{NestedL1Snapshot, NestedL1State};
+use crate::l1::NestedL1State;
 use crate::sanitizer::HostHealth;
 
 /// A vCPU/host configuration produced by the vCPU configurator through a
@@ -218,8 +218,7 @@ pub enum IoctlOp {
 ///
 /// Snapshots are backend-tagged: restoring a snapshot on a different
 /// backend is a programming error and panics. Each variant is the
-/// shared [`NestedL1State`] image, which holds every heavy component,
-/// plus that backend's own extras.
+/// shared [`NestedL1State`] image plus that backend's own extras.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HvSnapshot {
     /// State image of a [`crate::Vkvm`] instance.
@@ -241,36 +240,6 @@ impl HvSnapshot {
             HvSnapshot::Vvbox(_) => "vvbox",
             HvSnapshot::Golden(_) => "golden",
         }
-    }
-
-    /// The shared nested-L1 half of the snapshot, which holds every
-    /// heavy component.
-    pub(crate) fn core(&self) -> &NestedL1Snapshot {
-        match self {
-            HvSnapshot::Vkvm(s) => &s.core,
-            HvSnapshot::Vxen(s) => &s.core,
-            HvSnapshot::Vvbox(s) => &s.core,
-            HvSnapshot::Golden(s) => &s.core,
-        }
-    }
-
-    /// Mutable form of [`Self::core`], for interning.
-    pub(crate) fn core_mut(&mut self) -> &mut NestedL1Snapshot {
-        match self {
-            HvSnapshot::Vkvm(s) => &mut s.core,
-            HvSnapshot::Vxen(s) => &mut s.core,
-            HvSnapshot::Vvbox(s) => &mut s.core,
-            HvSnapshot::Golden(s) => &mut s.core,
-        }
-    }
-
-    /// Heap footprint of the snapshot's heavy components (VMCS/VMCB
-    /// images, MSR areas) as if each were owned outright — what a
-    /// deep-copied snapshot costs. The content-addressed store's budget
-    /// accounting (see [`crate::store`]) charges only the unique subset
-    /// instead.
-    pub fn heap_bytes(&self) -> usize {
-        self.core().heap_bytes()
     }
 }
 
@@ -394,12 +363,8 @@ pub trait L0Hypervisor {
         &self.core().cov.map
     }
 
-    /// Read-only view of the in-flight execution trace.
-    ///
-    /// [`Self::snapshot`] deliberately excludes instrumentation, so a
-    /// mid-scenario checkpoint (the prefix cache's snapshot-at-an-
-    /// instruction-boundary path) must capture the trace separately;
-    /// this accessor is that capture point.
+    /// Read-only view of the in-flight execution trace (which
+    /// [`Self::snapshot`] deliberately excludes).
     fn trace(&self) -> &ExecTrace {
         &self.core().trace
     }

@@ -10,7 +10,7 @@
 //! the same campaign produces the identical fault sequence, every run.
 //!
 //! Four fault classes are modeled (paper §3.2's watchdog motivation,
-//! plus the restore/capture failure modes of the snapshot engine):
+//! plus the restore failure modes of the snapshot engine):
 //!
 //! - **Hung exec** — a vmexit loop that never terminates. *Content*-
 //!   indexed (a hash of the fuzz input decides), so a hanging input
@@ -22,8 +22,6 @@
 //! - **Permanent restore failure** — `restore()` of the current boot
 //!   image keeps failing; the engine must quarantine the image and
 //!   degrade to factory-rebuild servicing.
-//! - **Capture corruption** — a snapshot capture produces a bad digest
-//!   and must be discarded (prefix-trie boundary captures).
 //! - **Delayed host death** — the host dies silently mid-exec after a
 //!   bounded number of instructions (no sanitizer report; only the
 //!   watchdog notices).
@@ -100,8 +98,6 @@ pub struct FaultPlan {
     pub transient_restore_p16: u32,
     /// Permanent restore-failure rate (schedule-indexed), parts per 65536.
     pub permanent_restore_p16: u32,
-    /// Snapshot-capture corruption rate (schedule-indexed), parts per 65536.
-    pub capture_corrupt_p16: u32,
     /// Delayed host-death rate (schedule-indexed), parts per 65536.
     pub host_death_p16: u32,
 }
@@ -109,10 +105,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A composite plan injecting all classes at an overall `rate`
     /// (0.0..=1.0) split across them: half the budget goes to hangs,
-    /// a quarter to transient restore failures, an eighth each to
-    /// capture corruption and host death, and one permanent restore
-    /// failure per ~64 transient ones (permanent faults cost a full
-    /// factory rebuild, so they are kept rare).
+    /// a quarter to transient restore failures, an eighth to host
+    /// death, and one permanent restore failure per ~64 transient ones
+    /// (permanent faults cost a full factory rebuild, so they are kept
+    /// rare).
     pub fn uniform(seed: u64, rate: f64) -> Self {
         let p16 = |f: f64| (f * 65536.0) as u32;
         FaultPlan {
@@ -120,7 +116,6 @@ impl FaultPlan {
             hang_p16: p16(rate / 2.0),
             transient_restore_p16: p16(rate / 4.0),
             permanent_restore_p16: p16(rate / 256.0),
-            capture_corrupt_p16: p16(rate / 8.0),
             host_death_p16: p16(rate / 8.0),
         }
     }
@@ -130,7 +125,6 @@ impl FaultPlan {
         self.hang_p16 == 0
             && self.transient_restore_p16 == 0
             && self.permanent_restore_p16 == 0
-            && self.capture_corrupt_p16 == 0
             && self.host_death_p16 == 0
     }
 
@@ -153,7 +147,6 @@ impl FaultPlan {
 const STREAM_HANG: u64 = 0x6861_6e67; // "hang"
 const STREAM_RESTORE_T: u64 = 0x7265_7374; // "rest"
 const STREAM_RESTORE_P: u64 = 0x7065_726d; // "perm"
-const STREAM_CAPTURE: u64 = 0x6361_7074; // "capt"
 const STREAM_DEATH: u64 = 0x6465_6164; // "dead"
 
 /// SplitMix64-style finalizer over the plan seed, a class stream, and
@@ -178,10 +171,9 @@ fn fires(word: u64, p16: u32) -> bool {
 }
 
 /// The deterministic fault scheduler. One injector is shared (via
-/// [`SharedFaults`]) between the agent (which opens each exec), the
-/// engine (which asks about captures), and every hypervisor instance
-/// the engine boots (which tick it per instruction and ask about
-/// restores).
+/// [`SharedFaults`]) between the agent (which opens each exec) and
+/// every hypervisor instance the engine boots (which tick it per
+/// instruction and ask about restores).
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -197,8 +189,6 @@ pub struct FaultInjector {
     death_in: Option<u64>,
     /// Restore calls seen within the current exec (schedule ordinal).
     restore_ordinal: u64,
-    /// Capture calls seen within the current exec (schedule ordinal).
-    capture_ordinal: u64,
     /// Hung execs the watchdog classified.
     pub hangs_fired: u64,
     /// Silent host deaths injected.
@@ -216,7 +206,6 @@ impl FaultInjector {
             hang: None,
             death_in: None,
             restore_ordinal: 0,
-            capture_ordinal: 0,
             hangs_fired: 0,
             deaths_fired: 0,
         }
@@ -236,7 +225,6 @@ impl FaultInjector {
         self.exec = exec;
         self.fuel = fuel;
         self.restore_ordinal = 0;
-        self.capture_ordinal = 0;
         let h = mix(self.plan.seed, STREAM_HANG, input_digest, 0);
         self.hang =
             fires(h, self.plan.hang_p16).then(|| HANG_BUG_IDS[(h >> 16) as usize % HANG_BUCKETS]);
@@ -311,15 +299,6 @@ impl FaultInjector {
         }
         Ok(())
     }
-
-    /// Asks whether the next snapshot capture comes back corrupted
-    /// (bad digest) and must be discarded.
-    pub fn check_capture(&mut self) -> bool {
-        let ordinal = self.capture_ordinal;
-        self.capture_ordinal += 1;
-        let c = mix(self.plan.seed, STREAM_CAPTURE, self.exec, ordinal);
-        fires(c, self.plan.capture_corrupt_p16)
-    }
 }
 
 /// The shared injector handle: one per (single-threaded) campaign,
@@ -356,7 +335,6 @@ mod tests {
                 inj.on_instr(&mut health);
             }
             assert!(inj.check_restore().is_ok());
-            assert!(!inj.check_capture());
         }
         assert!(!health.dead);
         assert!(health.reports.is_empty());
@@ -377,7 +355,7 @@ mod tests {
                 for _ in 0..80 {
                     inj.on_instr(&mut health);
                 }
-                log.push((health.dead, inj.check_restore().err(), inj.check_capture()));
+                log.push((health.dead, inj.check_restore().err()));
                 health = HostHealth::new();
             }
             (log, inj.hangs_fired, inj.deaths_fired)
@@ -447,10 +425,7 @@ mod tests {
         assert_eq!(sub.hang_p16, plan.hang_p16);
         assert_eq!(sub.seed, plan.seed);
         assert_eq!(
-            sub.transient_restore_p16
-                + sub.permanent_restore_p16
-                + sub.capture_corrupt_p16
-                + sub.host_death_p16,
+            sub.transient_restore_p16 + sub.permanent_restore_p16 + sub.host_death_p16,
             0
         );
     }

@@ -8,7 +8,7 @@
 //! instrumentation every backend carries, and implements what is
 //! identical across the four models:
 //!
-//! - reset, snapshot/restore, and the snapshot-store walk;
+//! - reset and snapshot/restore;
 //! - the guest observation the differential oracle compares;
 //! - the per-instruction preamble (dead host, fault tick) with the
 //!   core's invariants as a `debug_assert!`;
@@ -21,7 +21,6 @@
 //! seeded bugs and a few extras of its own.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use nf_coverage::ExecTrace;
 use nf_vmx::{MsrArea, Vmcb, Vmcs, VmcsField, VmcsState};
@@ -29,11 +28,7 @@ use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 
 use crate::api::{GuestObservation, HvConfig, L1Result, L2Result};
 use crate::fault::SharedFaults;
-use crate::sanitizer::{CrashReport, HostHealth, LogLine};
-use crate::store::{
-    digest_msr_area, digest_vmcb, digest_vmcs, msr_area_bytes, share_map, share_opt, vmcb_bytes,
-    vmcs_bytes, SharedRestore, SnapshotStore,
-};
+use crate::sanitizer::HostHealth;
 use crate::{restore_fields, Instrumentation};
 
 /// L1's CR0 at boot: protected mode with paging.
@@ -88,30 +83,59 @@ pub struct NestedL1State {
     pub(crate) current_vmcb: Option<u64>,
 }
 
-/// The snapshot image of a [`NestedL1State`]: the scalar state and
-/// health by value, the heavy components behind `Arc`s so the
-/// [`SnapshotStore`] can share them between snapshots.
-///
-/// Health is kept by its parts so that `dead` shares a word with
-/// `in_l2`. That keeps [`crate::HvSnapshot`] at the size of the
-/// per-backend layout it replaced, which the engine's deep-copy store
-/// charges per node.
+/// The snapshot image of a [`NestedL1State`]: its L1 state and health,
+/// by value.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NestedL1Snapshot {
     cr0: u64,
     cr4: u64,
     efer: u64,
     vmxon_region: Option<u64>,
-    vmcs12_mem: BTreeMap<u64, Arc<Vmcs>>,
+    vmcs12_mem: BTreeMap<u64, Vmcs>,
     current_vmptr: Option<u64>,
-    msr_area_mem: BTreeMap<u64, Arc<MsrArea>>,
-    vmcs02: Option<Arc<Vmcs>>,
+    msr_area_mem: BTreeMap<u64, MsrArea>,
+    vmcs02: Option<Vmcs>,
     in_l2: bool,
-    vmcb12_mem: BTreeMap<u64, Arc<Vmcb>>,
+    vmcb12_mem: BTreeMap<u64, Vmcb>,
     current_vmcb: Option<u64>,
-    reports: Vec<CrashReport>,
-    log: Vec<LogLine>,
-    dead: bool,
+    health: HostHealth,
+}
+
+/// Per-entry delta restore of a component map or optional component.
+///
+/// After `live.restore_from(&snap)` the live value equals `snap`, as
+/// with `clone_from`, but only the entries that differ are cloned: a
+/// restore across an execution that touched one VMCS clones one VMCS,
+/// not the whole map.
+pub(crate) trait DeltaRestore {
+    /// Makes `self` equal to `snap`, cloning only what differs.
+    fn restore_from(&mut self, snap: &Self);
+}
+
+impl<K: Ord + Copy, V: Clone + PartialEq> DeltaRestore for BTreeMap<K, V> {
+    fn restore_from(&mut self, snap: &Self) {
+        self.retain(|k, _| snap.contains_key(k));
+        for (k, v) in snap {
+            match self.get_mut(k) {
+                Some(cur) if cur == v => {}
+                Some(cur) => *cur = v.clone(),
+                None => {
+                    self.insert(*k, v.clone());
+                }
+            }
+        }
+    }
+}
+
+impl<V: Clone + PartialEq> DeltaRestore for Option<V> {
+    fn restore_from(&mut self, snap: &Self) {
+        match (self.as_mut(), snap) {
+            (Some(cur), Some(v)) if cur == v => {}
+            (Some(cur), Some(v)) => *cur = v.clone(),
+            (None, Some(v)) => *self = Some(v.clone()),
+            (_, None) => *self = None,
+        }
+    }
 }
 
 impl NestedL1State {
@@ -160,28 +184,25 @@ impl NestedL1State {
             cr4: self.cr4,
             efer: self.efer,
             vmxon_region: self.vmxon_region,
-            vmcs12_mem: share_map(&self.vmcs12_mem),
+            vmcs12_mem: self.vmcs12_mem.clone(),
             current_vmptr: self.current_vmptr,
-            msr_area_mem: share_map(&self.msr_area_mem),
-            vmcs02: share_opt(&self.vmcs02),
+            msr_area_mem: self.msr_area_mem.clone(),
+            vmcs02: self.vmcs02.clone(),
             in_l2: self.in_l2,
-            vmcb12_mem: share_map(&self.vmcb12_mem),
+            vmcb12_mem: self.vmcb12_mem.clone(),
             current_vmcb: self.current_vmcb,
-            reports: self.health.reports.clone(),
-            log: self.health.log.clone(),
-            dead: self.health.dead,
+            health: self.health.clone(),
         }
     }
 
     /// Delta-restores a snapshot: only fields that differ are copied,
-    /// and the shared components per entry (see [`SharedRestore`]), so
-    /// a boundary that touched one VMCS clones one VMCS.
+    /// and the component maps per entry (see [`DeltaRestore`]).
     pub(crate) fn restore(&mut self, s: &NestedL1Snapshot) {
         restore_fields!(copy: self, s, [
             cr0, cr4, efer, vmxon_region, current_vmptr, in_l2, current_vmcb,
         ]);
-        restore_fields!(copy: self.health, s, [dead]);
-        restore_fields!(clone: self.health, s, [reports, log]);
+        restore_fields!(copy: self.health, s.health, [dead]);
+        restore_fields!(clone: self.health, s.health, [reports, log]);
         self.vmcs12_mem.restore_from(&s.vmcs12_mem);
         self.msr_area_mem.restore_from(&s.msr_area_mem);
         self.vmcs02.restore_from(&s.vmcs02);
@@ -392,64 +413,6 @@ impl NestedL1State {
     }
 }
 
-impl NestedL1Snapshot {
-    /// Interns every `Arc`-held component into `store`, canonicalizing
-    /// the handles; returns the bytes newly resident.
-    pub(crate) fn intern_into(&mut self, store: &mut SnapshotStore) -> usize {
-        let mut new = 0;
-        for v in self.vmcs12_mem.values_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for a in self.msr_area_mem.values_mut() {
-            let d = digest_msr_area(a);
-            let bytes = msr_area_bytes(a);
-            new += store.msr.intern(a, d, bytes);
-        }
-        if let Some(v) = self.vmcs02.as_mut() {
-            let d = digest_vmcs(v);
-            new += store.vmcs.intern(v, d, vmcs_bytes());
-        }
-        for b in self.vmcb12_mem.values_mut() {
-            let d = digest_vmcb(b);
-            new += store.vmcb.intern(b, d, vmcb_bytes());
-        }
-        new
-    }
-
-    /// Releases every `Arc`-held component from `store`; returns the
-    /// bytes freed.
-    pub(crate) fn release_from(&self, store: &mut SnapshotStore) -> usize {
-        let mut freed = 0;
-        for v in self.vmcs12_mem.values() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for a in self.msr_area_mem.values() {
-            freed += store.msr.release(a, digest_msr_area(a));
-        }
-        if let Some(v) = self.vmcs02.as_ref() {
-            freed += store.vmcs.release(v, digest_vmcs(v));
-        }
-        for b in self.vmcb12_mem.values() {
-            freed += store.vmcb.release(b, digest_vmcb(b));
-        }
-        freed
-    }
-
-    /// Heap footprint of the heavy components as if each were owned
-    /// outright (the deep-copy baseline's budget accounting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.vmcs12_mem.len() * vmcs_bytes()
-            + self
-                .msr_area_mem
-                .values()
-                .map(|a| msr_area_bytes(a))
-                .sum::<usize>()
-            + self.vmcs02.as_ref().map_or(0, |_| vmcs_bytes())
-            + self.vmcb12_mem.len() * vmcb_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use nf_silicon::{golden_vmcs, CrIndex, GuestInstr};
@@ -506,6 +469,26 @@ mod tests {
             assert!(!seen.in_l2, "{}", hv.name());
             assert_eq!(seen.current_vmptr, u64::MAX, "{}", hv.name());
         }
+    }
+
+    #[test]
+    fn delta_restore_matches_clone_semantics() {
+        let mut live: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        live.insert(1, vec![1]);
+        live.insert(2, vec![2]);
+        let mut snap: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        snap.insert(2, vec![2]);
+        snap.insert(3, vec![3]);
+        live.restore_from(&snap);
+        assert_eq!(live, snap);
+
+        let mut opt: Option<Vec<u8>> = Some(vec![9]);
+        opt.restore_from(&None);
+        assert_eq!(opt, None);
+        opt.restore_from(&Some(vec![4]));
+        assert_eq!(opt, Some(vec![4]));
+        opt.restore_from(&Some(vec![5]));
+        assert_eq!(opt, Some(vec![5]));
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod fault;
 pub mod golden;
 pub mod l1;
 pub mod sanitizer;
-pub mod store;
 pub mod vkvm;
 pub mod vvbox;
 pub mod vxen;
@@ -38,7 +37,6 @@ pub use fault::{FaultInjector, FaultPlan, RestoreFault, SharedFaults, DEFAULT_WA
 pub use golden::{GoldenSnapshot, SiliconGolden};
 pub use l1::NestedL1State;
 pub use sanitizer::{CrashKind, CrashReport, HostHealth, LogLine};
-pub use store::{Digest128, InternStore, SharedRestore, SnapshotStore};
 pub use vkvm::{Vkvm, VkvmSnapshot};
 pub use vvbox::{Vvbox, VvboxSnapshot};
 pub use vxen::{Vxen, VxenSnapshot};
@@ -155,8 +153,8 @@ impl Instrumentation {
 ///
 /// `copy:` fields are plain-`Copy` scalars; `clone:` fields own heap
 /// state (vectors, health) and are cloned only when dirtied. The
-/// `Arc`-shared components of the L1 core restore per entry instead
-/// (see [`store::SharedRestore`]).
+/// component maps of the L1 core restore per entry instead (see
+/// `l1::DeltaRestore`).
 macro_rules! restore_fields {
     (copy: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
         $( if $hv.$f != $snap.$f { $hv.$f = $snap.$f; } )*

@@ -9,8 +9,8 @@
 //! diff. Both sides see the same inputs; every backend's observation
 //! and crash flag, the divergence counters, the backend exec count, and
 //! the divergence finds must agree after every input — across both
-//! shipped backend sets, both vendors, the snapshot and rebuild
-//! engines, and the prefix cache on and off.
+//! shipped backend sets, both vendors, and the snapshot and rebuild
+//! engines.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -45,13 +45,12 @@ impl Reference {
         vendor: CpuVendor,
         mask: ComponentMask,
         engine: EngineMode,
-        prefix_cache: bool,
     ) -> Self {
         let agents = backends
             .iter()
             .map(|name| {
                 let factory = backend_factory(name).expect("known backend");
-                Agent::with_engine(factory, vendor, mask, engine).with_prefix_cache(prefix_cache)
+                Agent::with_engine(factory, vendor, mask, engine)
             })
             .collect();
         Reference {
@@ -112,8 +111,7 @@ impl Reference {
 }
 
 /// Random inputs, half of them runtime-section variants of a few base
-/// inputs: those share every scenario unit up to the runtime phase, so
-/// the prefix cache captures and restores mid-scenario nodes.
+/// inputs: those share every scenario unit up to the runtime phase.
 fn inputs(seed: u64) -> Vec<FuzzInput> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let bases: Vec<FuzzInput> = (0..6).map(|_| FuzzInput::random(&mut rng)).collect();
@@ -135,20 +133,18 @@ fn inputs(seed: u64) -> Vec<FuzzInput> {
 
 /// Runs [`inputs`] through a runner and the reference side by side,
 /// asserting they agree after every input; returns the runner's
-/// counters and the reference's prefix-cache hits.
+/// counters.
 fn assert_staged_replay_matches_reference(
     backends: &[&str],
     vendor: CpuVendor,
     mask: ComponentMask,
     engine: EngineMode,
-    prefix_cache: bool,
     seed: u64,
-) -> (DivergenceStats, u64) {
+) -> DivergenceStats {
     let backends: Vec<String> = backends.iter().map(|s| s.to_string()).collect();
-    let what = format!("{backends:?} {vendor:?} {engine} prefix_cache={prefix_cache}");
-    let mut runner =
-        DifferentialRunner::new(&backends, vendor, mask, engine).with_prefix_cache(prefix_cache);
-    let mut reference = Reference::new(&backends, vendor, mask, engine, prefix_cache);
+    let what = format!("{backends:?} {vendor:?} {engine}");
+    let mut runner = DifferentialRunner::new(&backends, vendor, mask, engine);
+    let mut reference = Reference::new(&backends, vendor, mask, engine);
     for (exec, input) in inputs(seed).iter().enumerate() {
         let exec = exec as u64;
         runner.observe_exec(input, exec);
@@ -173,37 +169,18 @@ fn assert_staged_replay_matches_reference(
         &reference.triage,
         "{what}: divergence finds"
     );
-    let prefix_hits = reference
-        .agents
-        .iter()
-        .map(|a| a.engine_stats().prefix_hits)
-        .sum();
-    (runner.stats(), prefix_hits)
+    runner.stats()
 }
-
-/// Every engine configuration: snapshot with the prefix cache off and
-/// on, and rebuild (which has no prefix cache).
-const ENGINES: [(EngineMode, bool); 3] = [
-    (EngineMode::Snapshot, false),
-    (EngineMode::Snapshot, true),
-    (EngineMode::Rebuild, false),
-];
 
 fn assert_every_engine_matches(backends: &[&str], vendor: CpuVendor, seed: u64) -> DivergenceStats {
     let mut total = DivergenceStats::default();
-    for (engine, prefix_cache) in ENGINES {
-        let (stats, prefix_hits) = assert_staged_replay_matches_reference(
+    for engine in [EngineMode::Snapshot, EngineMode::Rebuild] {
+        let stats = assert_staged_replay_matches_reference(
             backends,
             vendor,
             ComponentMask::ALL,
             engine,
-            prefix_cache,
             seed,
-        );
-        assert_eq!(
-            prefix_hits > 0,
-            prefix_cache,
-            "{backends:?} {vendor:?} {engine}: the prefix cache must restore nodes when on"
         );
         total.divergences += stats.divergences;
         total.allowed += stats.allowed;
@@ -252,7 +229,6 @@ fn staged_replay_matches_full_iterations_with_every_component_ablated() {
         CpuVendor::Intel,
         ComponentMask::NONE,
         EngineMode::Snapshot,
-        false,
         14,
     );
 }
