@@ -1,13 +1,15 @@
-//! Criterion microbenches for the word-level bitmap engine: each
+//! Criterion microbenches for the bitmap engine: each product
 //! operation against its byte-at-a-time reference
 //! (`nf_coverage::bitmap::bytewise`) on realistic map shapes.
 //!
 //! The interesting regimes: a *sparse* raw bitmap (one exec's handful
-//! of edges — the per-exec novelty scan `Corpus::observe` runs,
-//! `segments::merge_raw_marking`), a *mostly-seen* virgin map (late
-//! campaign — merges mostly skip), and a *churning* delta (the sync
-//! path). The product forms win by skipping whole blocks and words;
-//! the shapes here make the skip rates visible.
+//! of edges — the per-exec novelty kernel `Corpus::observe` runs,
+//! `segments::merge_edges_marking`, timed over the exec's edge list
+//! against the full-map scan a bare bitmap needs first), a
+//! *mostly-seen* virgin map (late campaign), and a *churning* delta
+//! (the sync path). The product forms win by visiting only the touched
+//! bytes or skipping whole blocks and words; the shapes here make the
+//! costs visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nf_coverage::bitmap::{self, segments};
@@ -27,35 +29,81 @@ fn sparse_raw(edges: usize, seed: u64) -> Vec<u8> {
     raw
 }
 
+/// The non-zero bytes of `raw` — the list `ExecScratch::edges` hands
+/// the product loop.
+fn edges_of(raw: &[u8]) -> Vec<u32> {
+    let mut edges = Vec::new();
+    bitmap::nonzero_into(raw, &mut edges);
+    edges
+}
+
 /// The product novelty kernel, with a throwaway dirty-segment mask.
-fn observe(virgin: &mut [u8], raw: &[u8]) -> bool {
-    segments::merge_raw_marking(virgin, raw, &mut 0)
+fn observe(virgin: &mut [u8], raw: &[u8], edges: &[u32]) -> bool {
+    segments::merge_edges_marking(virgin, raw, edges, &mut 0)
+}
+
+/// A bare bitmap's novelty (`Fuzzer::report_observed`): the
+/// block-skipping full-map scan lists the edges, then the kernel runs.
+fn observe_bare(virgin: &mut [u8], raw: &[u8], edges: &mut Vec<u32>) -> bool {
+    bitmap::nonzero_into(raw, edges);
+    segments::merge_edges_marking(virgin, raw, edges, &mut 0)
 }
 
 /// A virgin map after `execs` distinct sparse executions were merged.
 fn warmed_virgin(execs: u64) -> Vec<u8> {
     let mut virgin = vec![0xffu8; MAP_SIZE];
     for seed in 0..execs {
-        observe(&mut virgin, &sparse_raw(40, seed));
+        let raw = sparse_raw(40, seed);
+        observe(&mut virgin, &raw, &edges_of(&raw));
     }
     virgin
 }
 
-fn bench_merge_raw(c: &mut Criterion) {
-    let mut g = c.benchmark_group("merge_raw_marking");
+fn bench_novelty(c: &mut Criterion) {
+    let mut g = c.benchmark_group("novelty");
     g.sample_size(200);
     let raw = sparse_raw(40, 1);
+    let edges = edges_of(&raw);
     let virgin = warmed_virgin(50);
-    g.bench_function("blocks", |b| b.iter(|| observe(&mut virgin.clone(), &raw)));
-    g.bench_function("bytewise", |b| {
-        b.iter(|| bitmap::bytewise::merge_raw(&mut virgin.clone(), &raw))
+    let mut buf = Vec::new();
+    // Every form writes only the raw map's non-zero bytes, so restoring
+    // those re-arms the novelty without a 64 KiB copy per iteration.
+    let rearm = |v: &mut [u8]| {
+        for &e in &edges {
+            v[e as usize] = virgin[e as usize];
+        }
+    };
+    g.bench_function("edges", |b| {
+        let mut v = virgin.clone();
+        b.iter(|| {
+            rearm(&mut v);
+            observe(&mut v, &raw, &edges)
+        })
     });
-    // Steady state: nothing novel, the scan is pure overhead.
+    g.bench_function("full_map_scan", |b| {
+        let mut v = virgin.clone();
+        b.iter(|| {
+            rearm(&mut v);
+            observe_bare(&mut v, &raw, &mut buf)
+        })
+    });
+    g.bench_function("bytewise", |b| {
+        let mut v = virgin.clone();
+        b.iter(|| {
+            rearm(&mut v);
+            bitmap::bytewise::merge_raw(&mut v, &raw)
+        })
+    });
+    // Steady state: nothing novel, the merge is pure overhead.
     let mut seen = virgin.clone();
-    observe(&mut seen, &raw);
-    g.bench_function("blocks_no_novelty", |b| {
+    observe(&mut seen, &raw, &edges);
+    g.bench_function("edges_no_novelty", |b| {
         let mut v = seen.clone();
-        b.iter(|| observe(&mut v, &raw))
+        b.iter(|| observe(&mut v, &raw, &edges))
+    });
+    g.bench_function("full_map_scan_no_novelty", |b| {
+        let mut v = seen.clone();
+        b.iter(|| observe_bare(&mut v, &raw, &mut buf))
     });
     g.bench_function("bytewise_no_novelty", |b| {
         let mut v = seen.clone();
@@ -68,10 +116,8 @@ fn bench_classify(c: &mut Criterion) {
     let mut g = c.benchmark_group("classify");
     g.sample_size(200);
     let raw = sparse_raw(40, 2);
-    let mut buf = Vec::new();
-    g.bench_function("blocks_into", |b| {
-        b.iter(|| bitmap::classify_into(&raw, &mut buf))
-    });
+    let edges = edges_of(&raw);
+    g.bench_function("edges", |b| b.iter(|| bitmap::classify_edges(&raw, &edges)));
     g.bench_function("bytewise", |b| b.iter(|| bitmap::bytewise::classify(&raw)));
     g.finish();
 }
@@ -81,7 +127,8 @@ fn bench_delta_and_merge(c: &mut Criterion) {
     g.sample_size(200);
     let then = warmed_virgin(50);
     let mut now = then.clone();
-    observe(&mut now, &sparse_raw(40, 3));
+    let raw = sparse_raw(40, 3);
+    observe(&mut now, &raw, &edges_of(&raw));
     let mut buf = Vec::new();
     g.bench_function("cleared_since_words_into", |b| {
         b.iter(|| bitmap::cleared_since_into(&then, &now, &mut buf))
@@ -102,7 +149,7 @@ fn bench_delta_and_merge(c: &mut Criterion) {
 
 criterion_group!(
     bitmap_ops,
-    bench_merge_raw,
+    bench_novelty,
     bench_classify,
     bench_delta_and_merge
 );

@@ -10,16 +10,18 @@
 //!   generation, snapshot restore, a fixed L1 probe sequence, coverage
 //!   collection, and the virgin-map novelty scan. The *hotpath* mode is
 //!   the product path (`Fuzzer::next_input_into`, trace swap,
-//!   `ExecScratch` reuse, and `Fuzzer::report_observed`, whose
-//!   `Corpus::observe` runs the block-skipping
-//!   `bitmap::segments::merge_raw_marking`); the *compat*
+//!   `ExecScratch` reuse, and `Fuzzer::report_edges` with the exec's
+//!   `ExecScratch::edges`, whose `Corpus::observe` runs the novelty
+//!   kernel `bitmap::segments::merge_edges_marking` over the touched
+//!   bytes only); the *compat*
 //!   mode replays the original sequence (`next_input` allocation,
 //!   `take_trace`, fresh `vec![0; MAP_SIZE]` + `LineSet` per exec,
 //!   byte-wise `bitmap::bytewise::merge_raw`). Both modes are asserted
 //!   to produce identical virgin maps and cumulative line coverage.
 //! - **campaign** — an end-to-end `run_campaign` (all components on)
-//!   vs a manual campaign driver on `Agent::run_iteration_alloc`; the
-//!   results are asserted bit-identical.
+//!   vs a hand-written campaign loop on `Agent::run_iteration_alloc`
+//!   that reports bare bitmaps (`Fuzzer::report_observed`, a whole-map
+//!   scan per exec); the results are asserted bit-identical.
 //!
 //! A counting global allocator measures **allocations per steady-state
 //! exec** on the feedback loop: the hotpath mode must perform exactly
@@ -126,9 +128,10 @@ fn feedback_hotpath(warmup: u32, execs: u32) -> FeedbackSide {
         engine.collect_coverage();
         cumulative.union_with(&engine.scratch().lines);
         let scratch = engine.scratch();
-        fuzzer.report_observed(
+        fuzzer.report_edges(
             &input,
             &scratch.bitmap,
+            scratch.edges(),
             &scratch.lines,
             ExecFeedback { crashed: false },
         );
@@ -292,11 +295,12 @@ fn write_json(path: &str, cells: &[CellResult], feedback_execs: u32, hours: u32,
         "{{\n  \"bench\": \"hotpath\",\n  \"unit\": \"execs_per_sec\",\n  \
          \"workloads\": {{\n    \"feedback_loop\": {{\"execs\": {feedback_execs}, \
          \"description\": \"input generation + snapshot restore + probes + coverage \
-         collection + virgin-map scan; hotpath reuses scratch buffers and word-level \
-         bitmap ops, compat allocates per exec and scans byte-wise\"}},\n    \
+         collection + virgin-map novelty; hotpath reuses scratch buffers and visits only \
+         the exec's touched edges, compat allocates per exec and scans byte-wise\"}},\n    \
          \"campaign\": {{\"hours\": {hours}, \"execs_per_hour\": {eph}, \
-         \"description\": \"end-to-end run_campaign vs the allocating iteration \
-         (run_iteration_alloc), results bit-identical\"}}\n  }},\n  \
+         \"description\": \"end-to-end run_campaign (edge-list novelty) vs the allocating \
+         iteration (run_iteration_alloc) reporting bare bitmaps (a whole-map scan per exec), \
+         results bit-identical\"}}\n  }},\n  \
          \"cells\": [\n{}\n  ],\n  \"summary\": {{\"feedback_loop_speedup\": {:.2}, \
          \"steady_state_allocs_per_exec\": {:.2}, \"results_identical\": {}}}\n}}\n",
         rows.join(",\n"),

@@ -85,6 +85,11 @@ pub struct BugFind {
 pub struct IterationResult<'a> {
     /// AFL bitmap of the execution.
     pub bitmap: &'a [u8],
+    /// The bitmap bytes the execution turned non-zero, each exactly
+    /// once, in first-hit order ([`nf_coverage::ExecScratch::edges`]) —
+    /// what [`nf_fuzz::Fuzzer::report_edges`] visits instead of the
+    /// whole map.
+    pub edges: &'a [u32],
     /// Line coverage of this execution alone (corpus-entry evidence).
     pub lines: &'a LineSet,
     /// Feedback for the engine.
@@ -361,6 +366,7 @@ impl Agent {
         let scratch = self.engine.scratch();
         IterationResult {
             bitmap: &scratch.bitmap,
+            edges: scratch.edges(),
             lines: &scratch.lines,
             feedback,
         }

@@ -379,13 +379,14 @@ struct Clock {
 }
 
 impl Clock {
-    /// A fresh clock at hour 0, with room for `hours` samples.
-    fn start(hours: u32) -> Clock {
+    /// A fresh clock at hour 0. The series grow as hours complete, so
+    /// an absurd `--hours` reserves nothing before the first exec.
+    fn start() -> Clock {
         Clock {
-            hourly: Vec::with_capacity(hours as usize),
+            hourly: Vec::new(),
             hour: 0,
             hour_execs: 0,
-            corpus_marks: Vec::with_capacity(hours as usize),
+            corpus_marks: Vec::new(),
             adopted: 0,
         }
     }
@@ -446,7 +447,7 @@ impl Campaign {
         let agent = Campaign::make_agent(factory, cfg);
         let mut fuzzer = Fuzzer::with_strategy(cfg.seed, cfg.mode, cfg.strategy);
         fuzzer.set_worker(worker);
-        Campaign::assemble(agent, fuzzer, cfg, Clock::start(cfg.hours))
+        Campaign::assemble(agent, fuzzer, cfg, Clock::start())
     }
 
     /// Creates a campaign resuming from a persisted corpus.
@@ -457,7 +458,7 @@ impl Campaign {
     ) -> Self {
         let agent = Campaign::make_agent(factory, cfg);
         let fuzzer = Fuzzer::with_corpus_strategy(cfg.seed, cfg.mode, cfg.strategy, corpus);
-        Campaign::assemble(agent, fuzzer, cfg, Clock::start(cfg.hours))
+        Campaign::assemble(agent, fuzzer, cfg, Clock::start())
     }
 
     /// The one constructor body behind every way to create a campaign:
@@ -582,11 +583,16 @@ impl Campaign {
             // Zero-allocation exec loop: the child is generated into
             // the reusable scratch, the iteration result borrows the
             // engine's scratch buffers, and the fuzzer observes them
-            // in place.
+            // in place, visiting only the exec's touched edges.
             self.fuzzer.next_input_into(&mut self.input);
             let result = self.agent.run_iteration(&self.input);
-            self.fuzzer
-                .report_observed(&self.input, result.bitmap, result.lines, result.feedback);
+            self.fuzzer.report_edges(
+                &self.input,
+                result.bitmap,
+                result.edges,
+                result.lines,
+                result.feedback,
+            );
             if let Some(diff) = &mut self.diff {
                 diff.observe_exec(&self.input, self.agent.execs());
             }
@@ -688,9 +694,11 @@ impl Campaign {
     /// every piece of state the stream depends on is restored exactly.
     ///
     /// `cfg` must be the interrupted campaign's configuration (the CLI
-    /// re-derives it from the same flags); a mismatched seed is
-    /// rejected. Differential-oracle campaigns are not resumable — the
-    /// oracle's replay agents hold their own unpersisted state.
+    /// re-derives it from the same flags); a mismatched seed, a
+    /// checkpoint past `cfg.hours`, and a part-run hour that already
+    /// reached `cfg.execs_per_hour` are rejected. Differential-oracle
+    /// campaigns are not resumable — the oracle's replay agents hold
+    /// their own unpersisted state.
     pub fn resume_from_checkpoint(
         factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
         cfg: &CampaignConfig,
@@ -709,6 +717,24 @@ impl Campaign {
                 format!(
                     "checkpoint was taken under seed {}, not {} — refusing to mix streams",
                     ck.seed, cfg.seed
+                ),
+            ));
+        }
+        if ck.hour > cfg.hours {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "checkpoint stands at hour {}, past this campaign's {} hours",
+                    ck.hour, cfg.hours
+                ),
+            ));
+        }
+        if ck.hour_execs != 0 && ck.hour_execs >= cfg.execs_per_hour {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "checkpoint ran {} execs into its hour; this campaign runs {} per hour",
+                    ck.hour_execs, cfg.execs_per_hour
                 ),
             ));
         }
@@ -761,8 +787,13 @@ impl Campaign {
         let inputs = shared.adopt_into(self.fuzzer.corpus_mut());
         for input in &inputs {
             let result = self.agent.run_iteration(input);
-            self.fuzzer
-                .report_observed(input, result.bitmap, result.lines, result.feedback);
+            self.fuzzer.report_edges(
+                input,
+                result.bitmap,
+                result.edges,
+                result.lines,
+                result.feedback,
+            );
             if let Some(diff) = &mut self.diff {
                 diff.observe_exec(input, self.agent.execs());
             }
@@ -1214,6 +1245,66 @@ mod tests {
             "a different seed is a different stream, not a continuation"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_checkpoints_that_do_not_fit_the_config() {
+        let dir = std::env::temp_dir().join(format!(
+            "nf-checkpoint-fit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = |hours, eph| {
+            CampaignConfig::necofuzz(CpuVendor::Intel, hours, 5).with_execs_per_hour(eph)
+        };
+        let resume =
+            |cfg: &CampaignConfig| Campaign::resume_from_checkpoint(kvm_factory(), cfg, &dir);
+        let rejected = |result: std::io::Result<Campaign>| {
+            result.err().map(|e| e.kind()) == Some(std::io::ErrorKind::InvalidInput)
+        };
+
+        // A checkpoint at hour 2 fits a 2-hour budget (already
+        // complete) but not a 1-hour one, which it has overrun.
+        let mut campaign = Campaign::new(kvm_factory(), &cfg(4, 20));
+        campaign.set_checkpoint(&dir, 1);
+        campaign.run_hours(2);
+        assert!(
+            rejected(resume(&cfg(1, 20))),
+            "hour 2 is past a 1-hour budget"
+        );
+        assert!(resume(&cfg(2, 20)).expect("fits").is_complete());
+
+        // 30 execs into an hour fits 40 execs per hour, not 30 or 20:
+        // `run_hours` runs the hour's `execs_per_hour - hour_execs`.
+        let mut campaign = Campaign::new(kvm_factory(), &cfg(4, 40));
+        campaign.run_execs(30);
+        crate::checkpoint::write_checkpoint(&campaign, &dir).expect("checkpoint mid-hour");
+        for eph in [30, 20] {
+            assert!(
+                rejected(resume(&cfg(4, eph))),
+                "30 execs into a {eph}-exec hour"
+            );
+        }
+        let mut resumed = resume(&cfg(4, 40)).expect("fits");
+        resumed.run_hours(4);
+        assert_eq!(
+            resumed.into_result(),
+            run_campaign(kvm_factory(), &cfg(4, 40))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn huge_hour_budgets_start_without_reserving_every_hour() {
+        // A sample and a corpus mark per budgeted hour, reserved up
+        // front, would be a 68 GB request here.
+        let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, u32::MAX, 2);
+        let mut campaign = Campaign::new(kvm_factory(), &cfg);
+        campaign.run_execs(10);
+        assert_eq!(campaign.execs(), 10);
+        assert_eq!(campaign.hours_done(), 0);
+        assert!(!campaign.is_complete());
     }
 
     #[test]

@@ -141,6 +141,48 @@ fn usage_errors_exit_2_before_any_campaign_runs() {
 }
 
 #[test]
+fn oversized_corpus_manifest_counts_exit_2() {
+    // An entry count sized up front would abort the process (4e9,
+    // exit 134) or overflow the capacity (u64::MAX, exit 101).
+    let dir = std::env::temp_dir().join(format!("nf-cli-count-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    necofuzz::Corpus::new()
+        .save_to(&dir)
+        .expect("save an empty corpus");
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest");
+    let path = dir.to_str().expect("utf-8 temp dir");
+    for count in ["4000000000", "18446744073709551615"] {
+        let tampered = manifest.replace("entries 0\n", &format!("entries {count}\n"));
+        std::fs::write(dir.join("MANIFEST"), tampered).expect("tamper");
+        for args in [
+            vec!["corpus", "stat", path],
+            vec![
+                "--resume-corpus",
+                path,
+                "--hours",
+                "1",
+                "--execs-per-hour",
+                "10",
+            ],
+        ] {
+            let out = necofuzz(&args);
+            let stderr = stderr_of(&out);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "necofuzz {args:?} with entries {count} must exit 2: {stderr}"
+            );
+            assert!(
+                stderr.contains("load corpus from"),
+                "necofuzz {args:?} must name the failed load: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "nothing may run: {args:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fault_plan_runs_report_their_counters() {
     let out = necofuzz(&[
         "--hours",

@@ -14,11 +14,13 @@
 //! Everything on the per-execution path is built for reuse: the
 //! [`ExecTrace`] hit index is dense and clears in O(touched blocks),
 //! [`ExecScratch`] bundles the buffers one fuzzing iteration needs so
-//! the steady-state loop performs no heap allocation, and the
-//! [`bitmap`] set algebra operates on `u64` words with early-exit
-//! skipping of uninteresting words (AFL++ `has_new_bits` style) while
-//! staying bit-identical to the byte-at-a-time reference kept in
-//! [`bitmap::bytewise`].
+//! the steady-state loop performs no heap allocation, and it lists the
+//! bitmap bytes each execution touched, so novelty
+//! ([`bitmap::segments::merge_edges_marking`]) visits only those. The
+//! rest of the [`bitmap`] set algebra operates on `u64` words with
+//! early-exit skipping of uninteresting words (AFL++ `has_new_bits`
+//! style); all of it stays bit-identical to the byte-at-a-time
+//! reference kept in [`bitmap::bytewise`].
 
 /// Identifies one instrumented source file (e.g. `vmx/nested.c`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -240,9 +242,11 @@ impl ExecTrace {
 /// Ownership protocol (see `nf_core::engine`): call
 /// [`ExecScratch::begin_exec`] before collecting a new execution, swap
 /// the hypervisor's trace into [`ExecScratch::trace`], then
-/// [`ExecScratch::project`] it. The invariant the targeted wipe relies
-/// on: `bitmap` is non-zero exactly at the bytes `project` recorded in
-/// its edge list.
+/// [`ExecScratch::project`] it. The invariant the targeted wipe and
+/// the edge-list novelty kernel rely on: `bitmap` is non-zero exactly
+/// at the bytes `project` recorded in its edge list
+/// ([`ExecScratch::edges`]); a caller that writes `bitmap` must keep
+/// that pairing.
 #[derive(Debug, Clone)]
 pub struct ExecScratch {
     /// Raw AFL hit-count bitmap of the latest execution.
@@ -283,6 +287,15 @@ impl ExecScratch {
         self.lines.clear();
     }
 
+    /// The bitmap bytes the latest [`ExecScratch::project`] turned
+    /// non-zero, in first-hit order: each non-zero byte of
+    /// [`ExecScratch::bitmap`] exactly once — the list the novelty
+    /// kernel ([`bitmap::segments::merge_edges_marking`]) walks instead
+    /// of the whole map.
+    pub fn edges(&self) -> &[u32] {
+        &self.edges
+    }
+
     /// Projects [`ExecScratch::trace`] (typically just swapped out of a
     /// hypervisor) into the line set and the AFL bitmap — the
     /// [`ExecTrace::fill_afl_bitmap`] projection — recording every
@@ -312,22 +325,22 @@ pub mod bitmap {
     //! combines virgin maps so that siblings stop re-exploring each
     //! other's territory.
     //!
-    //! The scan/merge/novelty/delta operations process the maps as
-    //! `u64` words and skip whole words that cannot contribute (an
-    //! all-zero raw word, an all-seen virgin word, an unchanged delta
-    //! word) — the AFL++ `has_new_bits`/`classify_counts` trick. A raw
-    //! bitmap after one execution is almost entirely zero, so the word
-    //! loop touches bytes on a handful of words instead of all 64 Ki.
-    //! The two raw-map scans an execution pays for —
-    //! [`segments::merge_raw_marking`] on every exec and
-    //! [`classify_into`] on promotion — first OR each
-    //! [`SKIP_BLOCK_BYTES`]-byte block and skip the all-zero ones
-    //! (one exec touches a few dozen of a 64 KiB map's 512 blocks),
-    //! running the word loop only inside non-zero blocks.
-    //! Results are bit-identical to the byte-at-a-time reference
-    //! implementations kept in [`bytewise`] (the compat mode of the
-    //! `hotpath` bench; `crates/coverage/tests/bitmap_words.rs` holds
-    //! the equivalence property suite).
+    //! Novelty is O(touched edges), not O(map): the per-execution
+    //! kernel [`segments::merge_edges_marking`] and the promotion
+    //! classifier [`classify_edges`] visit only the bytes an execution
+    //! turned non-zero, as listed by `ExecScratch::edges` (a few dozen
+    //! of the 64 Ki). A caller holding only a bare raw map lists its
+    //! non-zero bytes with [`nonzero_into`] first.
+    //!
+    //! The whole-map scan [`nonzero_into`] first ORs each
+    //! [`SKIP_BLOCK_BYTES`]-byte block and skips the all-zero ones, then
+    //! skips all-zero `u64` words inside the rest; the
+    //! delta/merge sweeps skip unchanged or all-seen words — the AFL++
+    //! `has_new_bits`/`classify_counts` trick. Results are
+    //! bit-identical to the byte-at-a-time reference implementations
+    //! kept in [`bytewise`] (the compat mode of the `hotpath` bench;
+    //! `crates/coverage/tests/bitmap_words.rs` and `bitmap_segments.rs`
+    //! hold the equivalence property suites).
 
     /// Classifies a raw hit count into its AFL bucket.
     pub const fn bucket(count: u8) -> u8 {
@@ -344,7 +357,7 @@ pub mod bitmap {
         }
     }
 
-    /// [`bucket`] of every byte value: the lookup the novelty word loop
+    /// [`bucket`] of every byte value: the lookup the novelty kernel
     /// buckets through.
     const BUCKETS: [u8; 256] = {
         let mut table = [0u8; 256];
@@ -360,15 +373,6 @@ pub mod bitmap {
     #[inline]
     fn word(chunk: &[u8]) -> u64 {
         u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-    }
-
-    /// Projects a raw hit-count bitmap onto its sparse classified form:
-    /// `(index, bucket)` pairs for every non-zero byte, in index order.
-    /// Allocating wrapper around [`classify_into`].
-    pub fn classify(raw: &[u8]) -> Vec<(u32, u8)> {
-        let mut out = Vec::new();
-        classify_into(raw, &mut out);
-        out
     }
 
     /// Bytes per raw-map block the per-exec scans test with one OR and
@@ -395,11 +399,11 @@ pub mod bitmap {
         }
     }
 
-    /// [`classify`] into a caller-owned buffer (cleared first), for
-    /// callers holding a long-lived scratch; paths whose result must be
-    /// owned (e.g. corpus promotion) reach the same loop through the
-    /// allocating wrapper. Skips all-zero blocks, then all-zero words.
-    pub fn classify_into(raw: &[u8], out: &mut Vec<(u32, u8)>) {
+    /// The indices of `raw`'s non-zero bytes, in index order, into a
+    /// caller-owned buffer (cleared first): the edge list of a bare raw
+    /// map, for callers that have no `ExecScratch::edges`. Skips
+    /// all-zero blocks, then all-zero words.
+    pub fn nonzero_into(raw: &[u8], out: &mut Vec<u32>) {
         out.clear();
         for (base, block) in nonzero_blocks(raw) {
             let mut chunks = block.chunks_exact(8);
@@ -408,7 +412,7 @@ pub mod bitmap {
                 if word(chunk) != 0 {
                     for (k, &b) in chunk.iter().enumerate() {
                         if b != 0 {
-                            out.push(((at + k) as u32, bucket(b)));
+                            out.push((at + k) as u32);
                         }
                     }
                 }
@@ -416,55 +420,26 @@ pub mod bitmap {
             }
             for (k, &b) in chunks.remainder().iter().enumerate() {
                 if b != 0 {
-                    out.push(((at + k) as u32, bucket(b)));
+                    out.push((at + k) as u32);
                 }
             }
         }
     }
 
-    /// The virgin-map novelty merge: buckets every raw count and clears
-    /// the newly seen bucket bits from `virgin`. Returns `true` when at
-    /// least one bit was still virgin. The word-loop reference the
-    /// property suites hold [`segments::merge_raw_marking`] (the kernel
-    /// `Corpus::observe` runs) against.
-    pub fn merge_raw(virgin: &mut [u8], raw: &[u8]) -> bool {
-        let n = virgin.len().min(raw.len());
-        merge_words(&mut virgin[..n], &raw[..n], |_| {})
-    }
-
-    /// The novelty word loop over equal-length `virgin`/`raw` slices,
-    /// calling `mark(k)` for every byte `k` that cleared a virgin bit.
-    /// Word-skips: an all-zero raw word buckets to nothing, an all-seen
-    /// (zero) virgin word can learn nothing. Inside a word it visits
-    /// only the non-zero raw bytes (a zero count buckets to nothing).
-    #[inline]
-    fn merge_words(virgin: &mut [u8], raw: &[u8], mut mark: impl FnMut(usize)) -> bool {
-        let n = raw.len();
-        let mut new_bits = false;
-        let words = n / 8;
-        for w in 0..words {
-            let i = w * 8;
-            let mut counts = word(&raw[i..i + 8]);
-            if counts == 0 || word(&virgin[i..i + 8]) == 0 {
-                continue;
-            }
-            while counts != 0 {
-                let shift = counts.trailing_zeros() & !7;
-                let k = i + shift as usize / 8;
-                if clear_bucket(&mut virgin[k], (counts >> shift) as u8) {
-                    mark(k);
-                    new_bits = true;
-                }
-                counts &= !(0xff << shift);
-            }
-        }
-        for k in words * 8..n {
-            if raw[k] != 0 && clear_bucket(&mut virgin[k], raw[k]) {
-                mark(k);
-                new_bits = true;
-            }
-        }
-        new_bits
+    /// Projects a raw hit-count bitmap onto its sparse classified form
+    /// restricted to `edges`: `(index, bucket)` pairs in index order.
+    /// Equal to [`bytewise::classify`]`(raw)` when `edges` lists each
+    /// non-zero byte of `raw` exactly once, in any order (the contract
+    /// of `ExecScratch::edges` and [`nonzero_into`]). Corpus promotion
+    /// builds an entry's evidence with it, visiting only the touched
+    /// bytes.
+    pub fn classify_edges(raw: &[u8], edges: &[u32]) -> Vec<(u32, u8)> {
+        let mut cov: Vec<(u32, u8)> = edges
+            .iter()
+            .map(|&e| (e, bucket(raw[e as usize])))
+            .collect();
+        cov.sort_unstable_by_key(|&(i, _)| i);
+        cov
     }
 
     /// Clears the bucket of hit count `count` from the virgin byte,
@@ -615,18 +590,32 @@ pub mod bitmap {
         }
 
         /// The per-execution novelty kernel of `Corpus::observe`:
-        /// [`super::merge_raw`] that skips all-zero raw blocks and marks
-        /// every segment it cleared a virgin bit in. Mutations and
-        /// return value are bit-identical to the unmarked kernel;
-        /// `dirty` only ever gains bits.
-        pub fn merge_raw_marking(virgin: &mut [u8], raw: &[u8], dirty: &mut u64) -> bool {
-            let n = virgin.len().min(raw.len());
+        /// buckets the raw count of every listed byte of `raw`, clears
+        /// the newly seen bucket bits from `virgin`, and marks every
+        /// segment it cleared a bit in. Returns `true` when at least
+        /// one bit was still virgin; `dirty` only ever gains bits.
+        ///
+        /// `edges` indexes `raw`; when it lists each non-zero byte of
+        /// `raw` (in any order — `ExecScratch::edges` or
+        /// [`super::nonzero_into`]), the result is bit-identical to the
+        /// whole-map merge [`super::bytewise::merge_raw`], at the cost
+        /// of the listed bytes only. Indices past `virgin` are skipped,
+        /// as the whole-map merge stops at the shorter map.
+        pub fn merge_edges_marking(
+            virgin: &mut [u8],
+            raw: &[u8],
+            edges: &[u32],
+            dirty: &mut u64,
+        ) -> bool {
             let mut new_bits = false;
-            for (base, block) in super::nonzero_blocks(&raw[..n]) {
-                let virgin = &mut virgin[base..base + block.len()];
-                new_bits |= super::merge_words(virgin, block, |k| {
-                    *dirty |= segment_of_byte(base + k);
-                });
+            for &edge in edges {
+                let k = edge as usize;
+                if let Some(v) = virgin.get_mut(k) {
+                    if super::clear_bucket(v, raw[k]) {
+                        *dirty |= segment_of_byte(k);
+                        new_bits = true;
+                    }
+                }
             }
             new_bits
         }
@@ -729,14 +718,18 @@ pub mod bitmap {
         //! operations above — the semantics oracle.
         //!
         //! These are the original (pre-word-engine) loops, kept
-        //! callable forever: the `bitmap_words` property suite asserts
-        //! the word-level forms bit-identical to them, and the
-        //! `hotpath` bench's compat mode measures them as the "before"
-        //! in its speedup ratio. Not for production call sites.
+        //! callable forever: the `bitmap_words` and `bitmap_segments`
+        //! property suites assert the product forms bit-identical to
+        //! them, and the `hotpath` bench's compat mode measures them as
+        //! the "before" in its speedup ratio. Not for production call
+        //! sites.
 
         use super::bucket;
 
-        /// Byte-wise [`super::classify`].
+        /// Projects a raw hit-count bitmap onto its sparse classified
+        /// form: `(index, bucket)` pairs for every non-zero byte, in
+        /// index order — the reference [`super::classify_edges`] is
+        /// held to.
         pub fn classify(raw: &[u8]) -> Vec<(u32, u8)> {
             raw.iter()
                 .enumerate()
@@ -745,8 +738,9 @@ pub mod bitmap {
                 .collect()
         }
 
-        /// Byte-wise [`super::merge_raw`] (the original
-        /// `Corpus::observe` scan).
+        /// Byte-wise whole-map novelty merge (the original
+        /// `Corpus::observe` scan): the reference
+        /// [`super::segments::merge_edges_marking`] is held to.
         pub fn merge_raw(virgin: &mut [u8], raw: &[u8]) -> bool {
             let mut new_bits = false;
             let n = virgin.len().min(raw.len());
@@ -1023,13 +1017,22 @@ mod tests {
         assert_eq!(rebuilt.count(), 5);
     }
 
+    /// The product classification of a bare raw map: its non-zero
+    /// bytes listed by the block-skipping scan, then classified.
+    fn classify(raw: &[u8]) -> Vec<(u32, u8)> {
+        let mut edges = Vec::new();
+        bitmap::nonzero_into(raw, &mut edges);
+        bitmap::classify_edges(raw, &edges)
+    }
+
     #[test]
     fn bitmap_classify_and_novelty() {
         let mut raw = vec![0u8; 64];
         raw[3] = 1;
         raw[10] = 5;
-        let cov = bitmap::classify(&raw);
+        let cov = classify(&raw);
         assert_eq!(cov, vec![(3, 1), (10, 8)]);
+        assert_eq!(cov, bitmap::bytewise::classify(&raw));
 
         let mut virgin = vec![0xff; 64];
         assert!(bitmap::is_novel_against(&cov, &virgin));
@@ -1038,7 +1041,7 @@ mod tests {
         assert!(!bitmap::merge_classified(&mut virgin, &cov));
         // A higher hit bucket on a merged edge is novel again.
         raw[10] = 200;
-        assert!(bitmap::is_novel_against(&bitmap::classify(&raw), &virgin));
+        assert!(bitmap::is_novel_against(&classify(&raw), &virgin));
     }
 
     #[test]
@@ -1111,26 +1114,52 @@ mod tests {
 
     #[test]
     fn project_records_exactly_the_nonzero_bitmap_bytes() {
-        let (map, _, ids) = small_map();
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (mut map, f, mut ids) = small_map();
+        ids.extend((0..37).map(|_| map.add_block(f, 1, "blk")));
         // One edge hit 300 times (its byte saturates at 255); a walk
-        // that revisits the a->b edge; an empty trace.
-        let saturating = [ids[0]; 300];
-        let revisiting = [ids[0], ids[1], ids[0], ids[1], ids[2]];
-        for size in [1usize << 16, 1000] {
+        // that revisits the a->b edge; an empty trace; then random
+        // walks, some of them saturating a self-edge.
+        let mut traces = vec![
+            (vec![ids[0]; 300], Some(255)),
+            (vec![ids[0], ids[1], ids[0], ids[1], ids[2]], Some(2)),
+            (Vec::new(), Some(0)),
+        ];
+        let mut rng = SmallRng::seed_from_u64(19);
+        for _ in 0..24 {
+            let walk: Vec<BlockId> = if rng.gen_range(0..4u8) == 0 {
+                vec![ids[rng.gen_range(0..ids.len())]; rng.gen_range(256..400usize)]
+            } else {
+                (0..rng.gen_range(1..200usize))
+                    .map(|_| ids[rng.gen_range(0..ids.len())])
+                    .collect()
+            };
+            traces.push((walk, None));
+        }
+        // Power-of-two and odd sizes; the 64- and 1-byte maps fold many
+        // edges onto one byte.
+        for size in [1usize << 16, 1000, 64, 1] {
+            // One recycled scratch per size: the list must never carry
+            // residue from the previous projection.
             let mut scratch = ExecScratch::new(&map, size);
-            for (trace, peak) in [(&saturating[..], 255), (&revisiting[..], 2), (&[][..], 0)] {
+            for (trace, peak) in &traces {
                 scratch.begin_exec();
                 for &id in trace {
                     scratch.trace.hit(id);
                 }
                 scratch.project(&map);
-                let mut edges = scratch.edges.clone();
+                let mut edges = scratch.edges().to_vec();
                 edges.sort_unstable();
                 let nonzero: Vec<u32> = (0..size as u32)
                     .filter(|&i| scratch.bitmap[i as usize] != 0)
                     .collect();
                 assert_eq!(edges, nonzero, "size {size}, {} hits", trace.len());
-                assert_eq!(scratch.bitmap.iter().max(), Some(&peak));
+                // The small maps fold several edges onto one byte, so a
+                // walk's peak count holds on the two large ones only.
+                if let Some(peak) = peak.filter(|_| size >= 1000) {
+                    assert_eq!(scratch.bitmap.iter().max(), Some(&peak));
+                }
                 // The recorded bytes hold the trace's AFL projection.
                 let mut expected = vec![0u8; size];
                 scratch.trace.fill_afl_bitmap(&mut expected);
@@ -1209,10 +1238,11 @@ mod tests {
         raw[3] = 1;
         raw[64] = 9;
         raw[99] = 255;
-        let mut buf = Vec::new();
-        bitmap::classify_into(&raw, &mut buf);
-        assert_eq!(buf, bitmap::classify(&raw));
+        let mut edges = vec![7];
+        bitmap::nonzero_into(&raw, &mut edges);
+        assert_eq!(edges, vec![3, 64, 99], "buffer cleared first");
 
+        let mut buf = Vec::new();
         let then = vec![0xffu8; 100];
         let mut now = then.clone();
         now[5] &= !0x11;
@@ -1228,14 +1258,26 @@ mod tests {
         raw[0] = 1;
         raw[42] = 7;
         raw[95] = 200;
-        let mut word_virgin = vec![0xffu8; 96];
+        let mut edges = Vec::new();
+        bitmap::nonzero_into(&raw, &mut edges);
+        assert_eq!(edges, vec![0, 42, 95]);
+        let mut edge_virgin = vec![0xffu8; 96];
         let mut byte_virgin = vec![0xffu8; 96];
-        assert!(bitmap::merge_raw(&mut word_virgin, &raw));
+        let mut dirty = 0u64;
+        let merge = bitmap::segments::merge_edges_marking;
+        assert!(merge(&mut edge_virgin, &raw, &edges, &mut dirty));
         assert!(bitmap::bytewise::merge_raw(&mut byte_virgin, &raw));
-        assert_eq!(word_virgin, byte_virgin);
+        assert_eq!(edge_virgin, byte_virgin);
+        assert_eq!(dirty, 1, "all three bytes sit in segment 0");
         // Re-merging the same map finds nothing new in either form.
-        assert!(!bitmap::merge_raw(&mut word_virgin, &raw));
+        assert!(!merge(&mut edge_virgin, &raw, &edges, &mut dirty));
         assert!(!bitmap::bytewise::merge_raw(&mut byte_virgin, &raw));
-        assert_eq!(word_virgin, byte_virgin);
+        assert_eq!(edge_virgin, byte_virgin);
+        let cov = bitmap::classify_edges(&raw, &[95, 0, 42]);
+        assert_eq!(
+            cov,
+            bitmap::bytewise::classify(&raw),
+            "any edge order, index-sorted"
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Property suite for the sharded virgin-map algebra
-//! (`bitmap::segments`): every masked sweep must be bit-identical to
-//! its whole-map counterpart whenever the dirty mask covers the
-//! segments that moved — across random maps including the adversarial
-//! shapes: all-0x00, all-0xff, hits only on skip-block edges,
-//! sub-segment maps, tail remainders, and maps longer than the 64-bit
-//! mask can address (tail saturation).
+//! (`bitmap::segments`): the edge-list novelty kernel must equal the
+//! byte-wise whole-map merge in any edge order, and every masked sweep
+//! must be bit-identical to its whole-map counterpart whenever the
+//! dirty mask covers the segments that moved — across random maps
+//! including the adversarial shapes: all-0x00, all-0xff, hits only on
+//! skip-block edges, sub-segment maps, tail remainders, and maps longer
+//! than the 64-bit mask can address (tail saturation).
 
 use nf_coverage::bitmap::{self, segments};
 use proptest::prelude::*;
@@ -52,6 +53,23 @@ fn edge_sparse_raw(rng: &mut SmallRng, len: usize) -> Vec<u8> {
     raw
 }
 
+/// `raw`'s edge list as `Fuzzer::report_observed` lists a bare map,
+/// then shuffled: the kernel's contract allows any order.
+fn shuffled_edges(rng: &mut SmallRng, raw: &[u8]) -> Vec<u32> {
+    let mut edges = Vec::new();
+    bitmap::nonzero_into(raw, &mut edges);
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.gen_range(0..=i));
+    }
+    edges
+}
+
+/// The novelty kernel over `raw`'s whole edge list, in shuffled order.
+fn merge_marking(rng: &mut SmallRng, virgin: &mut [u8], raw: &[u8], dirty: &mut u64) -> bool {
+    let edges = shuffled_edges(rng, raw);
+    segments::merge_edges_marking(virgin, raw, &edges, dirty)
+}
+
 /// A virgin map: `0` all-virgin, `1` all-seen, `2` mostly seen (late
 /// campaign), `3` random.
 fn virgin_map(rng: &mut SmallRng, len: usize, shape: u8) -> Vec<u8> {
@@ -89,18 +107,34 @@ proptest! {
 
     #[test]
     fn marking_merge_matches_merge_raw(seed in 0u64..1 << 48) {
+        // The raw map's non-zero bytes in shuffled order, with block-edge
+        // hits (shape 4) and counts saturated at 255 (shape 1, plus one
+        // forced byte): virgin map, verdict, dirty mask and promoted
+        // evidence must all equal the byte-wise whole-map forms.
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = pick_len(&mut rng);
         let (rshape, vshape) = (rng.gen_range(0..5u8), rng.gen_range(0..4u8));
-        let raw = raw_map(&mut rng, len, rshape);
-        let mut marked = virgin_map(&mut rng, len, vshape);
-        let mut plain = marked.clone();
+        let mut raw = raw_map(&mut rng, len, rshape);
+        if len > 0 {
+            raw[rng.gen_range(0..len)] = 0xff;
+        }
+        let edges = shuffled_edges(&mut rng, &raw);
+        let before = virgin_map(&mut rng, len, vshape);
+        let mut marked = before.clone();
+        let mut plain = before.clone();
         let mut dirty = 0u64;
-        let novel_marked = segments::merge_raw_marking(&mut marked, &raw, &mut dirty);
-        let novel_plain = bitmap::merge_raw(&mut plain, &raw);
+        let novel_marked = segments::merge_edges_marking(&mut marked, &raw, &edges, &mut dirty);
+        let novel_plain = bitmap::bytewise::merge_raw(&mut plain, &raw);
         prop_assert_eq!(novel_marked, novel_plain, "novelty verdict diverged");
         prop_assert_eq!(&marked, &plain, "virgin state diverged");
         prop_assert_eq!(novel_marked, dirty != 0, "novelty must mark a segment");
+        let moved = bitmap::bytewise::cleared_since(&before, &plain);
+        prop_assert_eq!(dirty, segments::segments_of(&moved), "dirty mask diverged");
+        prop_assert_eq!(
+            bitmap::classify_edges(&raw, &edges),
+            bitmap::bytewise::classify(&raw),
+            "promoted evidence diverged"
+        );
     }
 
     #[test]
@@ -112,7 +146,7 @@ proptest! {
         let before = virgin_map(&mut rng, len, vshape);
         let mut after = before.clone();
         let mut dirty = 0u64;
-        segments::merge_raw_marking(&mut after, &raw, &mut dirty);
+        merge_marking(&mut rng, &mut after, &raw, &mut dirty);
         let moved = bitmap::cleared_since(&before, &after);
         prop_assert_eq!(segments::segments_of(&moved) & !dirty, 0,
             "a byte moved in an unmarked segment");
@@ -131,7 +165,7 @@ proptest! {
         for _ in 0..rng.gen_range(0..3usize) {
             let rshape = rng.gen_range(0..5u8);
             let raw = raw_map(&mut rng, len, rshape);
-            segments::merge_raw_marking(&mut now, &raw, &mut dirty);
+            merge_marking(&mut rng, &mut now, &raw, &mut dirty);
         }
         let mut masked = vec![(9u32, 9u8)]; // stale garbage: must clear
         segments::cleared_since_segments(&then, &now, dirty, &mut masked);

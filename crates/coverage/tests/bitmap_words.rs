@@ -1,15 +1,32 @@
-//! Equivalence property suite for the word-level bitmap engine:
-//! every word-wise operation must be bit-identical to its
-//! byte-at-a-time reference (`bitmap::bytewise`) — return values *and*
-//! mutated state — across random maps including the adversarial
-//! shapes: all-0x00 (maximum skip), all-0xff (no skip), sparse/dense
-//! mixes, mismatched lengths, and tail remainders (lengths not a
-//! multiple of the 8-byte word).
+//! Equivalence property suite for the bitmap engine: every word-wise
+//! operation, and the novelty kernel and classifier fed a bare map's
+//! non-zero bytes, must be bit-identical to its byte-at-a-time reference
+//! (`bitmap::bytewise`) — return values *and* mutated state — across
+//! random maps including the adversarial shapes: all-0x00 (maximum
+//! skip), all-0xff (no skip), sparse/dense mixes, mismatched lengths,
+//! and tail remainders (lengths not a multiple of the 8-byte word).
 
 use nf_coverage::bitmap;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// The whole-map novelty merge as `Fuzzer::report_observed` runs it on
+/// a bare raw map: list the non-zero bytes with the block-skipping
+/// scan, then feed them to the one novelty kernel.
+fn merge_raw(virgin: &mut [u8], raw: &[u8]) -> bool {
+    let mut edges = vec![7u32]; // stale garbage: nonzero_into must clear
+    bitmap::nonzero_into(raw, &mut edges);
+    bitmap::segments::merge_edges_marking(virgin, raw, &edges, &mut 0)
+}
+
+/// A bare raw map's classified form as corpus promotion builds it:
+/// the listed non-zero bytes, classified.
+fn classify(raw: &[u8]) -> Vec<(u32, u8)> {
+    let mut edges = Vec::new();
+    bitmap::nonzero_into(raw, &mut edges);
+    bitmap::classify_edges(raw, &edges)
+}
 
 /// A raw hit-count bitmap of one of the shapes the engine meets:
 /// `0` all-zero (an empty exec), `1` all-0xff (saturated), `2` sparse
@@ -83,10 +100,12 @@ proptest! {
         let len = pick_len(&mut rng);
         let shape = rng.gen_range(0..5u8);
         let raw = raw_map(&mut rng, len, shape);
-        let mut via_into = vec![(9u32, 9u8)]; // stale garbage: _into must clear
-        bitmap::classify_into(&raw, &mut via_into);
-        prop_assert_eq!(&via_into, &bitmap::bytewise::classify(&raw));
-        prop_assert_eq!(&via_into, &bitmap::classify(&raw));
+        let mut edges = vec![7u32]; // stale garbage: _into must clear
+        bitmap::nonzero_into(&raw, &mut edges);
+        let classified = bitmap::classify_edges(&raw, &edges);
+        prop_assert_eq!(&classified, &bitmap::bytewise::classify(&raw));
+        let indices: Vec<u32> = classified.iter().map(|&(i, _)| i).collect();
+        prop_assert_eq!(&edges, &indices, "the edge list is the classified indices, in order");
     }
 
     #[test]
@@ -96,14 +115,14 @@ proptest! {
         let vshape = rng.gen_range(0..4u8);
         let rshape = rng.gen_range(0..4u8);
         let raw = raw_map(&mut rng, rlen, rshape);
-        let mut word_virgin = virgin_map(&mut rng, vlen, vshape);
-        let mut byte_virgin = word_virgin.clone();
-        let novel_words = bitmap::merge_raw(&mut word_virgin, &raw);
+        let mut edge_virgin = virgin_map(&mut rng, vlen, vshape);
+        let mut byte_virgin = edge_virgin.clone();
+        let novel_edges = merge_raw(&mut edge_virgin, &raw);
         let novel_bytes = bitmap::bytewise::merge_raw(&mut byte_virgin, &raw);
-        prop_assert_eq!(novel_words, novel_bytes, "novelty verdict diverged");
-        prop_assert_eq!(&word_virgin, &byte_virgin, "virgin state diverged");
+        prop_assert_eq!(novel_edges, novel_bytes, "novelty verdict diverged");
+        prop_assert_eq!(&edge_virgin, &byte_virgin, "virgin state diverged");
         // Idempotence: a second merge of the same raw map finds nothing.
-        prop_assert!(!bitmap::merge_raw(&mut word_virgin, &raw));
+        prop_assert!(!merge_raw(&mut edge_virgin, &raw));
     }
 
     #[test]
@@ -116,9 +135,9 @@ proptest! {
         let vshape = rng.gen_range(0..4u8);
         let raw = raw_map(&mut rng, len, rshape);
         let virgin = virgin_map(&mut rng, len, vshape);
-        let sparse_says = bitmap::is_novel_against(&bitmap::classify(&raw), &virgin);
+        let sparse_says = bitmap::is_novel_against(&classify(&raw), &virgin);
         let mut scratch = virgin.clone();
-        prop_assert_eq!(bitmap::merge_raw(&mut scratch, &raw), sparse_says);
+        prop_assert_eq!(merge_raw(&mut scratch, &raw), sparse_says);
     }
 
     #[test]

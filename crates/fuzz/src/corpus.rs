@@ -286,33 +286,39 @@ impl Corpus {
     }
 
     /// Tests an execution's bitmap against the virgin map, clearing
-    /// every newly seen bucket. Returns `true` on novelty. When
-    /// `queue` is set and the bitmap was novel, the input is promoted
-    /// into the queue with its coverage evidence and the mutation
-    /// operator (if any) that produced it.
+    /// every newly seen bucket. Returns `true` on novelty. With `queue`
+    /// set to `Some((exec, op))`, a novel input is promoted into the
+    /// queue with its coverage evidence, the exec index that found it
+    /// and the mutation operator (if any) that produced it.
+    ///
+    /// `edges` lists each non-zero byte of `raw_bitmap` exactly once,
+    /// in any order (`ExecScratch::edges`, or
+    /// `bitmap::nonzero_into` for a bare map); only those bytes are
+    /// visited, never the rest of the 64 KiB.
     pub fn observe(
         &mut self,
         input: &FuzzInput,
         raw_bitmap: &[u8],
+        edges: &[u32],
         lines: &LineSet,
-        exec: u64,
-        op: Option<Operator>,
-        queue: bool,
+        queue: Option<(u64, Option<Operator>)>,
     ) -> bool {
-        // The per-execution novelty kernel: word-level with early-exit
-        // skipping of all-zero raw and all-seen virgin words, marking
-        // the touched segments for the sharded async delta scan
-        // (mutations bit-identical to the unmarked `merge_raw`).
-        let new_bits =
-            segments::merge_raw_marking(&mut self.virgin, raw_bitmap, &mut self.dirty_segs);
-        if new_bits && queue {
+        // The per-execution novelty kernel, marking the touched
+        // segments for the sharded async delta scan.
+        let new_bits = segments::merge_edges_marking(
+            &mut self.virgin,
+            raw_bitmap,
+            edges,
+            &mut self.dirty_segs,
+        );
+        if let (true, Some((exec, op))) = (new_bits, queue) {
             self.entries.push(CorpusEntry {
                 input: input.clone(),
                 energy: 8,
                 fuzzed: 0,
                 // The entry owns its evidence, so the allocation is
-                // inherent; classify still word-skips internally.
-                cov: bitmap::classify(raw_bitmap),
+                // inherent; it is built from the touched bytes alone.
+                cov: bitmap::classify_edges(raw_bitmap, edges),
                 lines: lines.clone(),
                 provenance: Provenance {
                     worker: self.worker,
@@ -647,7 +653,10 @@ impl Corpus {
                 "virgin bitmap size does not match the manifest",
             ));
         }
-        let mut entries = Vec::with_capacity(count);
+        // The count is untrusted until every entry file has loaded:
+        // reserve no more than a culled queue holds, so a bogus count
+        // fails at its first missing file instead of at allocation.
+        let mut entries = Vec::with_capacity(count.min(CULL_AT));
         for i in 0..count {
             let bytes = std::fs::read(dir.join("entries").join(format!("{i:06}.bin")))?;
             entries.push(read_entry(&mut bytes.as_slice(), version)?);
@@ -935,7 +944,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(exec);
         let input = FuzzInput::random(&mut rng);
         let op = Operator::from_code((exec % 4) as u8);
-        corpus.observe(&input, &bitmap, &lines_over(lines), exec, op, true)
+        let edges = [edge as u32];
+        corpus.observe(
+            &input,
+            &bitmap,
+            &edges,
+            &lines_over(lines),
+            Some((exec, op)),
+        )
     }
 
     #[test]
@@ -971,7 +987,9 @@ mod tests {
         for (i, input) in [&base, &other_a, &other_b, &kin].into_iter().enumerate() {
             let mut bitmap = vec![0u8; MAP_SIZE];
             bitmap[10 + i] = 1;
-            assert!(c.observe(input, &bitmap, &lines_over(0..1), i as u64, None, true));
+            let edges = [10 + i as u32];
+            let queue = Some((i as u64, None));
+            assert!(c.observe(input, &bitmap, &edges, &lines_over(0..1), queue));
         }
         // Drain the head entry's energy; when the cursor advances, the
         // nearest affinity sibling (queued last) is pulled into the
@@ -1311,6 +1329,27 @@ mod tests {
             e.provenance.op = None;
         }
         assert_eq!(loaded, expected, "v1 load differs only in op provenance");
+    }
+
+    #[test]
+    fn oversized_manifest_counts_fail_at_the_first_missing_entry() {
+        // A MANIFEST count is untrusted: reserving it up front would
+        // abort the process (4e9 entries) or overflow the capacity
+        // (u64::MAX) before any entry file is read.
+        let dir = std::env::temp_dir().join(format!("nf-corpus-count-{}", std::process::id()));
+        let mut c = Corpus::new();
+        c.push_seed(FuzzInput::zeroed());
+        observed(&mut c, 10, 0..4, 1);
+        c.save_to(&dir).expect("save");
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest");
+        for count in ["4000000000", "18446744073709551615"] {
+            let tampered = manifest.replace("entries 2\n", &format!("entries {count}\n"));
+            assert_ne!(tampered, manifest, "the count line must be rewritten");
+            std::fs::write(dir.join("MANIFEST"), tampered).expect("tamper");
+            let err = Corpus::load_from(&dir).expect_err("entry 000002.bin does not exist");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound, "count {count}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

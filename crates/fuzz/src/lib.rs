@@ -224,6 +224,9 @@ pub struct Fuzzer {
     execs: u64,
     crashes: u64,
     queue_adds: u64,
+    /// Reusable edge-list buffer of [`Fuzzer::report_observed`], which
+    /// lists a bare bitmap's non-zero bytes into it.
+    edges: Vec<u32>,
 }
 
 impl Fuzzer {
@@ -249,6 +252,7 @@ impl Fuzzer {
             execs: 0,
             crashes: 0,
             queue_adds: 0,
+            edges: Vec::new(),
         };
         // Seed corpus: one zero input and a few random ones.
         f.corpus.push_seed(FuzzInput::zeroed());
@@ -285,6 +289,7 @@ impl Fuzzer {
             execs: 0,
             crashes: 0,
             queue_adds: 0,
+            edges: Vec::new(),
         }
     }
 
@@ -329,6 +334,7 @@ impl Fuzzer {
             execs: state.execs,
             crashes: state.crashes,
             queue_adds: state.queue_adds,
+            edges: Vec::new(),
         }
     }
 
@@ -494,7 +500,7 @@ impl Fuzzer {
     /// produced new coverage (and, in guided mode, was queued).
     ///
     /// Queued entries carry no line evidence through this method; the
-    /// agent path uses [`Fuzzer::report_observed`] so corpus entries
+    /// campaign loop uses [`Fuzzer::report_edges`] so corpus entries
     /// record the line coverage `minimize` operates on.
     pub fn report(&mut self, input: &FuzzInput, bitmap: &[u8], feedback: ExecFeedback) -> bool {
         self.report_observed(input, bitmap, &LineSet::default(), feedback)
@@ -503,10 +509,37 @@ impl Fuzzer {
     /// [`Fuzzer::report`] with the execution's line coverage attached
     /// as the queued entry's evidence (provenance for sync and the set
     /// `minimize` covers).
+    ///
+    /// For a bare bitmap: lists its non-zero bytes (a block-skipping
+    /// scan of the whole map, into a buffer the fuzzer keeps) and
+    /// reports them through [`Fuzzer::report_edges`], so both entries
+    /// leave identical state. The campaign loop, which already holds
+    /// the exec's edge list, calls `report_edges` directly.
     pub fn report_observed(
         &mut self,
         input: &FuzzInput,
         bitmap: &[u8],
+        lines: &LineSet,
+        feedback: ExecFeedback,
+    ) -> bool {
+        let mut edges = std::mem::take(&mut self.edges);
+        nf_coverage::bitmap::nonzero_into(bitmap, &mut edges);
+        let novel = self.report_edges(input, bitmap, &edges, lines, feedback);
+        self.edges = edges;
+        novel
+    }
+
+    /// Reports an execution whose touched bitmap bytes are already
+    /// listed: `edges` holds each non-zero byte of `bitmap` exactly
+    /// once, in any order (`ExecScratch::edges`). Novelty and promotion
+    /// visit those bytes only, not the whole map. Returns `true` when
+    /// the input produced new coverage (and, when recording, was
+    /// queued).
+    pub fn report_edges(
+        &mut self,
+        input: &FuzzInput,
+        bitmap: &[u8],
+        edges: &[u32],
         lines: &LineSet,
         feedback: ExecFeedback,
     ) -> bool {
@@ -515,9 +548,8 @@ impl Fuzzer {
             self.crashes += 1;
         }
         let op = self.last_op.take();
-        let new_bits = self
-            .corpus
-            .observe(input, bitmap, lines, self.execs, op, self.recording);
+        let queue = self.recording.then_some((self.execs, op));
+        let new_bits = self.corpus.observe(input, bitmap, edges, lines, queue);
         if new_bits && self.recording {
             self.queue_adds += 1;
             // Adaptive scheduling: a queued child credits every
