@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use necofuzz::campaign::{run_campaign, CampaignConfig};
 use necofuzz::orchestrator::{CampaignExecutor, CampaignPlan};
-use necofuzz::{ComponentMask, EngineMode, VmStateValidator};
+use necofuzz::{ComponentMask, VmStateValidator};
 use nf_bench::{backend, factory};
 use nf_fuzz::Mode;
 use nf_vmx::{Vmcs, VmxCapabilities};
@@ -19,8 +19,7 @@ fn mini_campaign(vendor: CpuVendor, mode: Mode, mask: ComponentMask, seed: u64) 
     let cfg = CampaignConfig::necofuzz(vendor, 4, seed)
         .with_execs_per_hour(60)
         .with_mode(mode)
-        .with_mask(mask)
-        .with_engine(EngineMode::Snapshot);
+        .with_mask(mask);
     run_campaign(factory("vkvm"), &cfg).final_coverage
 }
 

@@ -1,13 +1,14 @@
 //! Hot path: execs/sec and allocations/exec of the zero-allocation
 //! iteration loop vs the compat byte-wise/allocating mode.
 //!
-//! The snapshot engine (PR 2) removed reboots from the iteration loop;
-//! this bench measures what was left — the per-exec buffer churn and
-//! byte-at-a-time bitmap scans the scratch/word-level engine
-//! eliminates. Two workloads, each run in both modes:
+//! The execution engine keeps reboots out of the iteration loop (a
+//! guest reset per exec); this bench measures what was left — the
+//! per-exec buffer churn and byte-at-a-time bitmap scans the
+//! scratch/word-level engine eliminates. Two workloads, each run in
+//! both modes:
 //!
 //! - **feedback_loop** — the exec feedback cycle at full rate: input
-//!   generation, snapshot restore, a fixed L1 probe sequence, coverage
+//!   generation, guest reset, a fixed L1 probe sequence, coverage
 //!   collection, and the virgin-map novelty scan. The *hotpath* mode is
 //!   the product path (`Fuzzer::next_input_into`, trace swap,
 //!   `ExecScratch` reuse, and `Fuzzer::report_edges` with the exec's
@@ -225,12 +226,7 @@ fn campaign_cell(hours: u32, eph: u32) -> CellResult {
 
     // The pre-scratch campaign loop: allocate per exec, sample hourly.
     let start = Instant::now();
-    let mut agent = Agent::with_engine(
-        factory("vkvm"),
-        CpuVendor::Intel,
-        ComponentMask::ALL,
-        EngineMode::Snapshot,
-    );
+    let mut agent = Agent::new(factory("vkvm"), CpuVendor::Intel, ComponentMask::ALL);
     let mut fuzzer = Fuzzer::with_strategy(cfg.seed, cfg.mode, cfg.strategy);
     fuzzer.set_worker(0);
     let mut hourly = Vec::new();
@@ -294,7 +290,7 @@ fn write_json(path: &str, cells: &[CellResult], feedback_execs: u32, hours: u32,
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"unit\": \"execs_per_sec\",\n  \
          \"workloads\": {{\n    \"feedback_loop\": {{\"execs\": {feedback_execs}, \
-         \"description\": \"input generation + snapshot restore + probes + coverage \
+         \"description\": \"input generation + guest reset + probes + coverage \
          collection + virgin-map novelty; hotpath reuses scratch buffers and visits only \
          the exec's touched edges, compat allocates per exec and scans byte-wise\"}},\n    \
          \"campaign\": {{\"hours\": {hours}, \"execs_per_hour\": {eph}, \

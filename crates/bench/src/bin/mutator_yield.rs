@@ -1,7 +1,7 @@
 //! Mutator yield: structured scenario mutation vs classic havoc on the
 //! guided campaign path.
 //!
-//! Byte-blind havoc wastes most of the snapshot engine's throughput on
+//! Byte-blind havoc wastes most of the iteration loop's throughput on
 //! semantically dead children — bit flips land mid-way through VMCS
 //! field encodings and init-step argument pairs. The structure-aware
 //! engine (`--mutator structured`) mutates at the granularity of the

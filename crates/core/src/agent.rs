@@ -8,11 +8,12 @@
 //! sanitizers/kernel log for anomalies, saves crashing inputs, and
 //! restarts the host through the watchdog when it died.
 //!
-//! The hot path is delegated to the engine: instead of rebuilding the
-//! hypervisor and re-deriving boot state each iteration, the engine
-//! restores cached boot snapshots (see [`crate::engine`]) — and instead
-//! of allocating a fresh bitmap, line set, and trace per execution, the
-//! engine's [`nf_coverage::ExecScratch`] is recycled:
+//! The hot path is delegated to the engine: instead of rebooting the
+//! host each iteration, the engine resets the guest of the active
+//! hypervisor instance and builds a fresh one only when the vCPU
+//! config changes (see [`crate::engine`]) — and instead of allocating
+//! a fresh bitmap, line set, and trace per execution, the engine's
+//! [`nf_coverage::ExecScratch`] is recycled:
 //! [`Agent::run_iteration`] returns an [`IterationResult`] that
 //! *borrows* the scratch buffers, valid until the next iteration.
 //! [`Agent::run_iteration_alloc`] keeps the original allocating
@@ -146,22 +147,11 @@ pub struct Agent {
 }
 
 impl Agent {
-    /// Creates an agent fuzzing the hypervisor produced by `factory`,
-    /// on the default (snapshot) engine.
+    /// Creates an agent fuzzing the hypervisor produced by `factory`.
     pub fn new(
         factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
         vendor: CpuVendor,
         mask: ComponentMask,
-    ) -> Self {
-        Agent::with_engine(factory, vendor, mask, EngineMode::Snapshot)
-    }
-
-    /// Creates an agent with an explicit engine mode (`--engine` A/B).
-    pub fn with_engine(
-        factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
-        vendor: CpuVendor,
-        mask: ComponentMask,
-        mode: EngineMode,
     ) -> Self {
         let configurator = VcpuConfigurator::new(vendor);
         let (features, nested) = configurator.default_config();
@@ -173,7 +163,7 @@ impl Agent {
         let caps = VmxCapabilities::from_features(
             nf_x86::FeatureSet::default_for(vendor).sanitized(vendor),
         );
-        let engine = ExecutionEngine::new(factory, config, caps, mode);
+        let engine = ExecutionEngine::new(factory, config, caps, EngineMode::Snapshot);
         let cumulative = LineSet::for_map(engine.hv().coverage_map());
         Agent {
             engine,
@@ -188,6 +178,16 @@ impl Agent {
             faults: None,
             watchdog_fuel: DEFAULT_WATCHDOG_FUEL,
         }
+    }
+
+    /// Same as [`Agent::new`]; `_mode` is ignored (see [`EngineMode`]).
+    pub fn with_engine(
+        factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
+        vendor: CpuVendor,
+        mask: ComponentMask,
+        _mode: EngineMode,
+    ) -> Self {
+        Agent::new(factory, vendor, mask)
     }
 
     /// Installs a deterministic fault plan (`--fault-plan`): the engine
@@ -226,9 +226,9 @@ impl Agent {
         self
     }
 
-    /// Bounds the engine's booted-image cache (`--cache-capacity`).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.engine.set_cache_capacity(capacity);
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_cache_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -261,7 +261,7 @@ impl Agent {
         self.engine.validator()
     }
 
-    /// The engine's hot-path counters (cache hits, restores, …).
+    /// The engine's hot-path counters (factory builds, guest resets, …).
     pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
     }
@@ -528,9 +528,8 @@ impl Agent {
                 .begin_exec(self.execs, input_digest(input), self.watchdog_fuel);
         }
 
-        // 2. The engine services a changed config from its booted-image
-        // cache (snapshot mode) or through the factory (rebuild mode),
-        // and resets guest state either way.
+        // 2. The engine builds a fresh instance for a changed config
+        // and resets the guest of the active one otherwise.
         self.engine.prepare(config);
     }
 
@@ -604,8 +603,8 @@ impl Agent {
     /// Fast-forwards the validator to its converged state: every
     /// oracle correction a long campaign learns (the CR4.PAE quirk and
     /// both seeded Bochs bugs) is applied up front, with matching
-    /// `Correction` records so the engine's validator pool propagates
-    /// them across configuration flips.
+    /// `Correction` records so validator rebuilds carry them across
+    /// configuration flips.
     ///
     /// Crash inputs are saved mid-campaign, where (some of) these
     /// corrections were already learned — the generated harness VM
@@ -726,37 +725,6 @@ mod tests {
         let before = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), before, "find list must be id-unique");
-    }
-
-    #[test]
-    fn snapshot_and_rebuild_agents_are_bit_identical() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let inputs: Vec<FuzzInput> = (0..150).map(|_| FuzzInput::random(&mut rng)).collect();
-        let mk = |mode| {
-            Agent::with_engine(
-                Box::new(|cfg| Box::new(Vkvm::new(cfg))),
-                CpuVendor::Intel,
-                ComponentMask::ALL,
-                mode,
-            )
-        };
-        let mut snap = mk(EngineMode::Snapshot);
-        let mut rebuild = mk(EngineMode::Rebuild);
-        for (i, input) in inputs.iter().enumerate() {
-            let a = snap.run_iteration(input);
-            let b = rebuild.run_iteration(input);
-            assert_eq!(a.bitmap, b.bitmap, "bitmap diverged at exec {i}");
-            assert_eq!(a.feedback.crashed, b.feedback.crashed, "exec {i}");
-        }
-        assert_eq!(snap.triage(), rebuild.triage());
-        assert_eq!(snap.restarts(), rebuild.restarts());
-        assert_eq!(snap.coverage_fraction(), rebuild.coverage_fraction());
-        let stats = snap.engine_stats();
-        assert!(stats.snapshot_restores > 0, "fast path must be exercised");
-        assert!(
-            stats.cache_hits > 0,
-            "config churn must hit the image cache: {stats:?}"
-        );
     }
 
     #[test]

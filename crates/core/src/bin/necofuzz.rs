@@ -4,9 +4,7 @@
 //! necofuzz [--target vkvm|vxen|vvbox] [--vendor intel|amd]
 //!          [--hours N] [--execs-per-hour N] [--seed N] [--runs N]
 //!          [--jobs N] [--guided] [--mutator havoc|structured]
-//!          [--no-harness] [--no-validator]
-//!          [--no-configurator] [--engine snapshot|rebuild]
-//!          [--cache-capacity N]
+//!          [--no-harness] [--no-validator] [--no-configurator]
 //!          [--oracle sanitizer|differential] [--diff-backends LIST]
 //!          [--sync-interval N] [--sync-mode lockstep|async]
 //!          [--sync-topology ring|tree] [--corpus-dir DIR]
@@ -17,7 +15,7 @@
 //! necofuzz corpus stat DIR
 //! necofuzz corpus minimize DIR [--out DIR]
 //! necofuzz corpus repro FILE [--target T] [--vendor V]
-//!          [--engine E] [--cache-capacity N] [--minimize] [--out FILE]
+//!          [--minimize] [--out FILE]
 //! ```
 //!
 //! Runs one campaign — or, with `--runs N`, a whole grid of campaigns
@@ -54,15 +52,11 @@
 //! adaptive profile, with per-operator provenance recorded on every
 //! queued entry (shown by `corpus stat`).
 //!
-//! `--engine` selects the iteration hot path: `snapshot` (default) runs
-//! on the persistent-execution engine — cached booted images restored
-//! per iteration — while `rebuild` keeps the original
-//! reboot-every-reconfiguration semantics for A/B comparison; results
-//! are bit-identical either way. `--bench-out PATH` records the run's
-//! throughput (total execs, wall-clock seconds, overall execs/sec,
-//! and per-run exec/restart counts) as JSON for offline comparison.
-//! `--cache-capacity N` sizes the engine's booted-image cache (parked
-//! config → booted-hypervisor images; default 16).
+//! Every iteration resets the guest of the active hypervisor instance;
+//! a vCPU config change builds a fresh instance through the factory.
+//! `--bench-out PATH` records the run's throughput (total execs,
+//! wall-clock seconds, overall execs/sec, and per-run exec/restart
+//! counts) as JSON for offline comparison.
 //!
 //! `--oracle differential` arms the cross-backend differential oracle
 //! on top of the sanitizers: every executed input is replayed across
@@ -76,10 +70,10 @@
 //! divergence signature, not merely still crash).
 //!
 //! `--fault-plan SEED:RATE` arms deterministic fault injection in
-//! every backend the run touches: `RATE` (a fraction in `[0, 1]`) is
-//! split across hung vmexit loops, transient and permanent restore
-//! failures, and silent host deaths, all scheduled by `SEED`
-//! independently of the fuzzing seed. The
+//! every backend the run touches: half of `RATE` (a fraction in
+//! `[0, 1]`) goes to hung vmexit loops and an eighth to silent host
+//! deaths, all scheduled by `SEED` independently of the fuzzing seed.
+//! The
 //! same plan against the same campaign reproduces the same faults,
 //! fault counters, and findings, byte for byte. `--watchdog-fuel N`
 //! sets the per-execution fuel budget after which the exec watchdog
@@ -104,9 +98,7 @@ use std::str::FromStr;
 
 use necofuzz::campaign::{Campaign, CampaignConfig, CampaignResult};
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
-use necofuzz::{
-    backend_factory, check_backend, parse_divergence_pair, EngineMode, OracleMode, ReplayOracle,
-};
+use necofuzz::{backend_factory, check_backend, parse_divergence_pair, OracleMode, ReplayOracle};
 use nf_fuzz::corpus::Corpus;
 use nf_fuzz::{FuzzInput, Mode, MutationStrategy, Operator, SyncMode, SyncTopology, INPUT_LEN};
 use nf_hv::FaultPlan;
@@ -117,9 +109,7 @@ fn usage() -> ! {
         "usage: necofuzz [--target vkvm|vxen|vvbox] [--vendor intel|amd] [--hours N]\n\
          \x20               [--execs-per-hour N] [--seed N] [--runs N] [--jobs N]\n\
          \x20               [--guided] [--mutator havoc|structured]\n\
-         \x20               [--no-harness] [--no-validator]\n\
-         \x20               [--no-configurator] [--engine snapshot|rebuild]\n\
-         \x20               [--cache-capacity N]\n\
+         \x20               [--no-harness] [--no-validator] [--no-configurator]\n\
          \x20               [--oracle sanitizer|differential] [--diff-backends LIST]\n\
          \x20               [--sync-interval N] [--sync-mode lockstep|async]\n\
          \x20               [--sync-topology ring|tree] [--corpus-dir DIR]\n\
@@ -130,7 +120,6 @@ fn usage() -> ! {
          \x20      necofuzz corpus stat DIR\n\
          \x20      necofuzz corpus minimize DIR [--out DIR]\n\
          \x20      necofuzz corpus repro FILE [--target T] [--vendor V]\n\
-         \x20               [--engine E] [--cache-capacity N]\n\
          \x20               [--minimize] [--out FILE]"
     );
     std::process::exit(2);
@@ -171,8 +160,8 @@ impl Flags {
         }
     }
 
-    /// Applies `arg` if it is a shared flag (target, vendor, engine
-    /// knobs); `false` when it is not one.
+    /// Applies `arg` if it is a shared flag (target, vendor); `false`
+    /// when it is not one.
     fn shared(&mut self, arg: &str, value: &mut impl FnMut() -> String) -> bool {
         match arg {
             "--target" => self.target = value(),
@@ -183,19 +172,9 @@ impl Flags {
                     _ => usage(),
                 }
             }
-            "--engine" => self.cfg.engine = EngineMode::parse(&value()).unwrap_or_else(|| usage()),
-            "--cache-capacity" => self.cfg.cache_capacity = num(value()),
             _ => return false,
         }
         true
-    }
-
-    /// The shared flags' consistency checks; `context` prefixes the
-    /// diagnostic.
-    fn check_engine(&self, context: &str) {
-        if self.cfg.cache_capacity == 0 {
-            reject(format_args!("{context}--cache-capacity must be at least 1"));
-        }
     }
 
     /// The `--target` backend, checked against the vendor.
@@ -274,7 +253,6 @@ fn main() {
     if runs == 0 {
         usage();
     }
-    flags.check_engine("");
     let cfg = &mut flags.cfg;
     if cfg.seed.checked_add(runs).is_none() {
         reject(format_args!(
@@ -425,18 +403,16 @@ fn main() {
     };
     println!(
         "necofuzz: target={target} vendor={vendor} hours={hours} execs/h={execs_per_hour} \
-         seeds={seed}..{} runs={runs} mode={mode:?} mutator={} engine={} \
+         seeds={seed}..{} runs={runs} mode={mode:?} mutator={} \
          oracle={oracle_desc} sync={sync_desc} faults={fault_desc} \
          components[harness={} validator={} configurator={}]",
         seed + runs,
         cfg.strategy,
-        cfg.engine,
         cfg.mask.harness,
         cfg.mask.validator,
         cfg.mask.configurator
     );
 
-    let engine = cfg.engine;
     let plan = CampaignPlan::new(cfg)
         .backend(backend)
         .seeds(seed..seed + runs);
@@ -494,7 +470,7 @@ fn main() {
     }
 
     if let Some(path) = &bench_out {
-        save_bench(path, engine, elapsed, &results);
+        save_bench(path, elapsed, &results);
     }
 
     if unique_finds > 0 {
@@ -507,10 +483,10 @@ fn main() {
 /// - `stat DIR` — entry/coverage summary of a saved corpus;
 /// - `minimize DIR [--out DIR]` — afl-cmin-style greedy set cover over
 ///   line coverage, saved back (or to `--out`);
-/// - `repro FILE [--target T] [--vendor V] [--engine E] [--minimize]
-///   [--out FILE]` — replay a saved crash input against a clean
-///   engine; with `--minimize`, greedily truncate it to the bytes the
-///   bug still needs (every candidate validated by re-execution).
+/// - `repro FILE [--target T] [--vendor V] [--minimize] [--out FILE]`
+///   — replay a saved crash input against a clean engine; with
+///   `--minimize`, greedily truncate it to the bytes the bug still
+///   needs (every candidate validated by re-execution).
 fn corpus_main(args: &[String]) {
     let mut it = args.iter();
     let action = it.next().map(String::as_str).unwrap_or_else(|| usage());
@@ -549,7 +525,6 @@ fn corpus_main(args: &[String]) {
         }
     }
 
-    flags.check_engine("corpus repro: ");
     let path = match action {
         "stat" | "minimize" => resolve_corpus_dir(&path),
         _ => path,
@@ -734,15 +709,15 @@ fn load_corpus(path: &str) -> Corpus {
 }
 
 /// Writes the run's throughput record (`--bench-out`): execs/sec
-/// overall and per seed, for offline engine A/B comparison.
-fn save_bench(path: &str, engine: EngineMode, elapsed: f64, results: &[CampaignResult]) {
+/// overall and per seed, for offline comparison.
+fn save_bench(path: &str, elapsed: f64, results: &[CampaignResult]) {
     let total_execs: u64 = results.iter().map(|r| r.execs).sum();
     let per_run: Vec<String> = results
         .iter()
         .map(|r| format!("{{\"execs\": {}, \"restarts\": {}}}", r.execs, r.restarts))
         .collect();
     let json = format!(
-        "{{\n  \"engine\": \"{engine}\",\n  \"total_execs\": {total_execs},\n  \
+        "{{\n  \"total_execs\": {total_execs},\n  \
          \"elapsed_sec\": {elapsed:.3},\n  \"execs_per_sec\": {:.1},\n  \
          \"runs\": [{}]\n}}\n",
         total_execs as f64 / elapsed,

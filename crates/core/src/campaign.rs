@@ -22,7 +22,7 @@ use nf_x86::CpuVendor;
 
 use crate::agent::{Agent, BugFind, ComponentMask};
 use crate::differential::{DifferentialRunner, DivergenceStats, OracleMode};
-use crate::engine::{EngineMode, EngineStats, DEFAULT_CACHE_CAPACITY};
+use crate::engine::{EngineMode, EngineStats};
 
 /// Executions one virtual hour stands for. The paper's harness reaches
 /// hundreds of executions per second on bare metal; the simulation
@@ -52,15 +52,11 @@ pub struct CampaignConfig {
     pub mode: Mode,
     /// Component toggles (Table 3 / Figure 4).
     pub mask: ComponentMask,
-    /// Iteration hot-path engine (`Snapshot` is the product default;
-    /// `Rebuild` keeps the original full-reboot semantics for A/B
-    /// measurement — results are bit-identical either way).
+    /// Unused: kept only because perfbench reads it.
     pub engine: EngineMode,
     /// Unused: kept only because perfbench reads it.
     pub prefix_cache: bool,
-    /// Booted-image cache capacity of the execution engine
-    /// (`--cache-capacity`): how many (config → booted hypervisor +
-    /// boot snapshot) images the engine parks across config flips.
+    /// Unused: kept only because perfbench reads it.
     pub cache_capacity: usize,
     /// Unused: kept only because perfbench reads it.
     pub prefix_budget: usize,
@@ -97,11 +93,10 @@ pub struct CampaignConfig {
     /// untouched, so exploration is bit-identical with the oracle on
     /// or off.
     pub diff_backends: Vec<String>,
-    /// Deterministic fault plan (`--fault-plan`): injected hangs,
-    /// restore failures, and host deaths, scheduled as a pure
-    /// function of (plan, exec index, input content). `None` (the
-    /// default) installs nothing; a zero-rate plan is bit-identical to
-    /// `None`.
+    /// Deterministic fault plan (`--fault-plan`): injected hangs and
+    /// host deaths, scheduled as a pure function of (plan, exec index,
+    /// input content). `None` (the default) installs nothing; a
+    /// zero-rate plan is bit-identical to `None`.
     pub fault_plan: Option<FaultPlan>,
     /// Per-execution instruction-fuel budget of the exec watchdog
     /// (`--watchdog-fuel`); only metered when a fault plan is
@@ -125,7 +120,7 @@ impl CampaignConfig {
             mask: ComponentMask::ALL,
             engine: EngineMode::Snapshot,
             prefix_cache: false,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
+            cache_capacity: 0,
             prefix_budget: 0,
             prefix_store: PrefixStoreMode::Cow,
             sync_interval: 0,
@@ -154,18 +149,6 @@ impl CampaignConfig {
     /// Sets the component-ablation mask.
     pub fn with_mask(mut self, mask: ComponentMask) -> Self {
         self.mask = mask;
-        self
-    }
-
-    /// Sets the iteration hot-path engine.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the booted-image cache capacity.
-    pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity;
         self
     }
 
@@ -288,10 +271,10 @@ fn compute_alarms(hourly: &[HourSample], corpus_marks: &[u64]) -> HealthAlarms {
 ///
 /// `PartialEq` compares every *semantic* field; the orchestrator's
 /// equivalence tests rely on it to show parallel execution is
-/// bit-identical to serial, and the engine equivalence suite relies
-/// on it to show the snapshot engine matches rebuilds. The
+/// bit-identical to serial, and the checkpoint suites rely on it to
+/// show a resumed campaign converges to the uninterrupted one. The
 /// [`EngineStats`] counters are excluded: they describe *how* the
-/// engine serviced the run (cache hits, snapshots restored), which
+/// engine serviced the run (factory builds, guest resets), which
 /// legitimately differs between equivalent executions.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -328,10 +311,10 @@ pub struct CampaignResult {
     /// set (on top of `execs`) — the oracle's overhead denominator in
     /// `BENCH_diff.json`.
     pub diff_execs: u64,
-    /// Execution-engine counters (boot-image cache, snapshot restores,
-    /// restore faults). Diagnostic only: excluded from
-    /// `PartialEq`, since equivalent campaigns may service the same
-    /// execution stream through different cache paths.
+    /// Execution-engine counters (factory builds, guest resets,
+    /// validator rebuilds). Diagnostic only: excluded from
+    /// `PartialEq`, since a resumed campaign services the same
+    /// execution stream with a different number of builds.
     pub engine_stats: EngineStats,
     /// Sync-cost counters (deltas published/applied, segments merged,
     /// words scanned, adoptions). Diagnostic only: excluded from
@@ -481,16 +464,15 @@ impl Campaign {
         }
     }
 
-    /// Builds the campaign's agent, applying every engine/fault knob
-    /// the config carries — shared by all constructors and the replay
+    /// Builds the campaign's agent, applying every fault knob the
+    /// config carries — shared by all constructors and the replay
     /// oracle, so fresh, resumed and replaying agents are configured
     /// identically.
     pub(crate) fn make_agent(
         factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
         cfg: &CampaignConfig,
     ) -> Agent {
-        let mut agent = Agent::with_engine(factory, cfg.vendor, cfg.mask, cfg.engine)
-            .with_cache_capacity(cfg.cache_capacity);
+        let mut agent = Agent::new(factory, cfg.vendor, cfg.mask);
         if let Some(plan) = cfg.fault_plan {
             agent = agent
                 .with_fault_plan(plan)
@@ -503,8 +485,12 @@ impl Campaign {
     /// config arms the differential oracle).
     pub(crate) fn make_diff(cfg: &CampaignConfig) -> Option<DifferentialRunner> {
         (cfg.oracle == OracleMode::Differential).then(|| {
-            DifferentialRunner::new(&cfg.diff_backends, cfg.vendor, cfg.mask, cfg.engine)
-                .with_cache_capacity(cfg.cache_capacity)
+            DifferentialRunner::new(
+                &cfg.diff_backends,
+                cfg.vendor,
+                cfg.mask,
+                EngineMode::Snapshot,
+            )
         })
     }
 

@@ -1,5 +1,5 @@
-//! Cross-backend differential oracle: N-way snapshot replay with a
-//! golden-model reference.
+//! Cross-backend differential oracle: N-way replay with a golden-model
+//! reference.
 //!
 //! The sanitizer oracle (`nf_hv::sanitizer`) only catches bugs that
 //! make the *host* misbehave — memory errors, asserts, hangs. A whole
@@ -492,7 +492,7 @@ pub struct DivergenceStats {
 }
 
 /// The N-way replay engine behind the differential oracle: one
-/// snapshot-backed [`Agent`] per configured backend, a reusable
+/// [`Agent`] per configured backend, a reusable
 /// [`ExecObservation`] per backend, and its own divergence
 /// [`CrashTriage`].
 ///
@@ -515,7 +515,7 @@ pub struct DifferentialRunner {
 
 impl DifferentialRunner {
     /// A runner over `backends` (at least two; see [`backend_factory`]
-    /// for the known names).
+    /// for the known names). `_engine` is ignored (see [`EngineMode`]).
     ///
     /// # Panics
     ///
@@ -525,7 +525,7 @@ impl DifferentialRunner {
         backends: &[String],
         vendor: CpuVendor,
         mask: ComponentMask,
-        engine: EngineMode,
+        _engine: EngineMode,
     ) -> Self {
         assert!(
             backends.len() >= 2,
@@ -536,7 +536,7 @@ impl DifferentialRunner {
             .map(|name| {
                 let factory = backend_factory(name)
                     .unwrap_or_else(|| panic!("unknown differential backend {name:?}"));
-                Agent::with_engine(factory, vendor, mask, engine)
+                Agent::new(factory, vendor, mask)
             })
             .collect();
         DifferentialRunner {
@@ -555,13 +555,9 @@ impl DifferentialRunner {
         self
     }
 
-    /// Sets the booted-image cache capacity of every backend agent.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.agents = self
-            .agents
-            .into_iter()
-            .map(|a| a.with_cache_capacity(capacity))
-            .collect();
+    /// No-op, kept only because perfbench calls it; the product never
+    /// does.
+    pub fn with_cache_capacity(self, _capacity: usize) -> Self {
         self
     }
 

@@ -18,8 +18,9 @@
 //!
 //! An [`agent::Agent`] coordinates the AFL++-style engine (`nf-fuzz`),
 //! the harness VM, and the target hypervisor (`nf-hv`); its hot path
-//! runs on the snapshot-based [`engine::ExecutionEngine`], which
-//! restores cached booted images instead of rebooting per iteration
+//! runs on the [`engine::ExecutionEngine`], which resets the guest of
+//! the active hypervisor instance instead of rebooting per iteration
+//! and builds a fresh instance only when the vCPU config changes
 //! (paper §3.2 — the fuzz-harness VM exists to avoid guest-OS
 //! reboots). [`campaign::run_campaign`] reproduces one of the paper's
 //! virtual-time experiments, and the [`orchestrator`] fans a whole
@@ -81,10 +82,7 @@ pub use differential::{
     AllowRule, DifferentialRunner, DivergenceSite, DivergenceStats, ExecObservation, ObsResult,
     OracleMode, ALLOWLIST, SEEDED_HLT_BACKEND,
 };
-pub use engine::{
-    EngineError, EngineMode, EngineStats, ExecutionEngine, DEFAULT_CACHE_CAPACITY,
-    MAX_RESTORE_RETRIES,
-};
+pub use engine::{EngineMode, EngineStats, ExecutionEngine};
 pub use harness::{
     ExecEvent, ExecObserver, ExecPhase, ExecutionHarness, InitPlan, InitStep, NopObserver,
 };

@@ -13,7 +13,7 @@
 //!   **in plan order**, so output is byte-identical to a serial run;
 //! - [`SyncGroup`] is the corpus-sharing seam: when a plan's base
 //!   config sets a `sync_interval`, grid cells that share (backend, vendor, mode,
-//!   mask, engine, budget) pool their corpora across seeds — the group
+//!   mask, budget) pool their corpora across seeds — the group
 //!   becomes one scheduling unit whose members interleave in lockstep
 //!   epochs, so plan-order determinism and the serial==parallel
 //!   guarantee survive the sharing;
@@ -37,7 +37,6 @@ use nf_x86::CpuVendor;
 use crate::agent::ComponentMask;
 use crate::campaign::{run_campaign, run_campaign_group_observed, CampaignConfig, CampaignResult};
 use crate::differential::{backend_maker, OracleMode};
-use crate::engine::EngineMode;
 
 /// A hypervisor factory shareable across worker threads.
 pub type SharedFactory = Arc<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor> + Send + Sync>;
@@ -118,10 +117,6 @@ impl CampaignJob {
                 u8::from(self.cfg.mask.configurator)
             )
         };
-        let engine = match self.cfg.engine {
-            EngineMode::Snapshot => "",
-            EngineMode::Rebuild => "/rebuild",
-        };
         // Havoc (the default) stays unlabeled so existing labels — and
         // the determinism suites diffing them — are unchanged.
         let strategy = match self.cfg.strategy {
@@ -141,7 +136,7 @@ impl CampaignJob {
             SyncMode::Async => format!("/async-{}", self.cfg.sync_topology),
         };
         format!(
-            "{}/{}/{mode}{mask}{engine}{strategy}{oracle}{sync}",
+            "{}/{}/{mode}{mask}{strategy}{oracle}{sync}",
             self.backend.name, self.cfg.vendor
         )
     }
@@ -167,7 +162,7 @@ impl CampaignJob {
 /// A cartesian grid of campaigns: backends × vendors × modes × masks ×
 /// seeds, fanned out from one base [`CampaignConfig`].
 ///
-/// Every other knob — budget, engine, sync, strategy, oracle, fault
+/// Every other knob — budget, sync, strategy, oracle, fault
 /// plan — is the base config's, declared once there. Each axis
 /// defaults to the base's own value, so a plan with one backend and no
 /// axis set is exactly one job running the base config.
@@ -272,7 +267,7 @@ impl CampaignPlan {
 }
 
 /// A scheduling unit of corpus-sharing campaigns: the jobs of one grid
-/// cell (same backend, vendor, mode, mask, engine, and budget) across
+/// cell (same backend, vendor, mode, mask, and budget) across
 /// seeds, with their plan indices.
 ///
 /// A group runs as **one** pool task: its members interleave in

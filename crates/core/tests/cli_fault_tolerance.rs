@@ -110,6 +110,12 @@ fn usage_errors_exit_2_before_any_campaign_runs() {
         (vec!["--prefix-cache"], "usage"),
         (vec!["--prefix-budget", "1"], "usage"),
         (vec!["corpus", "repro", file, "--prefix-cache"], "usage"),
+        (vec!["--engine", "rebuild"], "usage"),
+        (vec!["--cache-capacity", "4"], "usage"),
+        (
+            vec!["corpus", "repro", file, "--engine", "snapshot"],
+            "usage",
+        ),
     ];
     for (args, needle) in &cases {
         let out = necofuzz(args);

@@ -5,7 +5,7 @@
 //! and configurator (paper §3.2), but byte-blind havoc knows nothing of
 //! that partition: bit flips land mid-way through VMCS field encodings
 //! and init-step argument pairs, so most children are semantically dead
-//! and the snapshot engine's throughput win is spent re-executing
+//! and the cheap iteration loop's throughput is spent re-executing
 //! noise. Interface-format-aware virtualization fuzzers (IRIS, FuzzBox)
 //! mutate at the granularity of the target's actual interface objects;
 //! this module brings that to the scenario level:

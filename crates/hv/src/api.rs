@@ -15,7 +15,7 @@ use nf_coverage::{CovMap, ExecTrace, FileId};
 use nf_silicon::{GuestInstr, VmInstrError};
 use nf_x86::{CpuVendor, FeatureSet};
 
-use crate::fault::{RestoreFault, SharedFaults};
+use crate::fault::SharedFaults;
 use crate::l1::NestedL1State;
 use crate::sanitizer::HostHealth;
 
@@ -203,54 +203,14 @@ pub enum IoctlOp {
     HardwareUnsetup,
 }
 
-/// A captured image of one hypervisor instance's mutable state.
-///
-/// This is the substrate of the snapshot-based persistent-execution
-/// engine (paper §3.2, §4.5 — and the IRIS-style record/replay of a
-/// booted VM): instead of rebooting the guest between fuzzing
-/// iterations, the agent captures the freshly-booted state once and
-/// *restores* it before every test case. A snapshot holds everything a
-/// fuzzing iteration can observe or dirty — guest-visible registers,
-/// staged regions, nested VMX/SVM bookkeeping, bug switches, and the
-/// host-health surface. The coverage-map geometry and the in-flight
-/// execution trace are instrumentation, not VM state, and are not
-/// captured.
-///
-/// Snapshots are backend-tagged: restoring a snapshot on a different
-/// backend is a programming error and panics. Each variant is the
-/// shared [`NestedL1State`] image plus that backend's own extras.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HvSnapshot {
-    /// State image of a [`crate::Vkvm`] instance.
-    Vkvm(crate::vkvm::VkvmSnapshot),
-    /// State image of a [`crate::Vxen`] instance.
-    Vxen(crate::vxen::VxenSnapshot),
-    /// State image of a [`crate::Vvbox`] instance.
-    Vvbox(crate::vvbox::VvboxSnapshot),
-    /// State image of a [`crate::SiliconGolden`] instance.
-    Golden(crate::golden::GoldenSnapshot),
-}
-
-impl HvSnapshot {
-    /// Name of the backend this snapshot was captured from.
-    pub fn backend(&self) -> &'static str {
-        match self {
-            HvSnapshot::Vkvm(_) => "vkvm",
-            HvSnapshot::Vxen(_) => "vxen",
-            HvSnapshot::Vvbox(_) => "vvbox",
-            HvSnapshot::Golden(_) => "golden",
-        }
-    }
-}
-
 /// The L0 hypervisor under test.
 ///
 /// Every backend embeds a [`NestedL1State`] — the L1 state the models
 /// share — and exposes it through [`Self::core`] /
 /// [`Self::core_mut`]. The plumbing methods are defaults over that
-/// core; a backend implements only its name, the reset, snapshot and
-/// restore of its own extras, and its policy: [`Self::l1_exec`],
-/// [`Self::l2_exec`] and [`Self::host_ioctl`].
+/// core; a backend implements only its name, the reset of its own
+/// extras, and its policy: [`Self::l1_exec`], [`Self::l2_exec`] and
+/// [`Self::host_ioctl`].
 pub trait L0Hypervisor {
     /// Short name, e.g. `"vkvm"`.
     fn name(&self) -> &'static str;
@@ -271,55 +231,24 @@ pub trait L0Hypervisor {
         &self.core().config
     }
 
-    /// Resets guest-visible state for a fresh fuzz-harness VM boot,
-    /// keeping cumulative coverage. Models the agent relaunching the
-    /// UEFI executor (§4.5).
+    /// Resets guest-visible state, the kernel log and pending reports
+    /// for a fresh fuzz-harness VM boot, keeping cumulative coverage.
+    /// Models the agent relaunching the UEFI executor (§4.5). A live
+    /// host lands exactly where a freshly built instance starts; a dead
+    /// host stays dead for the watchdog.
     fn reset_guest(&mut self);
 
-    /// Fully reboots the host (watchdog path): clears health state too.
+    /// Fully reboots the host (watchdog path): revives a dead host too.
     fn reboot_host(&mut self) {
         self.reset_guest();
         self.core_mut().health = HostHealth::new();
     }
 
-    /// Captures the instance's complete mutable state (see
-    /// [`HvSnapshot`] for exactly what that covers). A snapshot taken
-    /// right after construction is a *boot image*: restoring it is
-    /// equivalent to [`Self::reset_guest`] plus a health reset, without
-    /// re-running the hypervisor factory.
-    fn snapshot(&self) -> HvSnapshot;
-
-    /// Restores a state previously captured with [`Self::snapshot`],
-    /// copying only the fields that have been dirtied since the capture
-    /// (delta restore) — restoring onto an undirtied instance is a
-    /// comparison-only no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was captured from a different backend.
-    fn restore(&mut self, snap: &HvSnapshot);
-
     /// Installs a deterministic fault-injection handle (see
     /// [`crate::fault`]): once installed, every guest instruction ticks
-    /// the injector and every [`Self::try_restore`] consults it.
+    /// the injector.
     fn install_faults(&mut self, faults: SharedFaults) {
         self.core_mut().faults = Some(faults);
-    }
-
-    /// Fallible form of [`Self::restore`]: consults the installed
-    /// fault injector (if any) before restoring. With no injector
-    /// installed it is an infallible [`Self::restore`]. On `Err` the
-    /// instance state is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was captured from a different backend.
-    fn try_restore(&mut self, snap: &HvSnapshot) -> Result<(), RestoreFault> {
-        if let Some(f) = &self.core().faults {
-            f.borrow_mut().check_restore()?;
-        }
-        self.restore(snap);
-        Ok(())
     }
 
     /// L1 executes `instr`; L0 traps and emulates if it is sensitive.
@@ -363,8 +292,7 @@ pub trait L0Hypervisor {
         &self.core().cov.map
     }
 
-    /// Read-only view of the in-flight execution trace (which
-    /// [`Self::snapshot`] deliberately excludes).
+    /// Read-only view of the in-flight execution trace.
     fn trace(&self) -> &ExecTrace {
         &self.core().trace
     }

@@ -1,38 +1,29 @@
 //! Deterministic fault injection for the L0 hypervisor models.
 //!
-//! Long-haul fleets must survive backends that hang, restores that
-//! fail, and hosts that die mid-campaign — and the tolerance machinery
-//! that survives them can only be tested if such failures can be
-//! *provoked on demand, reproducibly*. This module is that seam: a
-//! [`FaultPlan`] names per-class fault rates plus a seed, and a
-//! [`FaultInjector`] turns the plan into a schedule that is a pure
-//! function of `(plan, exec index, input content)` — the same plan on
-//! the same campaign produces the identical fault sequence, every run.
+//! Long-haul fleets must survive backends that hang and hosts that die
+//! mid-campaign — and the tolerance machinery that survives them can
+//! only be tested if such failures can be *provoked on demand,
+//! reproducibly*. This module is that seam: a [`FaultPlan`] names
+//! per-class fault rates plus a seed, and a [`FaultInjector`] turns the
+//! plan into a schedule that is a pure function of `(plan, exec index,
+//! input content)` — the same plan on the same campaign produces the
+//! identical fault sequence, every run.
 //!
-//! Four fault classes are modeled (paper §3.2's watchdog motivation,
-//! plus the restore failure modes of the snapshot engine):
+//! Two fault classes are modeled (paper §3.2's watchdog motivation):
 //!
 //! - **Hung exec** — a vmexit loop that never terminates. *Content*-
 //!   indexed (a hash of the fuzz input decides), so a hanging input
 //!   hangs again on replay: the agent's fuel watchdog classifies it as
 //!   a [`CrashKind::HungExec`](crate::CrashKind::HungExec) finding that
 //!   is deduped, minimized, and replay-validated like any crash.
-//! - **Transient restore failure** — `restore()` fails once; a retry
-//!   succeeds. *Schedule*-indexed (exec index + per-exec ordinal).
-//! - **Permanent restore failure** — `restore()` of the current boot
-//!   image keeps failing; the engine must quarantine the image and
-//!   degrade to factory-rebuild servicing.
 //! - **Delayed host death** — the host dies silently mid-exec after a
 //!   bounded number of instructions (no sanitizer report; only the
-//!   watchdog notices).
+//!   watchdog notices). *Schedule*-indexed (the exec index decides).
 //!
 //! All backends consult the injector through one shared handle
 //! ([`SharedFaults`]) installed by
 //! [`L0Hypervisor::install_faults`](crate::L0Hypervisor::install_faults):
-//! every guest instruction ticks the injector ([`tick`]), and every
-//! snapshot restore goes through
-//! [`L0Hypervisor::try_restore`](crate::L0Hypervisor::try_restore),
-//! which asks [`FaultInjector::check_restore`] first.
+//! every guest instruction ticks the injector ([`tick`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -63,26 +54,6 @@ static HANG_BUG_IDS: [&str; HANG_BUCKETS] = [
     "fault-hung-exec-3",
 ];
 
-/// A failed snapshot restore, as surfaced by
-/// [`L0Hypervisor::try_restore`](crate::L0Hypervisor::try_restore).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestoreFault {
-    /// The restore failed this once; retrying may succeed.
-    Transient,
-    /// The restored image is poisoned; every retry will fail. The
-    /// caller must quarantine the image and rebuild from the factory.
-    Permanent,
-}
-
-impl std::fmt::Display for RestoreFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestoreFault::Transient => write!(f, "transient restore fault"),
-            RestoreFault::Permanent => write!(f, "permanent restore fault"),
-        }
-    }
-}
-
 /// A seeded, per-class fault schedule. Rates are expressed in parts
 /// per 65536 (`p16`); `0` everywhere (the [`Default`]) injects nothing.
 ///
@@ -94,38 +65,21 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Hung-exec rate (content-indexed), parts per 65536.
     pub hang_p16: u32,
-    /// Transient restore-failure rate (schedule-indexed), parts per 65536.
-    pub transient_restore_p16: u32,
-    /// Permanent restore-failure rate (schedule-indexed), parts per 65536.
-    pub permanent_restore_p16: u32,
     /// Delayed host-death rate (schedule-indexed), parts per 65536.
     pub host_death_p16: u32,
 }
 
 impl FaultPlan {
-    /// A composite plan injecting all classes at an overall `rate`
-    /// (0.0..=1.0) split across them: half the budget goes to hangs,
-    /// a quarter to transient restore failures, an eighth to host
-    /// death, and one permanent restore failure per ~64 transient ones
-    /// (permanent faults cost a full factory rebuild, so they are kept
-    /// rare).
+    /// A composite plan injecting both classes at shares of an overall
+    /// `rate` (0.0..=1.0): half of it in hangs and an eighth in host
+    /// deaths.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         let p16 = |f: f64| (f * 65536.0) as u32;
         FaultPlan {
             seed,
             hang_p16: p16(rate / 2.0),
-            transient_restore_p16: p16(rate / 4.0),
-            permanent_restore_p16: p16(rate / 256.0),
             host_death_p16: p16(rate / 8.0),
         }
-    }
-
-    /// Whether the plan injects nothing at all.
-    pub fn is_zero(&self) -> bool {
-        self.hang_p16 == 0
-            && self.transient_restore_p16 == 0
-            && self.permanent_restore_p16 == 0
-            && self.host_death_p16 == 0
     }
 
     /// The content-indexed subset of the plan: only fault classes that
@@ -145,8 +99,6 @@ impl FaultPlan {
 // Decision streams: a distinct constant per fault class keeps the
 // per-class schedules independent even under one seed.
 const STREAM_HANG: u64 = 0x6861_6e67; // "hang"
-const STREAM_RESTORE_T: u64 = 0x7265_7374; // "rest"
-const STREAM_RESTORE_P: u64 = 0x7065_726d; // "perm"
 const STREAM_DEATH: u64 = 0x6465_6164; // "dead"
 
 /// SplitMix64-style finalizer over the plan seed, a class stream, and
@@ -173,13 +125,10 @@ fn fires(word: u64, p16: u32) -> bool {
 /// The deterministic fault scheduler. One injector is shared (via
 /// [`SharedFaults`]) between the agent (which opens each exec) and
 /// every hypervisor instance the engine boots (which tick it per
-/// instruction and ask about restores).
+/// instruction).
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Exec index of the current execution (the agent's exec counter,
-    /// so a resumed campaign continues the schedule exactly).
-    exec: u64,
     /// Remaining instruction fuel of the current exec.
     fuel: u64,
     /// Whether the current exec is scheduled to hang, and under which
@@ -187,8 +136,6 @@ pub struct FaultInjector {
     hang: Option<&'static str>,
     /// Instructions until the host silently dies this exec.
     death_in: Option<u64>,
-    /// Restore calls seen within the current exec (schedule ordinal).
-    restore_ordinal: u64,
     /// Hung execs the watchdog classified.
     pub hangs_fired: u64,
     /// Silent host deaths injected.
@@ -201,11 +148,9 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
-            exec: 0,
             fuel: DEFAULT_WATCHDOG_FUEL,
             hang: None,
             death_in: None,
-            restore_ordinal: 0,
             hangs_fired: 0,
             deaths_fired: 0,
         }
@@ -222,9 +167,7 @@ impl FaultInjector {
     /// (not an internal one) keeps the schedule exact across
     /// checkpoint/resume.
     pub fn begin_exec(&mut self, exec: u64, input_digest: u64, fuel: u64) {
-        self.exec = exec;
         self.fuel = fuel;
-        self.restore_ordinal = 0;
         let h = mix(self.plan.seed, STREAM_HANG, input_digest, 0);
         self.hang =
             fires(h, self.plan.hang_p16).then(|| HANG_BUG_IDS[(h >> 16) as usize % HANG_BUCKETS]);
@@ -281,24 +224,6 @@ impl FaultInjector {
     pub fn hang_pending(&self) -> bool {
         self.hang.is_some()
     }
-
-    /// Asks whether the next snapshot restore fails. Schedule-indexed:
-    /// a pure function of `(plan, exec, per-exec restore ordinal)`, so
-    /// retries of the same logical restore re-roll (a transient fault
-    /// clears) while a permanent fault is sticky for the whole exec.
-    pub fn check_restore(&mut self) -> Result<(), RestoreFault> {
-        let ordinal = self.restore_ordinal;
-        self.restore_ordinal += 1;
-        let p = mix(self.plan.seed, STREAM_RESTORE_P, self.exec, 0);
-        if fires(p, self.plan.permanent_restore_p16) {
-            return Err(RestoreFault::Permanent);
-        }
-        let t = mix(self.plan.seed, STREAM_RESTORE_T, self.exec, ordinal);
-        if fires(t, self.plan.transient_restore_p16) {
-            return Err(RestoreFault::Transient);
-        }
-        Ok(())
-    }
 }
 
 /// The shared injector handle: one per (single-threaded) campaign,
@@ -334,7 +259,6 @@ mod tests {
             for _ in 0..64 {
                 inj.on_instr(&mut health);
             }
-            assert!(inj.check_restore().is_ok());
         }
         assert!(!health.dead);
         assert!(health.reports.is_empty());
@@ -355,7 +279,7 @@ mod tests {
                 for _ in 0..80 {
                     inj.on_instr(&mut health);
                 }
-                log.push((health.dead, inj.check_restore().err()));
+                log.push((health.dead, health.reports.len()));
                 health = HostHealth::new();
             }
             (log, inj.hangs_fired, inj.deaths_fired)
@@ -398,35 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn transient_restore_faults_clear_on_retry() {
-        let plan = FaultPlan {
-            seed: 11,
-            transient_restore_p16: 65536 / 20,
-            ..FaultPlan::default()
-        };
-        let mut inj = FaultInjector::new(plan);
-        let mut saw_fault = false;
-        for exec in 0..2000u64 {
-            inj.begin_exec(exec, 0, DEFAULT_WATCHDOG_FUEL);
-            let mut attempts = 0;
-            while inj.check_restore().is_err() {
-                saw_fault = true;
-                attempts += 1;
-                assert!(attempts < 8, "transient faults must clear under retry");
-            }
-        }
-        assert!(saw_fault, "5% transient rate must fire within 2000 execs");
-    }
-
-    #[test]
     fn replay_subset_keeps_only_content_faults() {
         let plan = FaultPlan::uniform(5, 0.05);
         let sub = plan.replay_subset();
         assert_eq!(sub.hang_p16, plan.hang_p16);
         assert_eq!(sub.seed, plan.seed);
-        assert_eq!(
-            sub.transient_restore_p16 + sub.permanent_restore_p16 + sub.host_death_p16,
-            0
-        );
+        assert_eq!(sub.host_death_p16, 0);
     }
 }

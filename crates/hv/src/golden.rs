@@ -33,9 +33,9 @@ use nf_x86::{CpuVendor, Cr0, Cr4, Efer, Msr};
 
 use std::sync::OnceLock;
 
-use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::l1::{NestedL1Snapshot, NestedL1State};
-use crate::{restore_fields, Instrumentation};
+use crate::api::{HvConfig, IoctlOp, L0Hypervisor, L1Result, L2Result};
+use crate::l1::NestedL1State;
+use crate::Instrumentation;
 
 crate::hv_blocks! {
     /// Instrumented blocks of the golden model. Coverage here is not a
@@ -56,14 +56,6 @@ crate::hv_blocks! {
         SvmExit = 8,
         Passthrough = 4,
     }
-}
-
-/// The mutable-state image of a [`SiliconGolden`] instance (see
-/// [`crate::HvSnapshot`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GoldenSnapshot {
-    pub(crate) core: NestedL1Snapshot,
-    l2_runnable: bool,
 }
 
 /// The golden model's instrumentation (one file), registered once per
@@ -218,21 +210,6 @@ impl L0Hypervisor for SiliconGolden {
     fn reset_guest(&mut self) {
         self.core.reset();
         self.l2_runnable = false;
-    }
-
-    fn snapshot(&self) -> HvSnapshot {
-        HvSnapshot::Golden(GoldenSnapshot {
-            core: self.core.snapshot(),
-            l2_runnable: self.l2_runnable,
-        })
-    }
-
-    fn restore(&mut self, snap: &HvSnapshot) {
-        let HvSnapshot::Golden(s) = snap else {
-            panic!("golden cannot restore a {} snapshot", snap.backend());
-        };
-        self.core.restore(&s.core);
-        restore_fields!(copy: self, s, [l2_runnable]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {
@@ -505,16 +482,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips() {
+    fn reset_guest_returns_to_the_boot_state() {
         let mut g = intel_golden();
-        let boot = g.snapshot();
-        assert!(matches!(boot_to_l2(&mut g), L1Result::L2Entered { .. }));
-        let dirty = g.snapshot();
+        let boot = g.observe_guest();
+        let entered = boot_to_l2(&mut g);
+        assert!(matches!(entered, L1Result::L2Entered { .. }));
+        let dirty = g.observe_guest();
         assert_ne!(boot, dirty);
-        g.restore(&boot);
-        assert_eq!(g.snapshot(), boot);
-        g.restore(&dirty);
-        assert_eq!(g.snapshot(), dirty);
+        g.reset_guest();
+        assert_eq!(g.observe_guest(), boot);
+        assert!(!g.core.in_l2 && g.core.vmxon_region.is_none());
+        // The same walk from the reset state lands on the same state.
+        assert_eq!(boot_to_l2(&mut g), entered);
+        assert_eq!(g.observe_guest(), dirty);
     }
 
     #[test]

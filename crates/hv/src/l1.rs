@@ -8,7 +8,7 @@
 //! instrumentation every backend carries, and implements what is
 //! identical across the four models:
 //!
-//! - reset and snapshot/restore;
+//! - the reset a fresh fuzz-harness VM boots from;
 //! - the guest observation the differential oracle compares;
 //! - the per-instruction preamble (dead host, fault tick) with the
 //!   core's invariants as a `debug_assert!`;
@@ -29,7 +29,7 @@ use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 use crate::api::{GuestObservation, HvConfig, L1Result, L2Result};
 use crate::fault::SharedFaults;
 use crate::sanitizer::HostHealth;
-use crate::{restore_fields, Instrumentation};
+use crate::Instrumentation;
 
 /// L1's CR0 at boot: protected mode with paging.
 const BOOT_CR0: u64 = Cr0::PE | Cr0::PG | Cr0::NE;
@@ -53,7 +53,7 @@ pub struct NestedL1State {
     /// Sanitizer / log / watchdog state.
     pub(crate) health: HostHealth,
     /// Deterministic fault injection (instrumentation, not VM state:
-    /// deliberately excluded from snapshots).
+    /// a reset keeps it).
     pub(crate) faults: Option<SharedFaults>,
 
     // --- L1 vCPU state (the guest-visible registers L0 tracks).
@@ -83,61 +83,6 @@ pub struct NestedL1State {
     pub(crate) current_vmcb: Option<u64>,
 }
 
-/// The snapshot image of a [`NestedL1State`]: its L1 state and health,
-/// by value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NestedL1Snapshot {
-    cr0: u64,
-    cr4: u64,
-    efer: u64,
-    vmxon_region: Option<u64>,
-    vmcs12_mem: BTreeMap<u64, Vmcs>,
-    current_vmptr: Option<u64>,
-    msr_area_mem: BTreeMap<u64, MsrArea>,
-    vmcs02: Option<Vmcs>,
-    in_l2: bool,
-    vmcb12_mem: BTreeMap<u64, Vmcb>,
-    current_vmcb: Option<u64>,
-    health: HostHealth,
-}
-
-/// Per-entry delta restore of a component map or optional component.
-///
-/// After `live.restore_from(&snap)` the live value equals `snap`, as
-/// with `clone_from`, but only the entries that differ are cloned: a
-/// restore across an execution that touched one VMCS clones one VMCS,
-/// not the whole map.
-pub(crate) trait DeltaRestore {
-    /// Makes `self` equal to `snap`, cloning only what differs.
-    fn restore_from(&mut self, snap: &Self);
-}
-
-impl<K: Ord + Copy, V: Clone + PartialEq> DeltaRestore for BTreeMap<K, V> {
-    fn restore_from(&mut self, snap: &Self) {
-        self.retain(|k, _| snap.contains_key(k));
-        for (k, v) in snap {
-            match self.get_mut(k) {
-                Some(cur) if cur == v => {}
-                Some(cur) => *cur = v.clone(),
-                None => {
-                    self.insert(*k, v.clone());
-                }
-            }
-        }
-    }
-}
-
-impl<V: Clone + PartialEq> DeltaRestore for Option<V> {
-    fn restore_from(&mut self, snap: &Self) {
-        match (self.as_mut(), snap) {
-            (Some(cur), Some(v)) if cur == v => {}
-            (Some(cur), Some(v)) => *cur = v.clone(),
-            (None, Some(v)) => *self = Some(v.clone()),
-            (_, None) => *self = None,
-        }
-    }
-}
-
 impl NestedL1State {
     /// A freshly booted L1 under `config`, instrumented by `cov`.
     pub(crate) fn new(config: HvConfig, cov: &'static Instrumentation) -> Self {
@@ -161,9 +106,13 @@ impl NestedL1State {
         }
     }
 
-    /// Puts the L1 state back to its boot values, keeping the
-    /// configuration, the trace, health and the fault hook.
+    /// Puts the L1 state back to its boot values and empties the kernel
+    /// log and pending reports, keeping the configuration, the trace,
+    /// the fault hook and `health.dead` (the watchdog reads it before
+    /// the next exec and reboots).
     pub(crate) fn reset(&mut self) {
+        self.health.log.clear();
+        self.health.reports.clear();
         self.cr0 = BOOT_CR0;
         self.cr4 = BOOT_CR4;
         self.efer = BOOT_EFER;
@@ -175,38 +124,6 @@ impl NestedL1State {
         self.in_l2 = false;
         self.vmcb12_mem.clear();
         self.current_vmcb = None;
-    }
-
-    /// Captures the state (not the instrumentation) as a snapshot.
-    pub(crate) fn snapshot(&self) -> NestedL1Snapshot {
-        NestedL1Snapshot {
-            cr0: self.cr0,
-            cr4: self.cr4,
-            efer: self.efer,
-            vmxon_region: self.vmxon_region,
-            vmcs12_mem: self.vmcs12_mem.clone(),
-            current_vmptr: self.current_vmptr,
-            msr_area_mem: self.msr_area_mem.clone(),
-            vmcs02: self.vmcs02.clone(),
-            in_l2: self.in_l2,
-            vmcb12_mem: self.vmcb12_mem.clone(),
-            current_vmcb: self.current_vmcb,
-            health: self.health.clone(),
-        }
-    }
-
-    /// Delta-restores a snapshot: only fields that differ are copied,
-    /// and the component maps per entry (see [`DeltaRestore`]).
-    pub(crate) fn restore(&mut self, s: &NestedL1Snapshot) {
-        restore_fields!(copy: self, s, [
-            cr0, cr4, efer, vmxon_region, current_vmptr, in_l2, current_vmcb,
-        ]);
-        restore_fields!(copy: self.health, s.health, [dead]);
-        restore_fields!(clone: self.health, s.health, [reports, log]);
-        self.vmcs12_mem.restore_from(&s.vmcs12_mem);
-        self.msr_area_mem.restore_from(&s.msr_area_mem);
-        self.vmcs02.restore_from(&s.vmcs02);
-        self.vmcb12_mem.restore_from(&s.vmcb12_mem);
     }
 
     /// Records a hit of block `idx` of the Intel-side (or only) file.
@@ -469,26 +386,6 @@ mod tests {
             assert!(!seen.in_l2, "{}", hv.name());
             assert_eq!(seen.current_vmptr, u64::MAX, "{}", hv.name());
         }
-    }
-
-    #[test]
-    fn delta_restore_matches_clone_semantics() {
-        let mut live: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        live.insert(1, vec![1]);
-        live.insert(2, vec![2]);
-        let mut snap: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        snap.insert(2, vec![2]);
-        snap.insert(3, vec![3]);
-        live.restore_from(&snap);
-        assert_eq!(live, snap);
-
-        let mut opt: Option<Vec<u8>> = Some(vec![9]);
-        opt.restore_from(&None);
-        assert_eq!(opt, None);
-        opt.restore_from(&Some(vec![4]));
-        assert_eq!(opt, Some(vec![4]));
-        opt.restore_from(&Some(vec![5]));
-        assert_eq!(opt, Some(vec![5]));
     }
 
     #[test]

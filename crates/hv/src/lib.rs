@@ -19,9 +19,8 @@
 //! The four differ only in policy. The L1 state they share — control
 //! registers, VMXON region, VMCS12/VMCB12 images, staged MSR areas,
 //! health, trace and fault hook — lives in one [`NestedL1State`]
-//! core, which also owns its reset, snapshot/restore and the
-//! VMX-instruction state updates; most [`L0Hypervisor`] methods are
-//! defaults over it.
+//! core, which also owns its reset and the VMX-instruction state
+//! updates; most [`L0Hypervisor`] methods are defaults over it.
 
 pub mod api;
 pub mod fault;
@@ -32,14 +31,14 @@ pub mod vkvm;
 pub mod vvbox;
 pub mod vxen;
 
-pub use api::{GuestObservation, HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-pub use fault::{FaultInjector, FaultPlan, RestoreFault, SharedFaults, DEFAULT_WATCHDOG_FUEL};
-pub use golden::{GoldenSnapshot, SiliconGolden};
+pub use api::{GuestObservation, HvConfig, IoctlOp, L0Hypervisor, L1Result, L2Result};
+pub use fault::{FaultInjector, FaultPlan, SharedFaults, DEFAULT_WATCHDOG_FUEL};
+pub use golden::SiliconGolden;
 pub use l1::NestedL1State;
 pub use sanitizer::{CrashKind, CrashReport, HostHealth, LogLine};
-pub use vkvm::{Vkvm, VkvmSnapshot};
-pub use vvbox::{Vvbox, VvboxSnapshot};
-pub use vxen::{Vxen, VxenSnapshot};
+pub use vkvm::Vkvm;
+pub use vvbox::Vvbox;
+pub use vxen::Vxen;
 
 use std::sync::OnceLock;
 
@@ -146,24 +145,6 @@ impl Instrumentation {
         }
     }
 }
-
-/// Delta restore of snapshot fields: each field is copied back only
-/// when it differs from the captured value, so restoring onto a mostly
-/// clean instance does no allocation or deep copying.
-///
-/// `copy:` fields are plain-`Copy` scalars; `clone:` fields own heap
-/// state (vectors, health) and are cloned only when dirtied. The
-/// component maps of the L1 core restore per entry instead (see
-/// `l1::DeltaRestore`).
-macro_rules! restore_fields {
-    (copy: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
-        $( if $hv.$f != $snap.$f { $hv.$f = $snap.$f; } )*
-    };
-    (clone: $hv:expr, $snap:expr, [$($f:ident),* $(,)?]) => {
-        $( if $hv.$f != $snap.$f { $hv.$f = $snap.$f.clone(); } )*
-    };
-}
-pub(crate) use restore_fields;
 
 /// Declares an instrumented-block enum: each variant is one basic block
 /// of hypervisor code with a static source-line span.

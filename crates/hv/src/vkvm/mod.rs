@@ -29,9 +29,9 @@ use nf_silicon::GuestInstr;
 use nf_vmx::{Vmcb, VmxCapabilities};
 use nf_x86::{CpuVendor, Efer, Msr};
 
-use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::l1::{NestedL1Snapshot, NestedL1State};
-use crate::{restore_fields, Instrumentation};
+use crate::api::{HvConfig, IoctlOp, L0Hypervisor, L1Result, L2Result};
+use crate::l1::NestedL1State;
+use crate::Instrumentation;
 
 /// Guest-physical memory size of the L1 VM; roots beyond this limit fail
 /// `mmu_check_root()`.
@@ -53,18 +53,6 @@ pub struct VkvmBugs {
     /// Unreachable from any [`HvConfig`]; enabled only by differential
     /// self-tests and the `diff_oracle` seeded-bug bench arm.
     pub misreport_hlt_exit: bool,
-}
-
-/// The mutable-state image of a [`Vkvm`] instance (see
-/// [`crate::HvSnapshot`]). Compare snapshots with `==` to assert
-/// round-trip identity; the fields themselves are an internal detail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VkvmSnapshot {
-    pub(crate) core: NestedL1Snapshot,
-    bugs: VkvmBugs,
-    gif: bool,
-    vmcb02: Option<Vmcb>,
-    fail_next_alloc: bool,
 }
 
 /// vkvm's instrumentation (`vmx/nested.c`, then `svm/nested.c`),
@@ -152,24 +140,6 @@ impl L0Hypervisor for Vkvm {
         self.core.reset();
         self.gif = true;
         self.vmcb02 = None;
-    }
-
-    fn snapshot(&self) -> HvSnapshot {
-        HvSnapshot::Vkvm(VkvmSnapshot {
-            core: self.core.snapshot(),
-            bugs: self.bugs,
-            gif: self.gif,
-            vmcb02: self.vmcb02,
-            fail_next_alloc: self.fail_next_alloc,
-        })
-    }
-
-    fn restore(&mut self, snap: &HvSnapshot) {
-        let HvSnapshot::Vkvm(s) = snap else {
-            panic!("vkvm cannot restore a {} snapshot", snap.backend());
-        };
-        self.core.restore(&s.core);
-        restore_fields!(copy: self, s, [bugs, gif, vmcb02, fail_next_alloc]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {

@@ -21,9 +21,9 @@ use nf_x86::{CpuVendor, Cr0, Cr4, Efer, Msr};
 
 use std::sync::OnceLock;
 
-use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::l1::{NestedL1Snapshot, NestedL1State};
-use crate::{restore_fields, Instrumentation};
+use crate::api::{HvConfig, IoctlOp, L0Hypervisor, L1Result, L2Result};
+use crate::l1::NestedL1State;
+use crate::Instrumentation;
 
 /// Seeded-bug switch; `false` = vulnerable (as evaluated).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,16 +31,6 @@ pub struct VvboxBugs {
     /// Validate MSR-load values with full `wrmsr` semantics (the
     /// CVE-2024-21106 fix).
     pub msr_load_fixed: bool,
-}
-
-/// The mutable-state image of a [`Vvbox`] instance (see
-/// [`crate::HvSnapshot`]). Compare snapshots with `==` to assert
-/// round-trip identity; the fields themselves are an internal detail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VvboxSnapshot {
-    pub(crate) core: NestedL1Snapshot,
-    bugs: VvboxBugs,
-    pending_host_msrs: Vec<(u32, u64)>,
 }
 
 /// vvbox's instrumentation (the nested part of
@@ -234,23 +224,6 @@ impl L0Hypervisor for Vvbox {
     fn reset_guest(&mut self) {
         self.core.reset();
         self.pending_host_msrs.clear();
-    }
-
-    fn snapshot(&self) -> HvSnapshot {
-        HvSnapshot::Vvbox(VvboxSnapshot {
-            core: self.core.snapshot(),
-            bugs: self.bugs,
-            pending_host_msrs: self.pending_host_msrs.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &HvSnapshot) {
-        let HvSnapshot::Vvbox(s) = snap else {
-            panic!("vvbox cannot restore a {} snapshot", snap.backend());
-        };
-        self.core.restore(&s.core);
-        restore_fields!(copy: self, s, [bugs]);
-        restore_fields!(clone: self, s, [pending_host_msrs]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {

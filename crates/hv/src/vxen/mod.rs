@@ -33,9 +33,9 @@ use nf_x86::{CpuFeature, CpuVendor, Cr0, Cr4, Efer};
 
 use std::sync::OnceLock;
 
-use crate::api::{HvConfig, HvSnapshot, IoctlOp, L0Hypervisor, L1Result, L2Result};
-use crate::l1::{NestedL1Snapshot, NestedL1State};
-use crate::{restore_fields, Instrumentation};
+use crate::api::{HvConfig, IoctlOp, L0Hypervisor, L1Result, L2Result};
+use crate::l1::NestedL1State;
+use crate::Instrumentation;
 
 /// Seeded-bug switches for vxen; `false` = vulnerable (as evaluated).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,17 +46,6 @@ pub struct VxenBugs {
     pub lma_pg_fixed: bool,
     /// Tolerate `vgif == 0` in the exit-injection path (issue #215 fix).
     pub vgif_assert_fixed: bool,
-}
-
-/// The mutable-state image of a [`Vxen`] instance (see
-/// [`crate::HvSnapshot`]). Compare snapshots with `==` to assert
-/// round-trip identity; the fields themselves are an internal detail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VxenSnapshot {
-    pub(crate) core: NestedL1Snapshot,
-    bugs: VxenBugs,
-    avic_corrupted: bool,
-    vmcb02: Option<Vmcb>,
 }
 
 /// vxen's instrumentation (`vmx/vvmx.c`, then `svm/nestedsvm.c`),
@@ -455,23 +444,6 @@ impl L0Hypervisor for Vxen {
         self.core.reset();
         self.avic_corrupted = false;
         self.vmcb02 = None;
-    }
-
-    fn snapshot(&self) -> HvSnapshot {
-        HvSnapshot::Vxen(VxenSnapshot {
-            core: self.core.snapshot(),
-            bugs: self.bugs,
-            avic_corrupted: self.avic_corrupted,
-            vmcb02: self.vmcb02,
-        })
-    }
-
-    fn restore(&mut self, snap: &HvSnapshot) {
-        let HvSnapshot::Vxen(s) = snap else {
-            panic!("vxen cannot restore a {} snapshot", snap.backend());
-        };
-        self.core.restore(&s.core);
-        restore_fields!(copy: self, s, [bugs, avic_corrupted, vmcb02]);
     }
 
     fn l1_exec(&mut self, instr: GuestInstr) -> L1Result {

@@ -10,10 +10,10 @@
 //!    out over a worker pool — the per-target results print in plan
 //!    order no matter which worker finishes first.
 //!
-//! Every campaign runs on the snapshot persistent-execution engine:
-//! the configurator's constant config flips restore cached booted
-//! images instead of re-running each hypervisor factory (see
-//! `docs/ARCHITECTURE.md`, "The persistent-execution engine").
+//! Every campaign runs on the execution engine: each iteration resets
+//! the guest, and the configurator's config flips build a fresh
+//! instance through each hypervisor's factory (see
+//! `docs/ARCHITECTURE.md`, "The execution engine").
 //!
 //! ```text
 //! cargo run --release --example cross_hypervisor

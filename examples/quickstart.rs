@@ -3,11 +3,10 @@
 //!
 //! Expected output: a per-hour coverage ramp (the `#` bars saturate
 //! around 80% of the modeled `nested.c`), the execution/restart
-//! counters, and any Table 6 bugs the short run tripped over. The
-//! campaign runs on the snapshot persistent-execution engine (cached
-//! booted images restored per iteration — the default; pass
-//! `--engine rebuild` to the `necofuzz` binary to A/B the original
-//! reboot semantics). For a multi-run, multi-core version of the same
+//! counters, and any Table 6 bugs the short run tripped over. Each
+//! iteration resets the guest of the model instead of rebooting it,
+//! and a vCPU config change builds a fresh instance. For a multi-run,
+//! multi-core version of the same
 //! thing, see the `necofuzz` binary's `--runs`/`--jobs` flags or the
 //! `cross_hypervisor` example.
 //!

@@ -20,7 +20,7 @@
 use necofuzz::campaign::{
     run_campaign, run_campaign_group, CampaignConfig, CampaignResult, GroupMember,
 };
-use necofuzz::{Agent, EngineMode};
+use necofuzz::Agent;
 use nf_fuzz::{Fuzzer, Mode, MutationStrategy, SharedCorpus};
 use nf_x86::CpuVendor;
 
@@ -41,7 +41,7 @@ struct AllocCampaign {
 
 impl AllocCampaign {
     fn new(cfg: &CampaignConfig, worker: u32) -> Self {
-        let agent = Agent::with_engine(factory(), cfg.vendor, cfg.mask, cfg.engine);
+        let agent = Agent::new(factory(), cfg.vendor, cfg.mask);
         let mut fuzzer = Fuzzer::with_strategy(cfg.seed, cfg.mode, cfg.strategy);
         fuzzer.set_worker(worker);
         AllocCampaign {
@@ -112,11 +112,7 @@ impl AllocCampaign {
 /// The seeded grid: both strategies, plus the product-default unguided
 /// mode, each as a lone campaign and as a 2-worker hourly-synced group.
 fn grid() -> Vec<(&'static str, CampaignConfig)> {
-    let base = |seed| {
-        CampaignConfig::necofuzz(CpuVendor::Intel, 5, seed)
-            .with_execs_per_hour(40)
-            .with_engine(EngineMode::Snapshot)
-    };
+    let base = |seed| CampaignConfig::necofuzz(CpuVendor::Intel, 5, seed).with_execs_per_hour(40);
     vec![
         ("unguided/havoc", base(3)),
         (

@@ -31,8 +31,7 @@ fn campaign(
     let cfg = CampaignConfig::necofuzz(vendor, hours, seed)
         .with_execs_per_hour(150)
         .with_mode(Mode::Unguided)
-        .with_mask(ComponentMask::ALL)
-        .with_engine(necofuzz::EngineMode::Snapshot);
+        .with_mask(ComponentMask::ALL);
     run_campaign(factory, &cfg)
 }
 

@@ -4,7 +4,7 @@
 //! 1. **havoc == default**: `--mutator havoc` (the explicit strategy)
 //!    reproduces the default-configured campaigns — guided and
 //!    unguided, lone and synced — bit-identically, corpora included.
-//!    Together with the `sync_determinism` and `engine_equivalence`
+//!    Together with the `sync_determinism` and `hotpath_equivalence`
 //!    suites (which run the default path) this pins the havoc stream
 //!    to its pre-structured behavior.
 //! 2. **structured is deterministic**: a structured campaign is a pure

@@ -9,8 +9,7 @@
 //! diff. Both sides see the same inputs; every backend's observation
 //! and crash flag, the divergence counters, the backend exec count, and
 //! the divergence finds must agree after every input — across both
-//! shipped backend sets, both vendors, and the snapshot and rebuild
-//! engines.
+//! shipped backend sets and both vendors.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -40,17 +39,12 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(
-        backends: &[String],
-        vendor: CpuVendor,
-        mask: ComponentMask,
-        engine: EngineMode,
-    ) -> Self {
+    fn new(backends: &[String], vendor: CpuVendor, mask: ComponentMask) -> Self {
         let agents = backends
             .iter()
             .map(|name| {
                 let factory = backend_factory(name).expect("known backend");
-                Agent::with_engine(factory, vendor, mask, engine)
+                Agent::new(factory, vendor, mask)
             })
             .collect();
         Reference {
@@ -138,13 +132,12 @@ fn assert_staged_replay_matches_reference(
     backends: &[&str],
     vendor: CpuVendor,
     mask: ComponentMask,
-    engine: EngineMode,
     seed: u64,
 ) -> DivergenceStats {
     let backends: Vec<String> = backends.iter().map(|s| s.to_string()).collect();
-    let what = format!("{backends:?} {vendor:?} {engine}");
-    let mut runner = DifferentialRunner::new(&backends, vendor, mask, engine);
-    let mut reference = Reference::new(&backends, vendor, mask, engine);
+    let what = format!("{backends:?} {vendor:?}");
+    let mut runner = DifferentialRunner::new(&backends, vendor, mask, EngineMode::Snapshot);
+    let mut reference = Reference::new(&backends, vendor, mask);
     for (exec, input) in inputs(seed).iter().enumerate() {
         let exec = exec as u64;
         runner.observe_exec(input, exec);
@@ -172,27 +165,15 @@ fn assert_staged_replay_matches_reference(
     runner.stats()
 }
 
-fn assert_every_engine_matches(backends: &[&str], vendor: CpuVendor, seed: u64) -> DivergenceStats {
-    let mut total = DivergenceStats::default();
-    for engine in [EngineMode::Snapshot, EngineMode::Rebuild] {
-        let stats = assert_staged_replay_matches_reference(
-            backends,
-            vendor,
-            ComponentMask::ALL,
-            engine,
-            seed,
-        );
-        total.divergences += stats.divergences;
-        total.allowed += stats.allowed;
-        total.crash_skipped += stats.crash_skipped;
-    }
-    total
-}
-
 #[test]
 fn staged_replay_matches_full_iterations_on_the_conformance_pair() {
     for vendor in [CpuVendor::Intel, CpuVendor::Amd] {
-        let total = assert_every_engine_matches(&["vkvm", "golden"], vendor, 11);
+        let total = assert_staged_replay_matches_reference(
+            &["vkvm", "golden"],
+            vendor,
+            ComponentMask::ALL,
+            11,
+        );
         assert!(
             total.crash_skipped > 0,
             "{vendor:?}: inputs must crash vkvm: {total:?}"
@@ -202,7 +183,12 @@ fn staged_replay_matches_full_iterations_on_the_conformance_pair() {
 
 #[test]
 fn staged_replay_matches_full_iterations_on_three_backends() {
-    let total = assert_every_engine_matches(&["vxen", "vvbox", "golden"], CpuVendor::Intel, 12);
+    let total = assert_staged_replay_matches_reference(
+        &["vxen", "vvbox", "golden"],
+        CpuVendor::Intel,
+        ComponentMask::ALL,
+        12,
+    );
     assert!(
         total.crash_skipped > 0 && total.divergences > 0,
         "inputs must exercise crashes and divergences: {total:?}"
@@ -213,7 +199,12 @@ fn staged_replay_matches_full_iterations_on_three_backends() {
 fn staged_replay_matches_full_iterations_on_amd_xen() {
     // The VirtualBox model is Intel-only, so the AMD side of the
     // three-backend set is Xen against the golden model.
-    let total = assert_every_engine_matches(&["vxen", "golden"], CpuVendor::Amd, 13);
+    let total = assert_staged_replay_matches_reference(
+        &["vxen", "golden"],
+        CpuVendor::Amd,
+        ComponentMask::ALL,
+        13,
+    );
     assert!(
         total.crash_skipped + total.divergences > 0,
         "inputs must exercise crashes or divergences: {total:?}"
@@ -228,7 +219,6 @@ fn staged_replay_matches_full_iterations_with_every_component_ablated() {
         &["vxen", "vvbox", "golden"],
         CpuVendor::Intel,
         ComponentMask::NONE,
-        EngineMode::Snapshot,
         14,
     );
 }
