@@ -560,15 +560,16 @@ impl Agent {
     /// Steps 4–5 for an execution whose coverage and finds nobody
     /// reads — the differential oracle's replays, which keep only the
     /// observer's record, the guest state, and the host's health.
-    /// Runs the staged VM, drops the trace without projecting it, and
-    /// reduces the sanitizer reports to the returned crash flag.
+    /// Runs the staged VM on a host built with coverage recording off
+    /// (see [`crate::DifferentialRunner::new`]), so there is no trace to
+    /// collect or drop, and reduces the sanitizer reports to the
+    /// returned crash flag.
     pub(crate) fn replay_staged<O: ExecObserver>(
         &mut self,
         vm: &StagedVm,
         observer: &mut O,
     ) -> bool {
         self.run_staged(vm, observer);
-        self.engine.discard_trace();
         let reports = &mut self.engine.hv_mut().health_mut().reports;
         let crashed = !reports.is_empty();
         reports.clear();
@@ -577,24 +578,29 @@ impl Agent {
 
     /// Drains sanitizer/log reports into the triage index (O(1) dedup
     /// by bug id, first-seen provenance) without an intermediate
-    /// collect: the report vector is moved out whole (the health side
-    /// gets the empty one back — no allocation on the crash-free
-    /// steady state) and the triggering input is cloned *once* and
-    /// shared across every report of the execution.
+    /// collect. A report whose bug id the triage already holds is
+    /// dropped before anything is allocated for it; the triggering
+    /// input is cloned *once*, at the exec's first new id, and shared
+    /// across every new find of the execution. The report vector is
+    /// drained in place, so the host keeps its capacity for the next
+    /// crashing exec.
     fn drain_reports(&mut self, input: &FuzzInput) -> ExecFeedback {
-        let health = self.engine.hv_mut().health_mut();
-        if health.reports.is_empty() {
+        let reports = &mut self.engine.hv_mut().health_mut().reports;
+        if reports.is_empty() {
             return ExecFeedback { crashed: false };
         }
-        let mut reports = std::mem::take(&mut health.reports);
-        let shared = Arc::new(input.clone());
+        let mut shared: Option<Arc<FuzzInput>> = None;
         for report in reports.drain(..) {
+            if self.triage.contains(report.bug_id) {
+                continue;
+            }
+            let input = Arc::clone(shared.get_or_insert_with(|| Arc::new(input.clone())));
             self.triage.record(BugFind {
                 bug_id: report.bug_id.to_string(),
                 kind: report.kind,
                 message: report.message,
                 exec: self.execs,
-                input: Arc::clone(&shared),
+                input,
             });
         }
         ExecFeedback { crashed: true }
@@ -808,9 +814,46 @@ mod tests {
             "both finds must hold the same shared buffer"
         );
         assert_eq!(*finds[0].input, input);
-        // The health vector was moved out whole; steady state is clean.
+        // The reports were drained in place; steady state is clean.
         assert!(a.engine.hv().health().reports.is_empty());
         assert!(!a.drain_reports(&input).crashed);
+    }
+
+    #[test]
+    fn known_bug_ids_keep_their_first_find_and_the_host_keeps_its_buffer() {
+        let mut a = agent(CpuVendor::Intel, ComponentMask::ALL);
+        let report = |id| nf_hv::CrashReport {
+            kind: nf_hv::CrashKind::Ubsan,
+            bug_id: id,
+            message: format!("report {id}"),
+        };
+        let first = FuzzInput::zeroed();
+        a.engine.hv_mut().health_mut().reports.push(report("bug-a"));
+        assert!(a.drain_reports(&first).crashed);
+
+        // A known id next to a new one: the known find keeps its first
+        // exec and input, the new one gets this exec's input.
+        let mut second = FuzzInput::zeroed();
+        second.bytes[0] = 1;
+        a.execs = 7;
+        let reports = &mut a.engine.hv_mut().health_mut().reports;
+        reports.extend([report("bug-a"), report("bug-b"), report("bug-a")]);
+        assert!(a.drain_reports(&second).crashed);
+        let finds = a.triage().finds();
+        assert_eq!(finds.len(), 2);
+        assert_eq!((finds[0].bug_id.as_str(), finds[0].exec), ("bug-a", 0));
+        assert_eq!(*finds[0].input, first);
+        assert_eq!((finds[1].bug_id.as_str(), finds[1].exec), ("bug-b", 7));
+        assert_eq!(*finds[1].input, second);
+        assert_eq!(std::sync::Arc::strong_count(&finds[1].input), 1);
+
+        // Only known ids: still a crash, nothing recorded, and the
+        // host's report vector keeps its capacity.
+        a.engine.hv_mut().health_mut().reports.push(report("bug-b"));
+        assert!(a.drain_reports(&second).crashed);
+        assert_eq!(a.triage().finds().len(), 2);
+        let reports = &a.engine.hv().health().reports;
+        assert!(reports.is_empty() && reports.capacity() >= 3);
     }
 
     #[test]

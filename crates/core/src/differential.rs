@@ -36,10 +36,22 @@
 //! [`nf_hv::CrashKind::Divergence`] finding in the campaign's
 //! [`crate::triage::CrashTriage`], deduplicated by the
 //! `(backend pair, site tag)` signature (the event *index* is excluded
-//! so one root cause surfacing at different steps stays one bug).
+//! so one root cause surfacing at different steps stays one bug). The
+//! runner remembers the typed signatures it has met, so a repeat — most
+//! divergent pairs are — is dropped without formatting its bug id; the
+//! triage stays the source of truth for which ids are known.
 //! Executions where either side crashed or died are skipped — the
 //! sanitizer oracle owns those. Known-intentional backend quirks are
 //! filtered by an explicit [`AllowRule`] table.
+//!
+//! # Replays record no coverage
+//!
+//! Only the observations are compared, so the replays need nothing
+//! else: every host a [`DifferentialRunner`] builds, the first one and
+//! each one a config flip builds, has coverage recording off
+//! ([`nf_hv::NestedL1State::set_recording`]). It runs every instruction
+//! exactly as a recording host but never touches its trace, and the
+//! runner never collects one.
 //!
 //! [`crate::triage::ReplayOracle`] is the replay/minimization half:
 //! built from a differential campaign's config, it re-runs divergence
@@ -48,6 +60,7 @@
 //! signature* — a reproducer that merely still crashes, or diverges
 //! somewhere else, is rejected.
 
+use std::collections::HashSet;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
@@ -163,7 +176,7 @@ pub fn check_backend(name: &str, vendor: CpuVendor) -> Result<(), String> {
 }
 
 /// One canonical L1-visible event result, backend-neutral.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsResult {
     /// Instruction completed with a read value (`L1Result::Ok`).
     Ok(u64),
@@ -355,6 +368,26 @@ impl DivergenceSite {
     }
 }
 
+/// A divergence site's typed signature: exactly the fields its
+/// [`DivergenceSite::tag`] is formatted from. Equal signatures of one
+/// backend pair format equal bug ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum SiteSig {
+    Event(ObsResult, ObsResult),
+    SeqLen(usize, usize),
+    State(&'static str),
+}
+
+impl SiteSig {
+    fn of(site: &DivergenceSite) -> SiteSig {
+        match *site {
+            DivergenceSite::Event { a, b, .. } => SiteSig::Event(a, b),
+            DivergenceSite::SeqLen { a, b } => SiteSig::SeqLen(a, b),
+            DivergenceSite::State { field, .. } => SiteSig::State(field),
+        }
+    }
+}
+
 /// Diffs two canonical observations; `None` when they are equivalent.
 /// Only the *first* divergent site is reported: after a control-flow
 /// split (one backend in L2, the other back in L1) later events are
@@ -508,14 +541,16 @@ pub struct DifferentialRunner {
     obs: Vec<ExecObservation>,
     triage: CrashTriage,
     stats: DivergenceStats,
-    /// The bug id of the divergence being reported, rebuilt in place
-    /// for each one.
-    bug_id: String,
+    /// Every `(pair, site signature)` reported so far: its bug id is in
+    /// `triage`, so a repeat needs no id formatted.
+    seen: HashSet<(usize, usize, SiteSig)>,
 }
 
 impl DifferentialRunner {
     /// A runner over `backends` (at least two; see [`backend_factory`]
-    /// for the known names). `_engine` is ignored (see [`EngineMode`]).
+    /// for the known names). Every host its agents build has coverage
+    /// recording off (see the module docs). `_engine` is ignored (see
+    /// [`EngineMode`]).
     ///
     /// # Panics
     ///
@@ -536,7 +571,7 @@ impl DifferentialRunner {
             .map(|name| {
                 let factory = backend_factory(name)
                     .unwrap_or_else(|| panic!("unknown differential backend {name:?}"));
-                Agent::new(factory, vendor, mask)
+                Agent::new(non_recording(factory), vendor, mask)
             })
             .collect();
         DifferentialRunner {
@@ -545,7 +580,7 @@ impl DifferentialRunner {
             obs: vec![ExecObservation::default(); backends.len()],
             triage: CrashTriage::new(),
             stats: DivergenceStats::default(),
-            bug_id: String::new(),
+            seen: HashSet::new(),
         }
     }
 
@@ -619,8 +654,9 @@ impl DifferentialRunner {
     /// The harness VM is generated once, by the first backend's agent;
     /// every other agent only prepares its host for the staged
     /// configuration and runs the same VM. A replay's coverage and
-    /// sanitizer finds are never read, so each backend costs one model
-    /// execution and nothing more.
+    /// sanitizer finds are never read: its host records no coverage
+    /// and its reports reduce to a crash flag, so each backend costs one
+    /// model execution and nothing more.
     pub fn observe_exec(&mut self, input: &FuzzInput, exec: u64) {
         self.stats.execs_compared += 1;
         let (first, others) = self
@@ -653,16 +689,18 @@ impl DifferentialRunner {
                     continue;
                 }
                 self.stats.divergences += 1;
-                self.bug_id.clear();
-                write!(self.bug_id, "diff_{a}+{b}_{}", site.tag()).expect("String write");
-                if self.triage.contains(&self.bug_id) {
+                if !self.seen.insert((i, j, SiteSig::of(&site))) {
+                    continue;
+                }
+                let bug_id = format!("diff_{a}+{b}_{}", site.tag());
+                if self.triage.contains(&bug_id) {
                     continue;
                 }
                 let input = shared
                     .get_or_insert_with(|| Arc::new(input.clone()))
                     .clone();
                 self.triage.record(BugFind {
-                    bug_id: self.bug_id.clone(),
+                    bug_id,
                     kind: CrashKind::Divergence,
                     message: site.describe(a, b),
                     exec,
@@ -671,6 +709,17 @@ impl DifferentialRunner {
             }
         }
     }
+}
+
+/// Wraps a backend factory so every instance it builds has coverage
+/// recording off: the differential oracle reads a replay's
+/// observation, never its coverage.
+fn non_recording(factory: HvFactory) -> HvFactory {
+    Box::new(move |config| {
+        let mut hv = factory(config);
+        hv.core_mut().set_recording(false);
+        hv
+    })
 }
 
 /// Parses a divergence bug id (`diff_{a}+{b}_{tag}`) into its backend
@@ -843,6 +892,40 @@ mod tests {
         );
         assert_eq!(parse_divergence_pair("wdt_hang_l1"), None);
         assert_eq!(parse_divergence_pair("diff_nopair"), None);
+    }
+
+    #[test]
+    fn replay_hosts_record_nothing_across_config_flips() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let backends = ["vxen", "vvbox", "golden"].map(String::from);
+        let mut runner = DifferentialRunner::new(
+            &backends,
+            CpuVendor::Intel,
+            ComponentMask::ALL,
+            EngineMode::Snapshot,
+        );
+        let mut rng = SmallRng::seed_from_u64(21);
+        for exec in 0..40 {
+            // A new input flips the config (a fresh host); its repeat
+            // keeps it (a guest reset of the same host).
+            let input = FuzzInput::random(&mut rng);
+            for _ in 0..2 {
+                runner.observe_exec(&input, exec);
+                for (name, agent) in runner.names.iter().zip(&runner.agents) {
+                    assert!(!agent.hv().core().recording(), "{name} records");
+                    assert!(agent.hv().trace().is_empty(), "{name} holds a hit");
+                }
+            }
+        }
+        for (name, agent) in runner.names.iter().zip(&runner.agents) {
+            let stats = agent.engine_stats();
+            assert!(
+                stats.factory_builds > 1 && stats.guest_resets > 0,
+                "{name}: the inputs must flip and keep the config: {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -239,6 +239,7 @@ pub trait L0Hypervisor {
     fn reset_guest(&mut self);
 
     /// Fully reboots the host (watchdog path): revives a dead host too.
+    /// Like a guest reset, it keeps the core's recording switch.
     fn reboot_host(&mut self) {
         self.reset_guest();
         self.core_mut().health = HostHealth::new();

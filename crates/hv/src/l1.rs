@@ -12,6 +12,10 @@
 //! - the guest observation the differential oracle compares;
 //! - the per-instruction preamble (dead host, fault tick) with the
 //!   core's invariants as a `debug_assert!`;
+//! - the coverage hits, behind one recording switch: a host with
+//!   recording off runs every instruction exactly as before but never
+//!   touches its trace (the differential oracle's replays, whose
+//!   coverage nobody reads);
 //! - the VMX-instruction state updates (VMCLEAR, VMPTRLD, VMXOFF) and
 //!   the current-VMCS/VMCB accessors.
 //!
@@ -50,6 +54,10 @@ pub struct NestedL1State {
     pub(crate) cov: &'static Instrumentation,
     /// The in-flight execution trace.
     pub(crate) trace: ExecTrace,
+    /// Whether coverage hits land in `trace` (see
+    /// [`Self::set_recording`]). Instrumentation, not VM state: a reset
+    /// keeps it.
+    recording: bool,
     /// Sanitizer / log / watchdog state.
     pub(crate) health: HostHealth,
     /// Deterministic fault injection (instrumentation, not VM state:
@@ -90,6 +98,7 @@ impl NestedL1State {
             config,
             cov,
             trace: ExecTrace::new(),
+            recording: true,
             health: HostHealth::new(),
             faults: None,
             cr0: BOOT_CR0,
@@ -108,8 +117,8 @@ impl NestedL1State {
 
     /// Puts the L1 state back to its boot values and empties the kernel
     /// log and pending reports, keeping the configuration, the trace,
-    /// the fault hook and `health.dead` (the watchdog reads it before
-    /// the next exec and reboots).
+    /// the recording switch, the fault hook and `health.dead` (the
+    /// watchdog reads it before the next exec and reboots).
     pub(crate) fn reset(&mut self) {
         self.health.log.clear();
         self.health.reports.clear();
@@ -126,16 +135,37 @@ impl NestedL1State {
         self.current_vmcb = None;
     }
 
+    /// Whether coverage hits are recorded (the default).
+    pub fn recording(&self) -> bool {
+        self.recording
+    }
+
+    /// Turns coverage recording on or off. A host with recording off
+    /// runs every instruction exactly as a recording one, with the same
+    /// results, guest state and health, but its trace stays empty:
+    /// turning recording off drops what the trace held, and later hits
+    /// touch nothing.
+    pub fn set_recording(&mut self, on: bool) {
+        self.recording = on;
+        if !on {
+            self.trace.clear();
+        }
+    }
+
     /// Records a hit of block `idx` of the Intel-side (or only) file.
     #[inline]
     pub(crate) fn hit_intel(&mut self, idx: usize) {
-        self.trace.hit(self.cov.intel[idx]);
+        if self.recording {
+            self.trace.hit(self.cov.intel[idx]);
+        }
     }
 
     /// Records a hit of block `idx` of the AMD-side file.
     #[inline]
     pub(crate) fn hit_amd(&mut self, idx: usize) {
-        self.trace.hit(self.cov.amd[idx]);
+        if self.recording {
+            self.trace.hit(self.cov.amd[idx]);
+        }
     }
 
     /// The preamble every guest instruction shares: a dead host runs
@@ -172,7 +202,8 @@ impl NestedL1State {
     ///
     /// - a current VMCS is staged, and L1 is in VMX operation;
     /// - a current VMCB is staged;
-    /// - a live L2 runs on a current VMCS (Intel) or VMCB (AMD).
+    /// - a live L2 runs on a current VMCS (Intel) or VMCB (AMD);
+    /// - a host with recording off holds no hit.
     pub(crate) fn is_in_valid_state(&self) -> bool {
         let vmcs_ok = self
             .current_vmptr
@@ -185,7 +216,8 @@ impl NestedL1State {
                 CpuVendor::Intel => self.current_vmptr.is_some(),
                 CpuVendor::Amd => self.current_vmcb.is_some(),
             };
-        vmcs_ok && vmcb_ok && l2_ok
+        let trace_ok = self.recording || self.trace.is_empty();
+        vmcs_ok && vmcb_ok && l2_ok && trace_ok
     }
 
     /// The guest-visible architectural state (see [`GuestObservation`]).
@@ -394,6 +426,22 @@ mod tests {
         boot_to_l2(&mut hv);
         assert!(hv.core.is_in_valid_state());
         hv.core.current_vmptr = None;
+        assert!(!hv.core.is_in_valid_state());
+    }
+
+    #[test]
+    fn a_non_recording_host_holding_a_hit_is_invalid() {
+        let probe = GuestInstr::Rdmsr(nf_x86::Msr::VmxBasic.index());
+        let mut hv = Vkvm::new(HvConfig::default_for(CpuVendor::Intel));
+        hv.l1_exec(probe);
+        assert!(!hv.core.trace.is_empty());
+        assert!(hv.core.is_in_valid_state(), "a recording host holds hits");
+        hv.core.set_recording(false);
+        assert!(hv.core.trace.is_empty(), "turning recording off drops them");
+        hv.l1_exec(probe);
+        assert!(hv.core.trace.is_empty());
+        assert!(hv.core.is_in_valid_state());
+        hv.core.trace.hit(hv.core.cov.intel[0]);
         assert!(!hv.core.is_in_valid_state());
     }
 }

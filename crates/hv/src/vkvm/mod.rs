@@ -79,7 +79,6 @@ pub struct Vkvm {
     pub bugs: VkvmBugs,
 
     // --- Nested SVM state beyond the core.
-    pub(crate) gif: bool,
     pub(crate) vmcb02: Option<Vmcb>,
 
     // --- Fault injection (tests only): next allocation fails.
@@ -95,7 +94,6 @@ impl Vkvm {
             hw_caps: crate::hw_caps(config.vendor),
             bugs: VkvmBugs::default(),
             core: NestedL1State::new(config, instrumentation()),
-            gif: true,
             vmcb02: None,
             fail_next_alloc: false,
         }
@@ -138,7 +136,6 @@ impl L0Hypervisor for Vkvm {
 
     fn reset_guest(&mut self) {
         self.core.reset();
-        self.gif = true;
         self.vmcb02 = None;
     }
 
@@ -188,14 +185,10 @@ impl L0Hypervisor for Vkvm {
             (CpuVendor::Amd, Vmrun(addr)) => self.nested_svm_run(addr),
             (CpuVendor::Amd, Vmload(addr)) => self.handle_vmload(addr),
             (CpuVendor::Amd, Vmsave(addr)) => self.handle_vmsave(addr),
-            (CpuVendor::Amd, Stgi) => {
+            // No interrupt or NMI delivery is modelled, so GIF holds
+            // nothing back: both only hit the handler.
+            (CpuVendor::Amd, Stgi | Clgi) => {
                 self.cov_a(ABlk::HandleStgiClgi);
-                self.gif = true;
-                L1Result::Ok(0)
-            }
-            (CpuVendor::Amd, Clgi) => {
-                self.cov_a(ABlk::HandleStgiClgi);
-                self.gif = false;
                 L1Result::Ok(0)
             }
             (CpuVendor::Amd, Vmmcall) => {

@@ -10,6 +10,12 @@
 //! reports included). Every step runs through the backend's
 //! instruction preamble, so in the dev profile the nested-L1 core's
 //! invariant `debug_assert!` checks each one too.
+//!
+//! The differential oracle's replays run on hosts with coverage
+//! recording off, which is only sound if the switch changes nothing but
+//! the trace: a non-recording host must answer every step, and end
+//! every reset, reboot and host death, exactly like a recording one,
+//! with its trace empty throughout.
 
 use nf_coverage::ExecTrace;
 use nf_hv::vkvm::GUEST_MEM_LIMIT;
@@ -239,6 +245,74 @@ proptest! {
                 let replayed = probe(hv.as_mut(), &caps, exec);
                 prop_assert_eq!(&replayed, &first[i], "{}/{} exec {} replay", name, vendor, i);
                 reset_for_next_exec(hv.as_mut());
+            }
+        }
+    }
+}
+
+/// One op of a recording-switch run, by `op % 4`: a guest reset, a
+/// watchdog reboot, or (twice as likely) an exec of `bytes` with a
+/// host death scheduled at its `index`, as the fault plan decides.
+fn run_op(
+    hv: &mut dyn L0Hypervisor,
+    caps: &VmxCapabilities,
+    faults: &nf_hv::SharedFaults,
+    index: u64,
+    op: u8,
+    bytes: &[u8],
+) -> Vec<Step> {
+    match op % 4 {
+        0 => {
+            hv.reset_guest();
+            Vec::new()
+        }
+        1 => {
+            hv.reboot_host();
+            Vec::new()
+        }
+        _ => {
+            faults
+                .borrow_mut()
+                .begin_exec(index, 0, DEFAULT_WATCHDOG_FUEL);
+            drive(hv, caps, bytes)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The recording switch: a host with recording off runs any op
+    /// sequence, resets, reboots and injected host deaths included,
+    /// with the same per-step results, guest state and health as a
+    /// recording host, and never holds a hit.
+    #[test]
+    fn a_non_recording_host_runs_every_step_like_a_recording_one(
+        ops in proptest::collection::vec(any::<u8>(), 8),
+        execs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 24), 8),
+        seed in any::<u64>(),
+    ) {
+        let plan = FaultPlan {
+            seed,
+            host_death_p16: 1 << 13,
+            ..FaultPlan::default()
+        };
+        for (name, vendor, build) in grid() {
+            let caps = caps_for(vendor);
+            let (mut recording, mut silent) = (build(), build());
+            let (on, off) = (nf_hv::fault::shared(plan), nf_hv::fault::shared(plan));
+            recording.install_faults(on.clone());
+            silent.install_faults(off.clone());
+            silent.core_mut().set_recording(false);
+            for (i, (&op, bytes)) in ops.iter().zip(&execs).enumerate() {
+                let at = format!("{name}/{vendor} op {i}");
+                let want = run_op(recording.as_mut(), &caps, &on, i as u64, op, bytes);
+                let got = run_op(silent.as_mut(), &caps, &off, i as u64, op, bytes);
+                prop_assert_eq!(got, want, "{} steps", at);
+                prop_assert_eq!(silent.observe_guest(), recording.observe_guest(), "{}", at);
+                prop_assert_eq!(silent.health(), recording.health(), "{}", at);
+                prop_assert!(!silent.core().recording(), "{}: the switch was kept", at);
+                prop_assert!(silent.trace().is_empty(), "{}: a hit was recorded", at);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Staged differential replay equivalence: a [`DifferentialRunner`]
 //! generates each input's harness VM once and runs it on every backend,
-//! skipping the coverage projection and triage that nothing reads. It
+//! recording no coverage and skipping the triage that nothing reads. It
 //! must observe exactly what running the whole iteration loop on every
 //! backend observes.
 //!
