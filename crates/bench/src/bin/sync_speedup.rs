@@ -3,8 +3,8 @@
 //!
 //! The paper runs its grids as fleets of independent campaigns; the
 //! shared-corpus runtime lets a fleet behave like one AFL++
-//! main/secondary group. This bench quantifies the payoff of the two
-//! sync protocols:
+//! main/secondary group. This bench quantifies the payoff of gossip
+//! sync:
 //!
 //! - the **baseline** is the product configuration — one unguided
 //!   worker spending the whole budget; its final coverage is the
@@ -15,53 +15,37 @@
 //!   the total executions until **every** worker's own coverage
 //!   reaches the target level — a fleet is only as reproducible as its
 //!   weakest member — plus the worst member's coverage at budget
-//!   exhaustion. Cells come in three variants: **unsynced**,
-//!   **lockstep** (corpus deltas exchanged all-to-all at every hourly
-//!   barrier, adopted entries replayed), and **async** (watermark
-//!   gossip over the tree topology: sharded deltas published on
-//!   novelty, absorbed at iteration boundaries without replay).
+//!   exhaustion. Every size runs **unsynced**, and from two workers up
+//!   also **synced** (watermark gossip over the tree topology: sharded
+//!   deltas published on novelty, absorbed at iteration boundaries
+//!   without replay).
 //!
 //! Unsynced fleets cannot reach the level: each member is capped by
 //! its own `1/n` budget. Synced fleets converge every member to the
 //! fleet union, crossing the level while the single-worker baseline
-//! is still crawling along its plateau. Lockstep pays for that with
-//! O(n²) whole-map merges and adoption replays per epoch — visible in
-//! the `total_execs` and `words_scanned` columns — while async pays
-//! O(n) segment-sharded merges spread over the run, which is what
-//! keeps the 64-worker cell ahead of lockstep's 8-worker one.
+//! is still crawling along its plateau, at no extra executions: the
+//! gossip costs O(n) segment-sharded merges spread over the run —
+//! visible in the `words_scanned` column.
 //!
 //! The whole pipeline lives in [`nf_bench::sync_bench`] (fleets run on
 //! the product sync path, the loop behind `necofuzz --sync-interval`),
 //! so the bench measures the shipped protocol and
 //! `tests/hotpath_equivalence.rs` can regenerate `BENCH_sync.json` and
 //! hold it byte-for-byte. Everything is deterministic (fixed seeds,
-//! worker-id-ordered merges, deterministic gossip schedule), so the
-//! emitted file is bit-reproducible. Flags: `--out PATH` (default
-//! `BENCH_sync.json`), `--smoke` (tiny budget over the 1/2/4/8 sizes
-//! plus an async 8-worker cell; exit 1 unless every lockstep cell
-//! covers at least as much as its unsynced twin at equal budget, some
-//! synced multi-worker fleet reaches the level, and async is no
-//! slower than lockstep at ≥ 8 workers — the CI gate), `--jobs N`
-//! (accepted for CLI uniformity; cells run serially because each is
-//! itself a fleet).
+//! deterministic gossip schedule), so the emitted file is
+//! bit-reproducible. Flags: `--out PATH` (default `BENCH_sync.json`),
+//! `--smoke` (tiny budget over the 2/4/8 sizes; exit 1 unless every
+//! synced cell covers at least as much as its unsynced twin at equal
+//! budget and some synced multi-worker fleet reaches the level — the
+//! CI gate), `--jobs N` (accepted for CLI uniformity; cells run
+//! serially because each is itself a fleet).
 
 use nf_bench::hr;
 use nf_bench::sync_bench::{self, SyncReport, SMOKE_FLEET_SIZES};
-use nf_fuzz::SyncMode;
 
 fn usage() -> ! {
     eprintln!("usage: sync_speedup [--smoke] [--jobs N] [--out PATH]");
     std::process::exit(2);
-}
-
-fn mode_desc(cell: &sync_bench::SyncCell) -> &'static str {
-    if !cell.synced {
-        return "-";
-    }
-    match cell.mode {
-        SyncMode::Lockstep => "lockstep",
-        SyncMode::Async => "async",
-    }
 }
 
 fn main() {
@@ -80,12 +64,9 @@ fn main() {
             _ => usage(),
         }
     }
-    // The smoke budget must give the largest fleet at least two hours
-    // per member — lockstep exchanges happen strictly *between* hours,
-    // so an 8-worker cell under 16 total hours would never sync and
-    // the CI gate's n=8 comparison would be vacuously true. 24 virtual
-    // hours at half the full exec rate keeps every cell syncing while
-    // the whole gate still finishes in seconds.
+    // The smoke budget: 24 virtual hours at half the full exec rate
+    // gives the 8-worker cell three hours per member, and the whole
+    // gate still finishes in seconds.
     let (hours, execs_per_hour) = if smoke { (24, 60) } else { (24, 120) };
 
     let report: SyncReport = if smoke {
@@ -116,7 +97,7 @@ fn main() {
         println!(
             "{:<8} {:<9} {:>16} {:>9.1}% {:>10.1}% {:>10} {:>12} {:>13}",
             cell.workers,
-            mode_desc(cell),
+            if cell.synced { "async" } else { "-" },
             cell.execs_to_target
                 .map_or("-".to_string(), |e| e.to_string()),
             cell.final_min * 100.0,
@@ -132,18 +113,18 @@ fn main() {
 
     if smoke {
         // CI gate: at equal total budget, syncing must never cost the
-        // fleet coverage, some synced multi-worker fleet must reach
-        // the baseline level before exhausting the budget, and from 8
-        // workers up async must reach it in no more executions than
-        // lockstep.
+        // fleet coverage, and some synced multi-worker fleet must
+        // reach the baseline level before exhausting the budget.
         let cells = &report.cells;
         let mut failures = Vec::new();
         for n in SMOKE_FLEET_SIZES {
-            let synced = cells
-                .iter()
-                .find(|c| c.workers == n && c.synced && c.mode == SyncMode::Lockstep)
-                .unwrap();
-            let unsynced = cells.iter().find(|c| c.workers == n && !c.synced).unwrap();
+            let twin = |synced: bool| {
+                cells
+                    .iter()
+                    .find(|c| c.workers == n && c.synced == synced)
+                    .unwrap()
+            };
+            let (synced, unsynced) = (twin(true), twin(false));
             if synced.final_min < unsynced.final_min {
                 failures.push(format!(
                     "{n} workers: synced min {:.3} < unsynced min {:.3}",
@@ -157,27 +138,10 @@ fn main() {
         {
             failures.push("no synced multi-worker fleet reached the baseline level".into());
         }
-        for cell in cells.iter().filter(|c| c.mode == SyncMode::Async) {
-            let lockstep = cells
-                .iter()
-                .find(|c| c.workers == cell.workers && c.synced && c.mode == SyncMode::Lockstep)
-                .unwrap();
-            match (cell.execs_to_target, lockstep.execs_to_target) {
-                (Some(a), Some(l)) if a <= l => {}
-                (Some(_), None) => {}
-                (a, l) => failures.push(format!(
-                    "{} workers: async execs-to-target {a:?} not <= lockstep {l:?}",
-                    cell.workers
-                )),
-            }
-        }
         if !failures.is_empty() {
             eprintln!("FAIL: {failures:?}");
             std::process::exit(1);
         }
-        println!(
-            "smoke OK: synced >= unsynced on every fleet size, target level reached, \
-             async <= lockstep at 8 workers"
-        );
+        println!("smoke OK: synced >= unsynced on every fleet size, target level reached");
     }
 }

@@ -4,22 +4,20 @@
 //!
 //! Extracted from the binary so the emitted JSON is *testable*:
 //! everything here is a pure function of `(hours, execs_per_hour)` —
-//! fixed seeds, worker-id-ordered merges — so `BENCH_sync.json` is
-//! bit-reproducible, and `tests/hotpath_equivalence.rs` regenerates it
-//! through this module and compares byte-for-byte against the
+//! fixed seeds, a deterministic gossip schedule — so `BENCH_sync.json`
+//! is bit-reproducible, and `tests/hotpath_equivalence.rs` regenerates
+//! it through this module and compares byte-for-byte against the
 //! committed file. The binary adds only CLI parsing, table printing,
 //! and the CI smoke gate.
 //!
-//! Each fleet size is measured in three variants: unsynced, hourly
-//! lockstep sync (the original barrier protocol, kept as the A/B
-//! oracle), and asynchronous watermark gossip (`SyncMode::Async` over
-//! the default tree topology). Lockstep rows keep the original JSON
-//! row shape byte-for-byte; async rows add a `"mode"` discriminator
-//! and the per-fleet sync-cost counters.
+//! Each fleet size is measured unsynced and — from two workers up —
+//! synced by watermark gossip over the default tree topology. Unsynced
+//! rows keep the original JSON row shape; synced rows carry a
+//! `"mode": "async-tree"` tag and the per-fleet sync-cost counters.
 
 use necofuzz::campaign::{run_campaign_group_observed, Campaign, CampaignConfig, GroupMember};
 use nf_coverage::{CovMap, FileId, LineSet};
-use nf_fuzz::{Mode, SyncMode, SyncStats, SyncTopology};
+use nf_fuzz::{Mode, SyncStats, SyncTopology};
 use nf_x86::CpuVendor;
 
 use crate::factory;
@@ -29,10 +27,10 @@ use crate::factory;
 /// escape the CI comparison.
 pub const FLEET_SIZES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// The subset the CI smoke gate runs: small enough to finish in
-/// seconds, large enough to include the 8-worker cell where the
-/// async-vs-lockstep comparison is asserted.
-pub const SMOKE_FLEET_SIZES: [u32; 4] = [1, 2, 4, 8];
+/// The sizes the CI smoke gate runs: small enough to finish in
+/// seconds, and each with a synced cell to compare against its
+/// unsynced twin.
+pub const SMOKE_FLEET_SIZES: [u32; 3] = [2, 4, 8];
 
 /// Large fleets sliced off a fixed total budget would get zero whole
 /// virtual hours under the legacy `hours / n` layout, so from this
@@ -40,8 +38,7 @@ pub const SMOKE_FLEET_SIZES: [u32; 4] = [1, 2, 4, 8];
 /// `budget / (hours * n)` execs per hour instead.
 const LARGE_FLEET_MIN: u32 = 16;
 
-/// Hours per member in the large-fleet layout: enough hourly sync
-/// boundaries for lockstep to matter, and `9 * 64` divides the
+/// Hours per member in the large-fleet layout: `9 * 64` divides the
 /// standard 2880-exec budget exactly.
 const LARGE_FLEET_HOURS: u32 = 9;
 
@@ -65,28 +62,23 @@ pub fn fleet_layout(n: u32, hours: u32, execs_per_hour: u32) -> (u32, u32) {
 pub struct SyncCell {
     /// Fleet size.
     pub workers: u32,
-    /// Whether the fleet exchanged corpus deltas at all.
+    /// Whether the fleet gossiped corpus deltas at all.
     pub synced: bool,
-    /// Sync protocol of the fleet (lockstep for unsynced cells too —
-    /// the field only distinguishes rows when `synced` is true).
-    pub mode: SyncMode,
-    /// Total executions (across workers, replays included) when every
-    /// member's own coverage first reached the target level; `None` if
-    /// the budget ran out first.
+    /// Total executions (across workers) when every member's own
+    /// coverage first reached the target level; `None` if the budget
+    /// ran out first.
     pub execs_to_target: Option<u64>,
     /// Worst member's own coverage at budget exhaustion.
     pub final_min: f64,
     /// Union coverage of the fleet at budget exhaustion.
     pub final_union: f64,
-    /// Corpus entries adopted from siblings (replayed under lockstep,
-    /// evidence-merged under async).
+    /// Corpus entries adopted from siblings (by evidence merge).
     pub adoptions: u64,
-    /// Actual executions at budget exhaustion: the generation budget
-    /// plus adoption replays. Lockstep cells run more total executions
-    /// than their unsynced twins — async cells do not, because
-    /// adoption merges recorded evidence instead of replaying — and
-    /// the JSON reports this so coverage comparisons can be read
-    /// against each cell's real cost.
+    /// Actual executions at budget exhaustion. Adoption merges
+    /// recorded evidence instead of replaying, so a synced cell runs
+    /// exactly its unsynced twin's generation budget; the JSON reports
+    /// it so coverage comparisons can be read against each cell's real
+    /// cost.
     pub total_execs: u64,
     /// Fleet-summed sync-cost counters.
     pub sync: SyncStats,
@@ -103,8 +95,7 @@ pub struct SyncReport {
     pub hours: u32,
     /// Executions per virtual hour.
     pub execs_per_hour: u32,
-    /// Every fleet cell, in fleet-size-major, (unsynced, lockstep,
-    /// async) order.
+    /// Every fleet cell, in fleet-size-major, (unsynced, synced) order.
     pub cells: Vec<SyncCell>,
     /// The JSON document (what the binary writes to disk).
     pub json: String,
@@ -118,13 +109,11 @@ pub struct SyncReport {
 /// --sync-interval` ships — with the hourly observer doing the
 /// time-to-coverage bookkeeping, so the bench measures exactly the
 /// protocol users get.
-#[allow(clippy::too_many_arguments)]
 fn run_fleet(
     n: u32,
     hours_each: u32,
     execs_per_hour: u32,
     synced: bool,
-    mode: SyncMode,
     target: f64,
     map: &CovMap,
     file: FileId,
@@ -135,7 +124,6 @@ fn run_fleet(
                 .with_execs_per_hour(execs_per_hour)
                 .with_mode(Mode::Unguided)
                 .with_sync_interval(u32::from(synced))
-                .with_sync_mode(mode)
                 .with_sync_topology(SyncTopology::Tree);
             (factory("vkvm"), cfg)
         })
@@ -166,7 +154,6 @@ fn run_fleet(
     SyncCell {
         workers: n,
         synced,
-        mode,
         execs_to_target,
         final_min,
         final_union,
@@ -191,22 +178,13 @@ fn build_json(
                 Some(execs) => format!("\"execs_to_target\": {execs}, \"reached\": true"),
                 None => "\"execs_to_target\": null, \"reached\": false".to_string(),
             };
-            match c.mode {
-                // Lockstep rows keep the historical row shape so the
-                // pre-async file's cells stay byte-identical.
-                SyncMode::Lockstep => format!(
-                    "    {{\"workers\": {}, \"synced\": {}, {reached}, \
-                     \"final_min_coverage\": {:.4}, \"final_union_coverage\": {:.4}, \
-                     \"adoptions\": {}, \"total_execs\": {}}}",
-                    c.workers, c.synced, c.final_min, c.final_union, c.adoptions, c.total_execs
-                ),
-                SyncMode::Async => format!(
-                    "    {{\"workers\": {}, \"synced\": {}, \"mode\": \"async-tree\", {reached}, \
+            if c.synced {
+                format!(
+                    "    {{\"workers\": {}, \"synced\": true, \"mode\": \"async-tree\", {reached}, \
                      \"final_min_coverage\": {:.4}, \"final_union_coverage\": {:.4}, \
                      \"adoptions\": {}, \"total_execs\": {}, \"deltas_published\": {}, \
                      \"deltas_applied\": {}, \"segments_merged\": {}, \"words_scanned\": {}}}",
                     c.workers,
-                    c.synced,
                     c.final_min,
                     c.final_union,
                     c.adoptions,
@@ -215,72 +193,30 @@ fn build_json(
                     c.sync.deltas_applied,
                     c.sync.segments_merged,
                     c.sync.words_scanned
-                ),
+                )
+            } else {
+                format!(
+                    "    {{\"workers\": {}, \"synced\": false, {reached}, \
+                     \"final_min_coverage\": {:.4}, \"final_union_coverage\": {:.4}, \
+                     \"adoptions\": {}, \"total_execs\": {}}}",
+                    c.workers, c.final_min, c.final_union, c.adoptions, c.total_execs
+                )
             }
         })
         .collect();
-    let lockstep = |n: u32| {
-        cells
-            .iter()
-            .find(|c| c.workers == n && c.synced && c.mode == SyncMode::Lockstep)
-    };
-    let asynced = |n: u32| {
-        cells
-            .iter()
-            .find(|c| c.workers == n && c.synced && c.mode == SyncMode::Async)
-    };
-    let synced_beats_unsynced = sizes.iter().all(|&n| {
-        let unsynced = cells.iter().find(|c| c.workers == n && !c.synced);
-        match (lockstep(n), unsynced) {
+    let cell = |n: u32, synced: bool| cells.iter().find(|c| c.workers == n && c.synced == synced);
+    let synced_beats_unsynced = sizes
+        .iter()
+        .all(|&n| match (cell(n, true), cell(n, false)) {
             (Some(s), Some(u)) => s.final_min >= u.final_min,
             _ => true,
-        }
-    });
+        });
     let best_multi = cells
         .iter()
-        .filter(|c| c.synced && c.mode == SyncMode::Lockstep && c.workers > 1)
+        .filter(|c| c.synced && c.workers > 1)
         .filter_map(|c| c.execs_to_target)
         .min();
     let speedup = best_multi.map(|e| budget as f64 / e as f64).unwrap_or(0.0);
-    let best_async = cells
-        .iter()
-        .filter(|c| c.mode == SyncMode::Async)
-        .filter_map(|c| c.execs_to_target)
-        .min();
-    let async_speedup = best_async.map(|e| budget as f64 / e as f64).unwrap_or(0.0);
-    // The scaling claim: from 8 workers up, async reaches the level in
-    // no more executions than lockstep at the same fleet size. A cell
-    // that never reaches counts as infinitely slow — so a null-null
-    // pair (the fleet union itself falls short of the baseline level,
-    // a property of the seed split, not of the protocol) is a tie.
-    let async_no_slower =
-        sizes
-            .iter()
-            .filter(|&&n| n >= 8)
-            .all(|&n| match (asynced(n), lockstep(n)) {
-                (Some(a), Some(l)) => match (a.execs_to_target, l.execs_to_target) {
-                    (Some(ae), Some(le)) => ae <= le,
-                    (Some(_), None) | (None, None) => true,
-                    (None, Some(_)) => false,
-                },
-                _ => true,
-            });
-    // The headline scaling result: the widest async fleet reaches the
-    // level in fewer executions than the widest lockstep fleet that
-    // reaches it at all.
-    let async_widest = sizes
-        .iter()
-        .rev()
-        .find_map(|&n| asynced(n).and_then(|c| c.execs_to_target.map(|e| (n, e))));
-    let lockstep_widest = sizes
-        .iter()
-        .rev()
-        .find_map(|&n| lockstep(n).and_then(|c| c.execs_to_target.map(|e| (n, e))));
-    let widest_async_beats_widest_lockstep = match (async_widest, lockstep_widest) {
-        (Some((an, ae)), Some((ln, le))) => an >= ln && ae < le,
-        (Some(_), None) => true,
-        _ => false,
-    };
     format!(
         "{{\n  \"bench\": \"sync_speedup\",\n  \"unit\": \"total_execs\",\n  \
          \"metric\": \"total executions until every fleet member's own coverage \
@@ -291,22 +227,17 @@ fn build_json(
          \"cells\": [\n{}\n  ],\n  \"summary\": {{\
          \"synced_beats_unsynced_at_equal_budget\": {synced_beats_unsynced}, \
          \"best_synced_multi_execs_to_target\": {}, \
-         \"speedup_vs_baseline_budget\": {speedup:.2}, \
-         \"best_async_execs_to_target\": {}, \
-         \"async_speedup_vs_baseline_budget\": {async_speedup:.2}, \
-         \"async_no_slower_than_lockstep_from_8_workers\": {async_no_slower}, \
-         \"widest_async_beats_widest_lockstep\": {widest_async_beats_widest_lockstep}}}\n}}\n",
+         \"speedup_vs_baseline_budget\": {speedup:.2}}}\n}}\n",
         rows.join(",\n"),
         best_multi.map_or("null".to_string(), |e| e.to_string()),
-        best_async.map_or("null".to_string(), |e| e.to_string()),
     )
 }
 
 /// The shared pipeline: the single-worker unguided baseline (whose
 /// endpoint is the level every fleet must reach), then for every size
-/// in `sizes` an unsynced cell, a lockstep-synced cell, and — for the
-/// sizes in `async_sizes` — an async-gossip cell.
-fn run_sizes(hours: u32, execs_per_hour: u32, sizes: &[u32], async_sizes: &[u32]) -> SyncReport {
+/// in `sizes` an unsynced cell and, from two workers up, a synced one
+/// (a 1-worker "fleet" has no peers to gossip with).
+fn run_sizes(hours: u32, execs_per_hour: u32, sizes: &[u32]) -> SyncReport {
     let budget = u64::from(hours) * u64::from(execs_per_hour);
     let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, hours, 0)
         .with_execs_per_hour(execs_per_hour)
@@ -319,17 +250,11 @@ fn run_sizes(hours: u32, execs_per_hour: u32, sizes: &[u32], async_sizes: &[u32]
     let mut cells = Vec::new();
     for &n in sizes {
         let (hours_each, eph) = fleet_layout(n, hours, execs_per_hour);
-        for (synced, mode) in [
-            (false, SyncMode::Lockstep),
-            (true, SyncMode::Lockstep),
-            (true, SyncMode::Async),
-        ] {
-            if mode == SyncMode::Async && !async_sizes.contains(&n) {
+        for synced in [false, true] {
+            if synced && n < 2 {
                 continue;
             }
-            cells.push(run_fleet(
-                n, hours_each, eph, synced, mode, target, &map, file,
-            ));
+            cells.push(run_fleet(n, hours_each, eph, synced, target, &map, file));
         }
     }
     let json = build_json(target, budget, hours, execs_per_hour, sizes, &cells);
@@ -343,16 +268,12 @@ fn run_sizes(hours: u32, execs_per_hour: u32, sizes: &[u32], async_sizes: &[u32]
     }
 }
 
-/// Runs the whole bench pipeline over [`FLEET_SIZES`], with async
-/// cells at every multi-worker size (a 1-worker "fleet" has no peers
-/// to gossip with).
+/// Runs the whole bench pipeline over [`FLEET_SIZES`].
 pub fn run(hours: u32, execs_per_hour: u32) -> SyncReport {
-    run_sizes(hours, execs_per_hour, &FLEET_SIZES, &FLEET_SIZES[1..])
+    run_sizes(hours, execs_per_hour, &FLEET_SIZES)
 }
 
-/// The CI smoke variant: [`SMOKE_FLEET_SIZES`] only, with a single
-/// async cell at the largest size — enough for the gate to assert
-/// async is no slower than lockstep at 8 workers.
+/// The CI smoke variant: [`SMOKE_FLEET_SIZES`] only.
 pub fn run_smoke(hours: u32, execs_per_hour: u32) -> SyncReport {
-    run_sizes(hours, execs_per_hour, &SMOKE_FLEET_SIZES, &[8])
+    run_sizes(hours, execs_per_hour, &SMOKE_FLEET_SIZES)
 }

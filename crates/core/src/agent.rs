@@ -416,7 +416,7 @@ impl Agent {
     ///
     /// The VM depends only on the input and on the validator's learned
     /// corrections, never on the backend, so agents whose validators
-    /// learned in lockstep can all run the one staged VM.
+    /// learned in step can all run the one staged VM.
     pub(crate) fn stage<'a>(&mut self, input: &'a FuzzInput) -> StagedVm<'a> {
         let view = InputView::new(input);
 

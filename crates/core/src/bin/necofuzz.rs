@@ -6,8 +6,8 @@
 //!          [--jobs N] [--guided] [--mutator havoc|structured]
 //!          [--no-harness] [--no-validator] [--no-configurator]
 //!          [--oracle sanitizer|differential] [--diff-backends LIST]
-//!          [--sync-interval N] [--sync-mode lockstep|async]
-//!          [--sync-topology ring|tree] [--corpus-dir DIR]
+//!          [--sync-interval N] [--sync-topology ring|tree]
+//!          [--corpus-dir DIR]
 //!          [--resume-corpus DIR] [--out DIR] [--bench-out PATH]
 //!          [--fault-plan SEED:RATE] [--watchdog-fuel N]
 //!          [--checkpoint-dir DIR] [--checkpoint-interval N]
@@ -25,17 +25,14 @@
 //! saved to a timestamped file under `--out` for later reproduction.
 //! Parallelism never changes results: output is reduced in seed order.
 //!
-//! `--sync-interval N` makes the runs an AFL++-style sync group: every
-//! `N` virtual hours the campaigns exchange corpus deltas (novel queue
-//! entries + virgin-bitmap knowledge) through a shared pool, merged in
-//! deterministic seed order. `--sync-mode async` replaces that hourly
-//! lockstep barrier with watermark-based asynchronous gossip: workers
-//! publish sharded deltas the moment they observe novelty and absorb
-//! their neighbours' deltas at iteration boundaries, exactly once,
-//! over the `--sync-topology` graph (`tree`, the default, or `ring`).
-//! Both modes are deterministic for a fixed seed set; lockstep remains
-//! the A/B oracle. `--corpus-dir DIR` persists each run's
-//! final corpus to `DIR/seedNNN/` for the `corpus` subcommand:
+//! `--sync-interval N` (any `N > 0`) makes the runs an AFL++-style
+//! sync group that gossips corpus deltas (novel queue entries +
+//! virgin-bitmap knowledge): workers publish sharded deltas the moment
+//! they observe novelty and absorb their neighbours' deltas at
+//! iteration boundaries, exactly once, over the `--sync-topology`
+//! graph (`tree`, the default, or `ring`). A group is deterministic
+//! for a fixed seed set and topology. `--corpus-dir DIR` persists each
+//! run's final corpus to `DIR/seedNNN/` for the `corpus` subcommand:
 //! `stat` summarizes a saved corpus, `minimize` runs the
 //! afl-cmin-style greedy set cover over line coverage, and `repro`
 //! replays a saved crash input against a clean engine (with
@@ -100,7 +97,7 @@ use necofuzz::campaign::{Campaign, CampaignConfig, CampaignResult};
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
 use necofuzz::{backend_factory, check_backend, parse_divergence_pair, OracleMode, ReplayOracle};
 use nf_fuzz::corpus::Corpus;
-use nf_fuzz::{FuzzInput, Mode, MutationStrategy, Operator, SyncMode, SyncTopology, INPUT_LEN};
+use nf_fuzz::{FuzzInput, Mode, MutationStrategy, Operator, SyncTopology, INPUT_LEN};
 use nf_hv::FaultPlan;
 use nf_x86::CpuVendor;
 
@@ -111,8 +108,8 @@ fn usage() -> ! {
          \x20               [--guided] [--mutator havoc|structured]\n\
          \x20               [--no-harness] [--no-validator] [--no-configurator]\n\
          \x20               [--oracle sanitizer|differential] [--diff-backends LIST]\n\
-         \x20               [--sync-interval N] [--sync-mode lockstep|async]\n\
-         \x20               [--sync-topology ring|tree] [--corpus-dir DIR]\n\
+         \x20               [--sync-interval N] [--sync-topology ring|tree]\n\
+         \x20               [--corpus-dir DIR]\n\
          \x20               [--resume-corpus DIR] [--out DIR] [--bench-out PATH]\n\
          \x20               [--fault-plan SEED:RATE] [--watchdog-fuel N]\n\
          \x20               [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
@@ -204,6 +201,7 @@ fn main() {
     let mut checkpoint_dir: Option<String> = None;
     let mut checkpoint_interval = 0u32; // 0 = unset; defaults to 1 with --checkpoint-dir
     let mut resume_checkpoint: Option<String> = None;
+    let mut topology_set = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -230,9 +228,9 @@ fn main() {
                 cfg.diff_backends = value().split(',').map(str::to_string).collect();
             }
             "--sync-interval" => cfg.sync_interval = num(value()),
-            "--sync-mode" => cfg.sync_mode = SyncMode::parse(&value()).unwrap_or_else(|| usage()),
             "--sync-topology" => {
                 cfg.sync_topology = SyncTopology::parse(&value()).unwrap_or_else(|| usage());
+                topology_set = true;
             }
             "--corpus-dir" => corpus_dir = Some(value()),
             "--resume-corpus" => resume_corpus = Some(value()),
@@ -261,8 +259,8 @@ fn main() {
             u64::MAX
         ));
     }
-    if cfg.sync_mode == SyncMode::Async && cfg.sync_interval == 0 {
-        reject("--sync-mode async needs --sync-interval N (any N > 0 switches gossip on)");
+    if topology_set && cfg.sync_interval == 0 {
+        reject("--sync-topology needs --sync-interval N (any N > 0 switches gossip on)");
     }
     if let Some((_, rate)) = fault_plan {
         if !(0.0..=1.0).contains(&rate) {
@@ -393,9 +391,10 @@ fn main() {
         OracleMode::Sanitizer => cfg.oracle.to_string(),
         OracleMode::Differential => format!("{}[{}]", cfg.oracle, cfg.diff_backends.join("+")),
     };
-    let sync_desc = match cfg.sync_mode {
-        SyncMode::Lockstep => format!("{}h", cfg.sync_interval),
-        SyncMode::Async => format!("async-{}", cfg.sync_topology),
+    let sync_desc = if runs > 1 && cfg.sync_interval > 0 {
+        format!("async-{}", cfg.sync_topology)
+    } else {
+        "off".to_string()
     };
     let fault_desc = match fault_plan {
         Some((plan_seed, rate)) => format!("{plan_seed}:{rate}"),

@@ -6,16 +6,18 @@
 //! clock at a fixed executions-per-hour rate, samples coverage each
 //! virtual hour (Figures 3/4), and records vulnerability discoveries.
 //!
-//! A [`Campaign`] is resumable: `run_hours(n)` advances the clock in
+//! A [`Campaign`] is resumable: `run_execs(n)` advances the clock in
 //! steps, so a *sync group* (AFL++-style main/secondary fleets) can
-//! interleave members at epoch boundaries and exchange
-//! [`CorpusDelta`]s through a [`SharedCorpus`] —
+//! interleave its members one execution at a time and gossip
+//! [`CorpusDelta`]s over a [`DeltaBus`] in between —
 //! [`run_campaign_group`] is that loop, and the orchestrator's
 //! `SyncGroup` seam feeds it whole grid cells.
+//!
+//! [`CorpusDelta`]: nf_fuzz::CorpusDelta
 
 use nf_fuzz::{
-    CorpusDelta, DeltaBus, FuzzInput, Fuzzer, GossipNode, Mode, MutationStats, MutationStrategy,
-    SeqDelta, SharedCorpus, SyncMode, SyncStats, SyncTopology, MAP_SIZE,
+    DeltaBus, FuzzInput, Fuzzer, GossipNode, Mode, MutationStats, MutationStrategy, SeqDelta,
+    SyncMode, SyncStats, SyncTopology,
 };
 use nf_hv::{FaultPlan, HvConfig, L0Hypervisor, DEFAULT_WATCHDOG_FUEL};
 use nf_x86::CpuVendor;
@@ -62,19 +64,13 @@ pub struct CampaignConfig {
     pub prefix_budget: usize,
     /// Unused: kept only because perfbench reads it.
     pub prefix_store: PrefixStoreMode,
-    /// Corpus-sync epoch length in virtual hours. `0` (the default)
-    /// never syncs; `n` exchanges [`CorpusDelta`]s with the sync group
-    /// every `n` virtual hours. A lone campaign ignores the setting.
-    /// In [`SyncMode::Async`] the value only switches syncing on
-    /// (`> 0`) or off (`0`) — publication is novelty-driven, not
-    /// clocked.
+    /// Corpus sync switch. `0` (the default) never syncs; any `n > 0`
+    /// makes a group of two or more members gossip corpus deltas
+    /// (`--sync-interval`). The value only switches syncing on —
+    /// publication is novelty-driven, not clocked. A lone campaign
+    /// ignores the setting.
     pub sync_interval: u32,
-    /// How the sync group exchanges knowledge: the hourly lockstep
-    /// epoch barrier (default; the A/B determinism oracle) or
-    /// watermark-based asynchronous gossip (`--sync-mode async`).
-    pub sync_mode: SyncMode,
-    /// Gossip graph of an async group (`--sync-topology`); lockstep
-    /// groups ignore the setting.
+    /// Gossip graph of a synced group (`--sync-topology`).
     pub sync_topology: SyncTopology,
     /// How guided mode turns queue parents into children: the classic
     /// byte-blind havoc stack (default, bit-identical to the original
@@ -124,7 +120,6 @@ impl CampaignConfig {
             prefix_budget: 0,
             prefix_store: PrefixStoreMode::Cow,
             sync_interval: 0,
-            sync_mode: SyncMode::Lockstep,
             sync_topology: SyncTopology::Tree,
             strategy: MutationStrategy::Havoc,
             oracle: OracleMode::Sanitizer,
@@ -152,19 +147,19 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the corpus-sync epoch length (hours; `0` = never).
+    /// Sets the corpus sync switch (`0` = never, any `n > 0` = gossip).
     pub fn with_sync_interval(mut self, sync_interval: u32) -> Self {
         self.sync_interval = sync_interval;
         self
     }
 
-    /// Sets the sync mode (lockstep epochs or async gossip).
-    pub fn with_sync_mode(mut self, sync_mode: SyncMode) -> Self {
-        self.sync_mode = sync_mode;
+    /// Does nothing: watermark gossip is the only sync protocol. Kept
+    /// only because perfbench calls it.
+    pub fn with_sync_mode(self, _mode: SyncMode) -> Self {
         self
     }
 
-    /// Sets the async gossip topology.
+    /// Sets the gossip topology.
     pub fn with_sync_topology(mut self, sync_topology: SyncTopology) -> Self {
         self.sync_topology = sync_topology;
         self
@@ -378,8 +373,8 @@ impl Clock {
 /// A resumable campaign: agent + fuzzer + the virtual clock.
 ///
 /// `run_campaign` drives one to completion in a single call; sync
-/// groups advance members epoch by epoch and exchange corpus deltas in
-/// between.
+/// groups advance members one execution at a time and gossip corpus
+/// deltas in between.
 pub struct Campaign {
     agent: Agent,
     fuzzer: Fuzzer,
@@ -387,7 +382,8 @@ pub struct Campaign {
     hourly: Vec<HourSample>,
     hour: u32,
     /// Executions already run inside the current (incomplete) virtual
-    /// hour — the async runner advances campaigns in sub-hour steps.
+    /// hour — the sync group runner advances campaigns in sub-hour
+    /// steps.
     hour_execs: u32,
     /// Corpus size at each completed hour (yield-degradation input).
     corpus_marks: Vec<u64>,
@@ -421,7 +417,7 @@ impl Campaign {
     }
 
     /// Creates a campaign with an explicit sync-group worker id (the
-    /// deterministic merge-order key; plan order in a grid).
+    /// gossip origin id; plan order in a grid).
     pub fn with_worker(
         factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
         cfg: &CampaignConfig,
@@ -504,7 +500,7 @@ impl Campaign {
         self.cfg.hours
     }
 
-    /// Corpus entries adopted (and replayed) from sync-group siblings.
+    /// Corpus entries adopted from sync-group siblings.
     pub fn adopted(&self) -> u64 {
         self.adopted
     }
@@ -558,7 +554,7 @@ impl Campaign {
     /// Advances the campaign by up to `n` executions (clamped to the
     /// configured budget), sampling coverage whenever the exec count
     /// crosses an hour boundary. The exec sequence is identical to
-    /// [`Campaign::run_hours`]'s — the async sync loop uses sub-hour
+    /// [`Campaign::run_hours`]'s — the sync group loop uses sub-hour
     /// steps to consume gossip at iteration boundaries, without
     /// changing what any single worker executes.
     pub fn run_execs(&mut self, n: u32) {
@@ -744,54 +740,12 @@ impl Campaign {
     }
 
     /// Turns on corpus recording regardless of feedback mode, so an
-    /// unguided member still contributes its novel inputs to the sync
-    /// pool. `run_campaign_group` calls this for every member of an
-    /// actually-syncing group; a lone campaign keeps mode defaults.
+    /// unguided member still contributes its novel inputs to its
+    /// gossip deltas. `run_campaign_group` calls this for every member
+    /// of an actually-syncing group; a lone campaign keeps mode
+    /// defaults.
     pub fn enable_sync_recording(&mut self) {
         self.fuzzer.set_recording(true);
-    }
-
-    /// Takes the corpus delta since the last sync watermark (locally
-    /// discovered entries + virgin bits cleared).
-    pub fn take_delta(&mut self) -> CorpusDelta {
-        // Lockstep's delta scan sweeps the whole virgin map; record
-        // the full cost so the counters compare fairly with the
-        // sharded async path.
-        self.sync_stats.deltas_published += 1;
-        self.sync_stats.segments_merged +=
-            nf_coverage::bitmap::segments::segment_count(MAP_SIZE) as u64;
-        self.sync_stats.words_scanned += (MAP_SIZE / 8) as u64;
-        self.fuzzer.corpus_mut().take_delta()
-    }
-
-    /// Adopts the sync pool and **replays** every adopted input once —
-    /// AFL++ secondaries execute synced queue entries rather than only
-    /// mutating them, which is what imports the siblings' discoveries
-    /// into this campaign's own coverage (and exec) accounting.
-    /// Returns the number of adopted entries.
-    pub fn adopt(&mut self, shared: &SharedCorpus) -> usize {
-        let inputs = shared.adopt_into(self.fuzzer.corpus_mut());
-        for input in &inputs {
-            let result = self.agent.run_iteration(input);
-            self.fuzzer.report_edges(
-                input,
-                result.bitmap,
-                result.edges,
-                result.lines,
-                result.feedback,
-            );
-            if let Some(diff) = &mut self.diff {
-                diff.observe_exec(input, self.agent.execs());
-            }
-        }
-        self.adopted += inputs.len() as u64;
-        // The pool adoption folds the group's whole virgin map in.
-        self.sync_stats.deltas_applied += 1;
-        self.sync_stats.adoptions += inputs.len() as u64;
-        self.sync_stats.segments_merged +=
-            nf_coverage::bitmap::segments::segment_count(MAP_SIZE) as u64;
-        self.sync_stats.words_scanned += (MAP_SIZE / 8) as u64;
-        inputs.len()
     }
 
     /// `true` when this worker has observed novelty it has not yet
@@ -800,7 +754,7 @@ impl Campaign {
         self.fuzzer.corpus().has_unpublished()
     }
 
-    /// Publishes this worker's accumulated novelty onto the async
+    /// Publishes this worker's accumulated novelty onto the group's
     /// delta bus (sharded watermark scan) and self-watermarks the
     /// record so topology echoes terminate. Returns `true` when a
     /// record was actually published (an all-foreign watermark window
@@ -823,8 +777,7 @@ impl Campaign {
     /// entries join the queue with their classified bitmaps, and
     /// their line evidence is folded straight into this campaign's
     /// coverage accounting — no replay, so adoption costs zero
-    /// executions (lockstep's replay-on-adopt remains the A/B
-    /// oracle). Returns the number of entries adopted.
+    /// executions. Returns the number of entries adopted.
     pub fn apply_async(&mut self, rec: &SeqDelta) -> usize {
         let before = self.fuzzer.corpus().len();
         let adopted = self
@@ -883,13 +836,13 @@ impl Campaign {
     }
 }
 
-/// Runs one campaign of NecoFuzz against the hypervisor `factory`.
 /// Boxed hypervisor factory: builds a fresh L0 for a given [`HvConfig`].
 pub type HvFactory = Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>;
 
 /// One sync-group member: a hypervisor factory plus its campaign config.
 pub type GroupMember = (HvFactory, CampaignConfig);
 
+/// Runs one campaign of NecoFuzz against the hypervisor `factory`.
 pub fn run_campaign(
     factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
     cfg: &CampaignConfig,
@@ -901,14 +854,11 @@ pub fn run_campaign(
 
 /// Runs a sync group: campaigns that pool their corpora.
 ///
-/// Members advance in lockstep epochs of `sync_interval` virtual
-/// hours; at each epoch boundary *with budget remaining*, every member
-/// publishes its [`CorpusDelta`] to a [`SharedCorpus`], the pool
-/// commits the deltas in worker-id order, and every member adopts the
-/// merged view. With `sync_interval == 0` — or an interval at or past
-/// the budget, where an exchange could no longer influence any
-/// execution — the members run exactly like independent
-/// `run_campaign` calls and produce bit-identical results to them.
+/// With two or more members and a non-zero `sync_interval`, the
+/// members gossip corpus deltas while they run (watermark gossip over
+/// their `sync_topology`; see [`run_campaign_group_observed`]).
+/// Otherwise they run exactly like independent `run_campaign` calls
+/// and produce bit-identical results to them.
 ///
 /// Worker ids are member indices, so the whole group is a pure
 /// function of its (ordered) member list: results are deterministic at
@@ -918,11 +868,11 @@ pub fn run_campaign_group(members: Vec<GroupMember>) -> Vec<CampaignResult> {
 }
 
 /// [`run_campaign_group`] with a per-hour observer: after every virtual
-/// hour — and after any corpus exchange at that boundary — `observe`
-/// sees the member states. This is the seam benches and progress
-/// reporting use to sample time-to-coverage without re-implementing
-/// the sync protocol; the observer cannot influence the run, so
-/// results are identical to the unobserved call.
+/// hour — and, after the last one, once the group has gossiped to
+/// quiescence — `observe` sees the member states. This is the seam
+/// benches and progress reporting use to sample time-to-coverage
+/// without re-implementing the sync protocol; the observer cannot
+/// influence the run, so results are identical to the unobserved call.
 pub fn run_campaign_group_observed(
     members: Vec<GroupMember>,
     mut observe: impl FnMut(&[Campaign]),
@@ -932,7 +882,6 @@ pub fn run_campaign_group_observed(
     };
     let hours = first.1.hours;
     let interval = first.1.sync_interval;
-    let sync_mode = first.1.sync_mode;
     let topology = first.1.sync_topology;
     // A hard assert: in release builds a mismatched member would
     // silently finish its surplus hours unsynced, voiding the group's
@@ -944,71 +893,42 @@ pub fn run_campaign_group_observed(
         "sync-group members must share hours and sync_interval"
     );
     assert!(
-        members
-            .iter()
-            .all(|(_, cfg)| cfg.sync_mode == sync_mode && cfg.sync_topology == topology),
-        "sync-group members must share sync_mode and sync_topology"
+        members.iter().all(|(_, cfg)| cfg.sync_topology == topology),
+        "sync-group members must share sync_topology"
     );
-    // Async gossip has no epoch clock: any non-zero interval turns it
-    // on. Lockstep keeps its exact historical gating below.
-    if sync_mode == SyncMode::Async && interval > 0 && members.len() > 1 {
-        return run_campaign_group_async_observed(members, observe);
+    if interval > 0 && members.len() > 1 {
+        return run_synced_group(members, observe);
     }
-    // A group only *syncs* when an exchange can still influence an
-    // execution: at least two members and a boundary strictly inside
-    // the budget. Otherwise members must be bit-identical to isolated
+    // An unsynced group's members must be bit-identical to isolated
     // `run_campaign` calls — including their corpora — so neither
     // worker ids nor forced recording may leak in.
-    let syncing = interval > 0 && members.len() > 1 && interval < hours;
     let mut campaigns: Vec<Campaign> = members
         .into_iter()
-        .enumerate()
-        .map(|(worker, (factory, cfg))| {
-            Campaign::with_worker(factory, &cfg, if syncing { worker as u32 } else { 0 })
-        })
+        .map(|(factory, cfg)| Campaign::new(factory, &cfg))
         .collect();
-
-    let shared = SharedCorpus::new();
-    if syncing {
-        for c in &mut campaigns {
-            c.enable_sync_recording();
-        }
-    }
-    let mut done = 0;
-    while done < hours {
+    for _ in 0..hours {
         for c in &mut campaigns {
             c.run_hours(1);
-        }
-        done += 1;
-        if syncing && done < hours && done % interval == 0 {
-            for c in &mut campaigns {
-                let delta = c.take_delta();
-                shared.publish(delta);
-            }
-            shared.commit_epoch();
-            for c in &mut campaigns {
-                c.adopt(&shared);
-            }
         }
         observe(&campaigns);
     }
     campaigns.into_iter().map(Campaign::into_result).collect()
 }
 
-/// The asynchronous sync-group runner: no epoch barrier, no shared
-/// pool. Workers advance in single-execution steps; after each step a
-/// worker publishes its unpublished novelty onto the [`DeltaBus`]
+/// The synced group runner: watermark gossip, no barrier. Workers
+/// advance in single-execution steps; after each step a worker
+/// publishes its unpublished novelty onto the [`DeltaBus`]
 /// (watermark-sequenced), drains its topology peers' fresh records,
 /// evidence-merges them, and relays them onward. At the end of the
 /// final hour the group gossips to quiescence, so the last hourly
 /// observation — and the results — see a converged fleet.
 ///
 /// Determinism: workers step in worker-id order (the group is one
-/// scheduling unit, exactly like lockstep groups), the bus assigns
-/// sequence numbers in publish order, and drains scan peers in fixed
-/// order — the whole run is a pure function of (member list,
-/// topology), reproducible at any host parallelism.
-fn run_campaign_group_async_observed(
+/// scheduling unit), the bus assigns sequence numbers in publish
+/// order, and drains scan peers in fixed order — the whole run is a
+/// pure function of (member list, topology), reproducible at any host
+/// parallelism.
+fn run_synced_group(
     members: Vec<GroupMember>,
     mut observe: impl FnMut(&[Campaign]),
 ) -> Vec<CampaignResult> {
@@ -1048,6 +968,13 @@ fn run_campaign_group_async_observed(
             for (w, c) in campaigns.iter_mut().enumerate() {
                 c.run_execs(1);
                 turn(c, &mut nodes[w], &mut bus, w as u32);
+            }
+        }
+        if execs_per_hour == 0 {
+            // An hour that carries no executions still ticks every
+            // member's clock, as `Campaign::run_hours` does.
+            for c in &mut campaigns {
+                c.run_hours(1);
             }
         }
         if done + 1 == hours {
@@ -1331,22 +1258,42 @@ mod tests {
         let lone: Vec<CampaignResult> = (0..2)
             .map(|s| run_campaign(kvm_factory(), &mk(s, 0)))
             .collect();
-        // interval == 0: never sync. interval == hours: the only
-        // boundary is the end of the budget, where an exchange could
-        // not influence anything — also bit-identical.
-        for interval in [0u32, 3] {
-            let group =
-                run_campaign_group((0..2).map(|s| (kvm_factory(), mk(s, interval))).collect());
-            for (worker, (g, l)) in group.iter().zip(&lone).enumerate() {
-                assert_eq!(
-                    g.hourly, l.hourly,
-                    "interval {interval} diverged for worker {worker}"
-                );
-                assert_eq!(g.finds, l.finds);
-                assert_eq!(g.lines, l.lines);
-                assert_eq!(g.execs, l.execs);
-                assert_eq!(g.adopted, 0);
-            }
+        // interval == 0: never sync.
+        let group = run_campaign_group((0..2).map(|s| (kvm_factory(), mk(s, 0))).collect());
+        for (worker, (g, l)) in group.iter().zip(&lone).enumerate() {
+            assert_eq!(g.hourly, l.hourly, "worker {worker} diverged");
+            assert_eq!(g.finds, l.finds);
+            assert_eq!(g.lines, l.lines);
+            assert_eq!(g.execs, l.execs);
+            assert_eq!(g.adopted, 0);
+        }
+    }
+
+    #[test]
+    fn zero_exec_synced_groups_tick_every_hour_like_lone_campaigns() {
+        let mk = |seed| {
+            CampaignConfig::necofuzz(CpuVendor::Intel, 3, seed)
+                .with_execs_per_hour(0)
+                .with_sync_interval(1)
+        };
+        let mut seen = Vec::new();
+        let group = run_campaign_group_observed(
+            (0..2).map(|s| (kvm_factory(), mk(s))).collect(),
+            |members| seen.push(members.iter().map(Campaign::hours_done).collect::<Vec<_>>()),
+        );
+        assert_eq!(
+            seen,
+            vec![vec![1, 1], vec![2, 2], vec![3, 3]],
+            "the observer must see hours 1..=3 tick"
+        );
+        for (worker, g) in group.iter().enumerate() {
+            let lone = run_campaign(kvm_factory(), &mk(worker as u64));
+            assert_eq!(g.hourly, lone.hourly, "worker {worker} sampled differently");
+            assert_eq!(g.final_coverage, lone.final_coverage);
+            assert_eq!(g.lines, lone.lines);
+            assert_eq!(g.finds, lone.finds);
+            assert_eq!(g.alarms, lone.alarms);
+            assert_eq!((g.execs, g.adopted), (0, 0));
         }
     }
 }

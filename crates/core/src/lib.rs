@@ -87,7 +87,7 @@ pub use harness::{
     ExecEvent, ExecObserver, ExecPhase, ExecutionHarness, InitPlan, InitStep, NopObserver,
 };
 pub use input::{InputLayout, InputView, SectionSpan};
-pub use nf_fuzz::{Corpus, CorpusDelta, MutationStrategy, SharedCorpus};
+pub use nf_fuzz::{Corpus, CorpusDelta, MutationStrategy};
 pub use orchestrator::{
     default_jobs, Backend, CampaignExecutor, CampaignJob, CampaignPlan, Progress, SharedFactory,
     SyncGroup, Task, MAX_TASK_RESTARTS,

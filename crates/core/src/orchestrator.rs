@@ -12,25 +12,25 @@
 //!   (`jobs(n)`, default = available parallelism) and returns results
 //!   **in plan order**, so output is byte-identical to a serial run;
 //! - [`SyncGroup`] is the corpus-sharing seam: when a plan's base
-//!   config sets a `sync_interval`, grid cells that share (backend, vendor, mode,
-//!   mask, budget) pool their corpora across seeds — the group
-//!   becomes one scheduling unit whose members interleave in lockstep
-//!   epochs, so plan-order determinism and the serial==parallel
-//!   guarantee survive the sharing;
+//!   config sets a `sync_interval`, grid cells that share (backend,
+//!   vendor, mode, mask, budget) gossip their corpora across seeds —
+//!   the group becomes one scheduling unit whose members interleave
+//!   one execution at a time, so plan-order determinism and the
+//!   serial==parallel guarantee survive the sharing;
 //! - [`Task`] is the generic unit the executor schedules — baseline
 //!   tools (Syzkaller, IRIS, the test suites) join the same pool via
 //!   [`CampaignExecutor::execute`].
 //!
 //! Determinism is preserved because nothing is shared *between
 //! scheduling units*: an unsynced job owns its hypervisor, fuzzer, and
-//! agent; a sync group owns all of its members and merges their deltas
-//! in worker-id order at fixed epoch boundaries.
+//! agent; a sync group owns all of its members and steps them, and
+//! their gossip, in worker-id order.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nf_fuzz::{Mode, MutationStrategy, SyncMode};
+use nf_fuzz::{Mode, MutationStrategy};
 use nf_hv::{HvConfig, L0Hypervisor};
 use nf_x86::CpuVendor;
 
@@ -128,12 +128,13 @@ impl CampaignJob {
             OracleMode::Sanitizer => String::new(),
             OracleMode::Differential => format!("/diff[{}]", self.cfg.diff_backends.join("+")),
         };
-        // Lockstep (the default) stays unlabeled; async cells carry
-        // their topology, which also keys them into distinct sync
+        // Unsynced cells stay unlabeled; synced cells carry their
+        // gossip topology, which also keys them into distinct sync
         // groups via `cell_key`.
-        let sync = match self.cfg.sync_mode {
-            SyncMode::Lockstep => String::new(),
-            SyncMode::Async => format!("/async-{}", self.cfg.sync_topology),
+        let sync = if self.cfg.sync_interval > 0 {
+            format!("/async-{}", self.cfg.sync_topology)
+        } else {
+            String::new()
         };
         format!(
             "{}/{}/{mode}{mask}{strategy}{oracle}{sync}",
@@ -142,7 +143,7 @@ impl CampaignJob {
     }
 
     /// The sync-group identity: every axis except the seed, including
-    /// the budget (groups must advance in lockstep epochs).
+    /// the budget (members step through the same exec schedule).
     fn cell_key(&self) -> String {
         format!(
             "{}|{}h|{}eph|sync{}",
@@ -270,21 +271,20 @@ impl CampaignPlan {
 /// cell (same backend, vendor, mode, mask, and budget) across
 /// seeds, with their plan indices.
 ///
-/// A group runs as **one** pool task: its members interleave in
-/// lockstep `sync_interval`-hour epochs and exchange corpus deltas in
-/// worker-id (= plan) order through a `SharedCorpus`
-/// ([`crate::campaign::run_campaign_group`]). Because the group — not the member — is
-/// the unit the executor schedules, host parallelism cannot reorder
-/// the exchanges: plan-order determinism and the serial==parallel
-/// guarantee hold with sharing enabled.
+/// A group runs as **one** pool task: its members interleave one
+/// execution at a time in worker-id (= plan) order and gossip corpus
+/// deltas over their topology
+/// ([`crate::campaign::run_campaign_group`]). Because the group — not
+/// the member — is the unit the executor schedules, host parallelism
+/// cannot reorder the exchanges: plan-order determinism and the
+/// serial==parallel guarantee hold with sharing enabled.
 pub struct SyncGroup {
     jobs: Vec<(usize, CampaignJob)>,
 }
 
 impl SyncGroup {
     /// Partitions jobs into scheduling units, preserving plan order:
-    /// jobs that cannot exchange corpora — `sync_interval == 0`, or a
-    /// boundary at/past the budget — become singleton groups (they run
+    /// jobs with `sync_interval == 0` become singleton groups (they run
     /// like isolated campaigns, so coalescing them would only
     /// serialize parallelizable work); syncing jobs coalesce per grid
     /// cell in first-occurrence order.
@@ -292,12 +292,7 @@ impl SyncGroup {
         let mut groups: Vec<SyncGroup> = Vec::new();
         let mut cell_group: BTreeMap<String, usize> = BTreeMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            // Async gossip is novelty-clocked: any non-zero interval
-            // syncs, so only the lockstep epoch clock can run out of
-            // boundaries inside the budget.
-            let barren =
-                job.cfg.sync_mode == SyncMode::Lockstep && job.cfg.sync_interval >= job.cfg.hours;
-            if job.cfg.sync_interval == 0 || barren {
+            if job.cfg.sync_interval == 0 {
                 groups.push(SyncGroup {
                     jobs: vec![(index, job)],
                 });
@@ -328,15 +323,9 @@ impl SyncGroup {
     }
 
     /// `true` when the members will actually exchange corpora: more
-    /// than one member and a sync boundary strictly inside the budget
-    /// (an exchange at or past the budget could not influence any
-    /// execution, so such groups run as isolated campaigns).
+    /// than one member and a non-zero `sync_interval`.
     pub fn is_synced(&self) -> bool {
-        self.jobs.len() > 1 && {
-            let cfg = &self.jobs[0].1.cfg;
-            cfg.sync_interval > 0
-                && (cfg.sync_mode == SyncMode::Async || cfg.sync_interval < cfg.hours)
-        }
+        self.jobs.len() > 1 && self.jobs[0].1.cfg.sync_interval > 0
     }
 
     /// Display label: the single job's label, or the cell with a
@@ -346,10 +335,9 @@ impl SyncGroup {
             self.jobs[0].1.label()
         } else {
             format!(
-                "sync[{} x{} seeds @{}h]",
+                "sync[{} x{} seeds]",
                 self.jobs[0].1.label_without_seed(),
-                self.jobs.len(),
-                self.jobs[0].1.cfg.sync_interval
+                self.jobs.len()
             )
         }
     }

@@ -116,6 +116,13 @@ fn usage_errors_exit_2_before_any_campaign_runs() {
             vec!["corpus", "repro", file, "--engine", "snapshot"],
             "usage",
         ),
+        (vec!["--sync-mode", "async"], "usage"),
+        (vec!["--sync-mode"], "usage"),
+        (vec!["--sync-topology", "ring"], "--sync-topology"),
+        (
+            [&short[..], &["--sync-topology", "tree"]].concat(),
+            "--sync-topology",
+        ),
     ];
     for (args, needle) in &cases {
         let out = necofuzz(args);

@@ -10,23 +10,22 @@
 //! - [`Corpus`] — queue entries with energy and per-entry provenance,
 //!   plus the virgin bitmap (the novelty oracle);
 //! - [`CorpusDelta`] — the novel entries and virgin bits cleared since
-//!   a sync watermark, the unit workers exchange;
-//! - [`SharedCorpus`] — an `Arc<RwLock<_>>` epoch-synced pool with
-//!   deterministic worker-id-ordered merges;
+//!   a sync watermark, the unit workers gossip
+//!   ([`Corpus::take_delta_async`] cuts one, [`Corpus::apply_delta`]
+//!   merges a sibling's);
 //! - [`Corpus::minimize`] — afl-cmin-style greedy weighted set cover
 //!   over line coverage;
 //! - [`Corpus::save_to`] / [`Corpus::load_from`] — versioned,
 //!   dependency-free persistence to a directory layout.
 //!
-//! Determinism: every operation is a pure function of its inputs —
-//! merges iterate staged deltas in worker-id order, adoption scans the
-//! pool in publication order — so a synced campaign group produces the
-//! same results at any host parallelism.
+//! Determinism: every operation is a pure function of its inputs — a
+//! delta lists entries in queue order and adoption scans them in that
+//! order — so a synced campaign group produces the same results at any
+//! host parallelism.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::{Arc, RwLock};
 
 use nf_coverage::bitmap::segments;
 use nf_coverage::{bitmap, LineSet};
@@ -105,11 +104,6 @@ pub struct Corpus {
     /// scans only these; inbound foreign knowledge moves `virgin` and
     /// `synced_virgin` in step, so it never needs a mark.
     dirty_segs: u64,
-    /// Pool entries already scanned during adoption. Transient: the
-    /// index is relative to one live [`SharedCorpus`], so it is reset
-    /// by persistence and minimization rather than carried over —
-    /// a stale cursor would silently skip a new pool's early entries.
-    pool_cursor: usize,
 }
 
 /// AFL's queue-culling bounds: past `CULL_AT` entries the oldest
@@ -128,7 +122,6 @@ impl Corpus {
             synced_entries: 0,
             synced_virgin: vec![0xff; MAP_SIZE],
             dirty_segs: 0,
-            pool_cursor: 0,
         }
     }
 
@@ -336,25 +329,6 @@ impl Corpus {
         new_bits
     }
 
-    /// Takes the delta since the last watermark — locally discovered
-    /// entries plus the virgin bits cleared — and advances the
-    /// watermark. Foreign (adopted) entries are never re-published.
-    pub fn take_delta(&mut self) -> CorpusDelta {
-        let delta = CorpusDelta {
-            worker: self.worker,
-            entries: self.entries[self.synced_entries..]
-                .iter()
-                .filter(|e| e.provenance.worker == self.worker)
-                .cloned()
-                .collect(),
-            cleared: bitmap::cleared_since(&self.synced_virgin, &self.virgin),
-        };
-        self.synced_entries = self.entries.len();
-        self.synced_virgin.copy_from_slice(&self.virgin);
-        self.dirty_segs = 0;
-        delta
-    }
-
     /// `true` when this worker has observed novelty it has not yet
     /// published — the async publish-on-novelty signal. Foreign
     /// knowledge applied via [`Corpus::apply_delta`] never raises it
@@ -363,13 +337,15 @@ impl Corpus {
         self.dirty_segs != 0
     }
 
-    /// [`Corpus::take_delta`] for the async path: the cleared-bits
-    /// scan and the watermark snapshot sweep only the virgin-map
-    /// segments local observations touched, skipping the rest of the
-    /// 64 KiB wholesale. Scan costs are recorded into `stats`. The
-    /// emitted delta is identical to the whole-map scan's (the marking
-    /// merge guarantees the mask covers every moved byte, pinned by
-    /// `bitmap_segments` proptests).
+    /// Takes the delta since the last watermark — locally discovered
+    /// entries plus the virgin bits cleared — and advances the
+    /// watermark. Foreign (adopted) entries are never re-published.
+    /// The cleared-bits scan and the watermark snapshot sweep only the
+    /// virgin-map segments local observations touched, skipping the
+    /// rest of the 64 KiB wholesale. Scan costs are recorded into
+    /// `stats`. The emitted delta is identical to a whole-map scan's
+    /// (the marking merge guarantees the mask covers every moved byte,
+    /// pinned by `bitmap_segments` proptests).
     pub fn take_delta_async(&mut self, stats: &mut SyncStats) -> CorpusDelta {
         let mut cleared = Vec::new();
         let scanned = segments::cleared_since_segments(
@@ -430,40 +406,6 @@ impl Corpus {
         stats.adoptions += adopted as u64;
         stats.segments_merged += u64::from(segments::segments_of(&delta.cleared).count_ones());
         stats.words_scanned += delta.cleared.len() as u64;
-        adopted
-    }
-
-    /// Adopts foreign pool entries that are still novel to this worker
-    /// and merges the pool's virgin knowledge. Returns the adopted
-    /// inputs, in pool order, so the caller can *replay* them — AFL++
-    /// secondaries execute synced entries rather than only mutating
-    /// them, which is what imports the siblings' coverage into this
-    /// worker's own accounting. Deterministic: the pool is scanned in
-    /// publication order from this corpus's own cursor.
-    fn adopt(&mut self, pool: &PoolState) -> Vec<FuzzInput> {
-        let mut adopted = Vec::new();
-        for entry in &pool.entries[self.pool_cursor.min(pool.entries.len())..] {
-            if entry.provenance.worker == self.worker {
-                continue; // our own discovery, already queued locally
-            }
-            if !bitmap::is_novel_against(&entry.cov, &self.virgin) {
-                continue; // a sibling (or we) already covered this
-            }
-            bitmap::merge_classified(&mut self.virgin, &entry.cov);
-            adopted.push(entry.input.clone());
-            self.entries.push(CorpusEntry {
-                energy: 8,
-                fuzzed: 0,
-                ..entry.clone()
-            });
-        }
-        self.pool_cursor = pool.entries.len();
-        bitmap::merge_virgin(&mut self.virgin, &pool.virgin);
-        // Adopted entries and merged bits are shared knowledge already;
-        // fold them into the watermark so the next delta stays local.
-        self.synced_entries = self.entries.len();
-        self.synced_virgin.copy_from_slice(&self.virgin);
-        self.dirty_segs = 0;
         adopted
     }
 
@@ -531,7 +473,6 @@ impl Corpus {
             synced_entries: synced,
             synced_virgin: self.virgin.clone(),
             dirty_segs: 0,
-            pool_cursor: 0,
         }
     }
 
@@ -546,8 +487,7 @@ impl Corpus {
     /// ```
     ///
     /// The format is versioned and dependency-free; `load_from`
-    /// round-trips bit-identically (the transient pool cursor is not
-    /// persisted — a loaded corpus starts fresh against any pool).
+    /// round-trips bit-identically.
     ///
     /// The save is atomic at directory granularity: the whole tree is
     /// staged into a sibling `<dir>.tmp` and swapped into place with
@@ -676,7 +616,6 @@ impl Corpus {
             synced_entries: field("synced_entries")? as usize,
             synced_virgin,
             dirty_segs,
-            pool_cursor: 0,
         })
     }
 }
@@ -793,114 +732,6 @@ fn read_entry(r: &mut impl io::Read, version: u32) -> io::Result<CorpusEntry> {
     })
 }
 
-/// The merged pool behind a [`SharedCorpus`].
-#[derive(Debug, Default)]
-struct PoolState {
-    /// Pool-novel entries in commit order (epoch, then worker id).
-    entries: Vec<CorpusEntry>,
-    /// Group-wide virgin map (what *someone* in the group has seen).
-    virgin: Vec<u8>,
-    /// Deltas published in the current epoch, keyed (= ordered) by
-    /// worker id.
-    staged: BTreeMap<u32, CorpusDelta>,
-    /// Completed sync epochs.
-    epoch: u64,
-}
-
-/// The cross-worker corpus pool: an epoch-synced shared view.
-///
-/// Usage per sync boundary: every member [`publish`]es its
-/// [`CorpusDelta`], one call to [`commit_epoch`] merges the staged
-/// deltas *in worker-id order*, then every member [`adopt_into`]s the
-/// pool. All three steps are deterministic, so a group produces the
-/// same corpora no matter how its members are scheduled.
-///
-/// [`publish`]: SharedCorpus::publish
-/// [`commit_epoch`]: SharedCorpus::commit_epoch
-/// [`adopt_into`]: SharedCorpus::adopt_into
-#[derive(Debug, Clone)]
-pub struct SharedCorpus {
-    inner: Arc<RwLock<PoolState>>,
-}
-
-impl Default for SharedCorpus {
-    /// Same as [`SharedCorpus::new`]. A derived default would leave the
-    /// group virgin map empty, making every published entry look
-    /// already-covered — the pool would silently drop everything.
-    fn default() -> Self {
-        SharedCorpus::new()
-    }
-}
-
-impl SharedCorpus {
-    /// An empty pool with an all-virgin group bitmap.
-    pub fn new() -> Self {
-        SharedCorpus {
-            inner: Arc::new(RwLock::new(PoolState {
-                virgin: vec![0xff; MAP_SIZE],
-                ..PoolState::default()
-            })),
-        }
-    }
-
-    /// Stages a worker's delta for the current epoch. Re-publishing in
-    /// the same epoch replaces the previous stage.
-    pub fn publish(&self, delta: CorpusDelta) {
-        let mut pool = self.inner.write().expect("corpus pool poisoned");
-        pool.staged.insert(delta.worker, delta);
-    }
-
-    /// Merges every staged delta in worker-id order and opens the next
-    /// epoch. Entries already covered by the pool's virgin map are
-    /// dropped (a sibling published the same discovery first); the
-    /// survivor order is (epoch, worker id, discovery order) —
-    /// deterministic for a fixed publish set.
-    pub fn commit_epoch(&self) -> u64 {
-        let mut pool = self.inner.write().expect("corpus pool poisoned");
-        let staged = std::mem::take(&mut pool.staged);
-        for (_, delta) in staged {
-            for entry in delta.entries {
-                if bitmap::is_novel_against(&entry.cov, &pool.virgin) {
-                    bitmap::merge_classified(&mut pool.virgin, &entry.cov);
-                    pool.entries.push(entry);
-                }
-            }
-            bitmap::apply_cleared(&mut pool.virgin, &delta.cleared);
-        }
-        pool.epoch += 1;
-        pool.epoch
-    }
-
-    /// Merges the pool into `corpus`: foreign entries still novel to
-    /// the worker join its queue, and the group-wide virgin knowledge
-    /// is folded in so the worker stops re-exploring what siblings
-    /// covered. Returns the adopted inputs in pool order — replay them
-    /// to import the siblings' coverage (AFL++ secondary semantics).
-    pub fn adopt_into(&self, corpus: &mut Corpus) -> Vec<FuzzInput> {
-        let pool = self.inner.read().expect("corpus pool poisoned");
-        corpus.adopt(&pool)
-    }
-
-    /// Completed sync epochs.
-    pub fn epoch(&self) -> u64 {
-        self.inner.read().expect("corpus pool poisoned").epoch
-    }
-
-    /// Entries accumulated in the pool.
-    pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .expect("corpus pool poisoned")
-            .entries
-            .len()
-    }
-
-    /// `true` when no entry has been pooled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,7 +833,7 @@ mod tests {
 
         // Published entries never move: past the sync watermark the
         // same drain leaves the queue untouched.
-        c.take_delta();
+        c.take_delta_async(&mut SyncStats::default());
         for _ in 0..8 {
             assert_eq!(c.schedule_next().unwrap(), kin);
         }
@@ -1012,17 +843,18 @@ mod tests {
 
     #[test]
     fn delta_contains_only_local_news_since_watermark() {
+        let mut stats = SyncStats::default();
         let mut c = Corpus::new();
         c.push_seed(FuzzInput::zeroed());
         observed(&mut c, 10, 0..4, 1);
-        let delta = c.take_delta();
+        let delta = c.take_delta_async(&mut stats);
         assert_eq!(delta.entries.len(), 1, "seed entries are not shared");
         assert!(!delta.cleared.is_empty());
 
-        let empty = c.take_delta();
+        let empty = c.take_delta_async(&mut stats);
         assert!(empty.is_empty(), "watermark advanced: {empty:?}");
         observed(&mut c, 11, 4..8, 2);
-        assert_eq!(c.take_delta().entries.len(), 1);
+        assert_eq!(c.take_delta_async(&mut stats).entries.len(), 1);
     }
 
     #[test]
@@ -1031,12 +863,18 @@ mod tests {
         a.push_seed(FuzzInput::zeroed());
         observed(&mut a, 10, 0..4, 1); // segment 0
         observed(&mut a, 5000, 4..8, 2); // segment 4
-        let mut b = a.clone();
+                                         // The whole-map reference: every virgin byte diffed against the
+                                         // watermark snapshot, every entry queued above the mark.
+        let whole = CorpusDelta {
+            worker: a.worker,
+            entries: a.entries[a.synced_entries..].to_vec(),
+            cleared: bitmap::cleared_since(&a.synced_virgin, &a.virgin),
+        };
         let mut stats = SyncStats::default();
         let sharded = a.take_delta_async(&mut stats);
-        let whole = b.take_delta();
         assert_eq!(sharded, whole, "masked scan must equal the whole-map scan");
-        assert_eq!(a, b, "watermark state must agree");
+        assert_eq!(a.synced_virgin, a.virgin, "the snapshot caught up");
+        assert_eq!(a.synced_entries, a.len(), "the entry mark caught up");
         assert_eq!(stats.segments_merged, 2, "only touched segments swept");
         assert!(!a.has_unpublished());
     }
@@ -1071,67 +909,36 @@ mod tests {
     }
 
     #[test]
-    fn pool_merges_in_worker_order_and_dedups() {
-        let shared = SharedCorpus::new();
-        // Worker 2 publishes first, but worker 1's duplicate of edge 5
-        // must win the pool slot because merges are worker-id ordered.
-        shared.publish(CorpusDelta {
-            worker: 2,
-            entries: vec![entry(2, 7, 5, 0..4), entry(2, 9, 6, 4..8)],
-            cleared: vec![],
-        });
-        shared.publish(CorpusDelta {
-            worker: 1,
-            entries: vec![entry(1, 3, 5, 0..4)],
-            cleared: vec![],
-        });
-        shared.commit_epoch();
-        assert_eq!(shared.len(), 2, "edge-5 duplicate deduped");
-
-        let mut adopter = Corpus::new();
-        adopter.set_worker(3);
-        let adopted = shared.adopt_into(&mut adopter);
-        assert_eq!(adopted.len(), 2);
-        assert_eq!(adopter.entries().next().unwrap().provenance.worker, 1);
-        // Re-adoption is a no-op (pool cursor advanced).
-        assert!(shared.adopt_into(&mut adopter).is_empty());
-        // The adopter's next delta must not re-publish foreign entries.
-        assert_eq!(adopter.take_delta().entries.len(), 0);
-    }
-
-    #[test]
     fn adoption_skips_own_and_known_coverage() {
-        let shared = SharedCorpus::new();
-        shared.publish(CorpusDelta {
+        let mut own = Corpus::new(); // worker 0
+        observed(&mut own, 6, 4..8, 9); // it already knows edge 6
+        let mut stats = SyncStats::default();
+        // Its own record, echoed back around the topology, changes
+        // nothing — not even the virgin map.
+        let echo = CorpusDelta {
             worker: 0,
-            entries: vec![entry(0, 1, 5, 0..4)],
-            cleared: vec![],
-        });
-        shared.publish(CorpusDelta {
+            entries: vec![entry(0, 1, 7, 8..12)],
+            cleared: vec![(7, 1)],
+        };
+        assert_eq!(own.apply_delta(&echo, &mut stats), 0);
+        assert_eq!(own.virgin()[7] & 1, 1, "an echo must not apply");
+
+        // A sibling's record carrying one of worker 0's own entries
+        // and one whose edge worker 0 already covers.
+        let sibling = CorpusDelta {
             worker: 1,
-            entries: vec![entry(1, 2, 6, 4..8)],
-            cleared: vec![],
-        });
-        shared.commit_epoch();
-
-        let mut own = Corpus::new(); // worker 0: its own entry must not bounce back
-        observed(&mut own, 6, 4..8, 9); // and it already knows edge 6
-        let adopted = shared.adopt_into(&mut own);
-        assert!(adopted.is_empty(), "own entry skipped, known edge skipped");
-        // But the group virgin map was folded in: edge 5 is now known.
+            entries: vec![entry(0, 1, 5, 0..4), entry(1, 2, 6, 4..8)],
+            cleared: vec![(5, 1), (6, 1)],
+        };
+        assert_eq!(
+            own.apply_delta(&sibling, &mut stats),
+            0,
+            "own entry skipped, known edge skipped"
+        );
+        assert_eq!(own.len(), 1);
+        // But the sibling's cleared bits were folded in: edge 5 is now
+        // known.
         assert_eq!(own.virgin()[5] & 1, 0);
-    }
-
-    #[test]
-    fn default_pool_accepts_entries_like_new() {
-        let shared = SharedCorpus::default();
-        shared.publish(CorpusDelta {
-            worker: 0,
-            entries: vec![entry(0, 1, 5, 0..4)],
-            cleared: vec![],
-        });
-        shared.commit_epoch();
-        assert_eq!(shared.len(), 1, "default pool must not drop entries");
     }
 
     #[test]
@@ -1179,7 +986,7 @@ mod tests {
         c.push_seed(FuzzInput::zeroed());
         observed(&mut c, 10, 0..4, 1);
         observed(&mut c, 11, 4..8, 2);
-        c.take_delta();
+        c.take_delta_async(&mut SyncStats::default());
         observed(&mut c, 12, 8..12, 3);
         c.schedule_next();
 
@@ -1359,7 +1166,7 @@ mod tests {
         std::fs::write(
             dir.join("MANIFEST"),
             "necofuzz-corpus v999\nworker 0\ncursor 0\nsynced_entries 0\n\
-             pool_cursor 0\nmap_size 65536\nentries 0\n",
+             dirty_segs 0\nmap_size 65536\nentries 0\n",
         )
         .expect("tamper");
         assert!(Corpus::load_from(&dir).is_err());

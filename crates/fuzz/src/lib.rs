@@ -23,7 +23,7 @@ use nf_coverage::LineSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-pub use corpus::{Corpus, CorpusDelta, CorpusEntry, Provenance, SharedCorpus};
+pub use corpus::{Corpus, CorpusDelta, CorpusEntry, Provenance};
 pub use scenario::{
     same_affinity, InputLayout, MutatorProfile, Operator, OperatorStats, ProfileState, Scenario,
     SectionSpan,
@@ -217,9 +217,9 @@ pub struct Fuzzer {
     havoc_arms: [u64; HAVOC_ARMS],
     /// Record novel inputs into the corpus. On by default in guided
     /// mode; a sync group turns it on in unguided mode too, so
-    /// breadth-first workers still contribute their discoveries to the
-    /// shared pool (generation is unaffected — unguided inputs never
-    /// come from the queue).
+    /// breadth-first workers still contribute their discoveries to
+    /// their gossip deltas (generation is unaffected — unguided inputs
+    /// never come from the queue).
     recording: bool,
     execs: u64,
     crashes: u64,

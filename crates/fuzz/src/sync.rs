@@ -1,67 +1,39 @@
-//! Asynchronous corpus-sync machinery: watermark-sequenced deltas,
-//! the per-group delta bus, and deterministic gossip topologies.
+//! Corpus-sync machinery: watermark-sequenced deltas, the per-group
+//! delta bus, and deterministic gossip topologies.
 //!
-//! The lockstep path ([`SharedCorpus`]) stops the whole fleet at an
-//! hourly epoch barrier and merges all-to-all. This module is the
-//! non-blocking alternative: a worker *publishes* a [`CorpusDelta`]
-//! the moment it has unpublished novelty, peers *drain* inbound deltas
-//! at iteration boundaries, and per-origin sequence watermarks make
-//! every delta apply exactly once even when gossip echoes it back.
-//! Instead of every worker merging every other worker's delta, records
-//! travel a fixed topology ([`SyncTopology`]) — each worker merges
-//! O(1) peers per sync and forwards fresh records verbatim, so a
-//! 64-worker fleet pays ring/tree hops instead of 63 merges.
+//! A sync group never stops at a barrier: a worker *publishes* a
+//! [`CorpusDelta`] the moment it has unpublished novelty, peers
+//! *drain* inbound deltas at iteration boundaries, and per-origin
+//! sequence watermarks make every delta apply exactly once even when
+//! gossip echoes it back. Instead of every worker merging every other
+//! worker's delta, records travel a fixed topology ([`SyncTopology`])
+//! — each worker merges O(1) peers per sync and forwards fresh records
+//! verbatim, so a 64-worker fleet pays ring/tree hops instead of 63
+//! merges.
 //!
 //! Determinism: the bus assigns sequence numbers in publish order, a
 //! drain scans peers in fixed order, and the group runner steps
-//! workers in worker-id order — so an async group is a pure function
+//! workers in worker-id order — so a synced group is a pure function
 //! of (seeds, topology), reproducible at any host parallelism. The
 //! convergence suite (`tests/async_convergence.rs`) pins this, and
-//! pins async final coverage to the lockstep oracle's.
+//! pins a fleet's final union to that of the same seeds run alone.
 //!
-//! [`SharedCorpus`]: crate::corpus::SharedCorpus
 //! [`CorpusDelta`]: crate::corpus::CorpusDelta
 
 use std::sync::Arc;
 
 use crate::corpus::CorpusDelta;
 
-/// How a sync group exchanges corpus knowledge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The argument type of the no-op `CampaignConfig::with_sync_mode`.
+/// Watermark gossip is the only sync protocol; the type stays only
+/// because perfbench names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
-    /// Hourly epoch barrier through [`SharedCorpus`]: publish, commit
-    /// in worker-id order, adopt-with-replay. The A/B determinism
-    /// oracle — bit-identical to the pre-async behavior.
-    ///
-    /// [`SharedCorpus`]: crate::corpus::SharedCorpus
-    #[default]
-    Lockstep,
-    /// Watermark-sequenced gossip: publish on novelty, drain at
-    /// iteration boundaries, evidence-merge adoption, no barrier.
+    /// The only value.
     Async,
 }
 
-impl SyncMode {
-    /// Parses a CLI `--sync-mode` value.
-    pub fn parse(s: &str) -> Option<SyncMode> {
-        match s {
-            "lockstep" => Some(SyncMode::Lockstep),
-            "async" => Some(SyncMode::Async),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SyncMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SyncMode::Lockstep => "lockstep",
-            SyncMode::Async => "async",
-        })
-    }
-}
-
-/// The gossip graph async records travel. Both are deterministic
+/// The gossip graph sync records travel. Both are deterministic
 /// functions of (worker id, group size) — no registration, no
 /// membership protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,15 +97,14 @@ impl std::fmt::Display for SyncTopology {
 /// equality the same way engine stats are.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Deltas this worker published (lockstep: one per epoch).
+    /// Deltas this worker published.
     pub deltas_published: u64,
     /// Foreign deltas merged into this worker's corpus.
     pub deltas_applied: u64,
-    /// Virgin-map segments swept across all delta/merge scans
-    /// (lockstep's whole-map sweeps count every segment).
+    /// Virgin-map segments swept across all delta/merge scans.
     pub segments_merged: u64,
     /// Virgin-map words visited by those sweeps — the cost the
-    /// sharded path saves versus whole-map scans.
+    /// sharded scans save versus whole-map ones.
     pub words_scanned: u64,
     /// Foreign entries adopted into the local queue.
     pub adoptions: u64,
@@ -167,9 +138,9 @@ pub struct SeqDelta {
 /// holding the records (own publications + relays) that worker has
 /// made available to its topology peers.
 ///
-/// Single-threaded by design: the async group runner steps workers in
-/// worker-id order (the same scheduling-unit discipline as lockstep
-/// groups), so the bus needs no lock and stays deterministic.
+/// Single-threaded by design: the group runner steps workers in
+/// worker-id order (the group is one scheduling unit), so the bus
+/// needs no lock and stays deterministic.
 #[derive(Debug)]
 pub struct DeltaBus {
     outboxes: Vec<Vec<Arc<SeqDelta>>>,
@@ -373,13 +344,9 @@ mod tests {
 
     #[test]
     fn parse_round_trips_display() {
-        for mode in [SyncMode::Lockstep, SyncMode::Async] {
-            assert_eq!(SyncMode::parse(&mode.to_string()), Some(mode));
-        }
         for topo in [SyncTopology::Ring, SyncTopology::Tree] {
             assert_eq!(SyncTopology::parse(&topo.to_string()), Some(topo));
         }
-        assert_eq!(SyncMode::parse("hourly"), None);
         assert_eq!(SyncTopology::parse("mesh"), None);
     }
 }

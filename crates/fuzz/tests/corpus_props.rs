@@ -5,10 +5,10 @@
 //!   grows the corpus;
 //! - `save_to`/`load_from` round-trips bit-identically, for guided and
 //!   unguided corpora alike;
-//! - sync deltas never leak foreign entries back into the pool.
+//! - sync deltas never re-publish foreign entries.
 
 use nf_coverage::LineSet;
-use nf_fuzz::{Corpus, ExecFeedback, Fuzzer, Mode, MAP_SIZE};
+use nf_fuzz::{Corpus, ExecFeedback, Fuzzer, Mode, SyncStats, MAP_SIZE};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +95,7 @@ proptest! {
             let mut fuzzer = grown_fuzzer(seed, mode, execs);
             if seed % 2 == 0 {
                 // Half the cases persist mid-sync state too.
-                fuzzer.corpus_mut().take_delta();
+                fuzzer.corpus_mut().take_delta_async(&mut SyncStats::default());
             }
             let corpus = fuzzer.corpus();
             let dir = temp_dir(tag, seed);
@@ -118,14 +118,14 @@ proptest! {
         let mut b = Fuzzer::new(seed.wrapping_add(1), Mode::Guided);
         b.set_worker(1);
 
-        let shared = nf_fuzz::SharedCorpus::new();
-        shared.publish(a.corpus_mut().take_delta());
-        shared.publish(b.corpus_mut().take_delta());
-        shared.commit_epoch();
-        shared.adopt_into(b.corpus_mut());
+        let mut stats = SyncStats::default();
+        let from_a = a.corpus_mut().take_delta_async(&mut stats);
+        b.corpus_mut().take_delta_async(&mut stats);
+        let adopted = b.corpus_mut().apply_delta(&from_a, &mut stats);
+        prop_assert!(adopted > 0, "a fresh corpus adopts A's discoveries");
 
         // B adopted A's entries; B's next delta must not re-export them.
-        let leak = b.corpus_mut().take_delta();
+        let leak = b.corpus_mut().take_delta_async(&mut stats);
         prop_assert!(
             leak.entries.iter().all(|e| e.provenance.worker == 1),
             "foreign entries must never be re-published"

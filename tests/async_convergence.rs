@@ -1,59 +1,59 @@
-//! Async-gossip convergence: the watermark sync protocol must earn its
-//! keep without giving up the repo's determinism guarantees.
+//! Gossip convergence: the watermark sync protocol must earn its keep
+//! without giving up the repo's determinism guarantees.
 //!
-//! 1. **Determinism**: an async group re-run with the same seeds and
+//! 1. **Determinism**: a synced group re-run with the same seeds and
 //!    topology reproduces every member bit-for-bit (results *and*
 //!    sync-cost counters) — gossip is scheduled, not racy.
 //! 2. **Convergence**: after the final drain-to-quiescence, every
 //!    member's own coverage equals the fleet union, and that union is
-//!    exactly the union a lockstep fleet reaches on the same seeds —
-//!    the protocol changes *when* knowledge moves, never *what* is
-//!    known.
+//!    exactly the union of the same seeds run as lone campaigns —
+//!    unguided members never consult a queue parent, so sync changes
+//!    *who* knows what, never *what* is found, and each member runs
+//!    its lone twin's execs and finds.
 //! 3. **Topology-independence**: ring and tree fleets converge to the
 //!    same union (the gossip graph is a transport, not an oracle).
-//! 4. **Orchestrator**: async grids keep serial == parallel, carry the
-//!    `/async-<topology>` cell label, and record sync work in the
-//!    result counters.
+//! 4. **Orchestrator**: synced grids keep serial == parallel, carry the
+//!    `/async-<topology>` cell label (unsynced cells carry none), and
+//!    record sync work in the result counters.
 
 use necofuzz::campaign::{
-    run_campaign_group_observed, CampaignConfig, CampaignResult, GroupMember,
+    run_campaign, run_campaign_group_observed, CampaignConfig, CampaignResult, GroupMember,
+    HvFactory,
 };
 use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
 use nf_coverage::LineSet;
-use nf_fuzz::{Mode, SyncMode, SyncTopology};
+use nf_fuzz::{Mode, SyncTopology};
 use nf_hv::Vkvm;
 use nf_x86::CpuVendor;
 
 const HOURS: u32 = 3;
 const EXECS_PER_HOUR: u32 = 60;
 
-fn group(n: u32, mode: SyncMode, topology: SyncTopology, fuzz_mode: Mode) -> Vec<GroupMember> {
+fn vkvm() -> HvFactory {
+    Box::new(|c| Box::new(Vkvm::new(c)))
+}
+
+fn member_cfg(worker: u32, topology: SyncTopology, fuzz_mode: Mode) -> CampaignConfig {
+    CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, u64::from(worker))
+        .with_execs_per_hour(EXECS_PER_HOUR)
+        .with_mode(fuzz_mode)
+        .with_sync_interval(1)
+        .with_sync_topology(topology)
+}
+
+fn group(n: u32, topology: SyncTopology, fuzz_mode: Mode) -> Vec<GroupMember> {
     (0..n)
-        .map(|worker| {
-            let cfg = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, u64::from(worker))
-                .with_execs_per_hour(EXECS_PER_HOUR)
-                .with_mode(fuzz_mode)
-                .with_sync_interval(1)
-                .with_sync_mode(mode)
-                .with_sync_topology(topology);
-            let factory: necofuzz::campaign::HvFactory = Box::new(|c| Box::new(Vkvm::new(c)));
-            (factory, cfg)
-        })
+        .map(|worker| (vkvm(), member_cfg(worker, topology, fuzz_mode)))
         .collect()
 }
 
 /// Runs the group and returns the results plus the final fleet union
 /// and worst-member line counts (own coverage, from the last hourly
 /// observation).
-fn run_group(
-    n: u32,
-    mode: SyncMode,
-    topology: SyncTopology,
-    fuzz_mode: Mode,
-) -> (Vec<CampaignResult>, u32, u32) {
+fn run_group(n: u32, topology: SyncTopology, fuzz_mode: Mode) -> (Vec<CampaignResult>, u32, u32) {
     let mut union_lines = 0u32;
     let mut min_lines = u32::MAX;
-    let results = run_campaign_group_observed(group(n, mode, topology, fuzz_mode), |members| {
+    let results = run_campaign_group_observed(group(n, topology, fuzz_mode), |members| {
         let (map, file) = members[0].coverage_geometry();
         let mut union = LineSet::for_map(&map);
         for member in members {
@@ -73,8 +73,8 @@ fn run_group(
 fn async_group_is_deterministic_for_fixed_seed_and_topology() {
     for topology in [SyncTopology::Tree, SyncTopology::Ring] {
         for fuzz_mode in [Mode::Unguided, Mode::Guided] {
-            let (a, union_a, min_a) = run_group(4, SyncMode::Async, topology, fuzz_mode);
-            let (b, union_b, min_b) = run_group(4, SyncMode::Async, topology, fuzz_mode);
+            let (a, union_a, min_a) = run_group(4, topology, fuzz_mode);
+            let (b, union_b, min_b) = run_group(4, topology, fuzz_mode);
             assert_eq!(a.len(), b.len());
             for (worker, (ra, rb)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(
@@ -94,15 +94,26 @@ fn async_group_is_deterministic_for_fixed_seed_and_topology() {
 }
 
 #[test]
-fn async_union_matches_lockstep_union_on_same_seeds() {
+fn async_union_matches_single_campaign_union_on_same_seeds() {
     for n in [2u32, 4, 8] {
-        let (lockstep, lockstep_union, _) =
-            run_group(n, SyncMode::Lockstep, SyncTopology::Tree, Mode::Unguided);
-        let (gossip, async_union, async_min) =
-            run_group(n, SyncMode::Async, SyncTopology::Tree, Mode::Unguided);
+        let (gossip, async_union, async_min) = run_group(n, SyncTopology::Tree, Mode::Unguided);
+        // The reference: the same seeds, each run alone and unsynced.
+        let singles: Vec<CampaignResult> = (0..n)
+            .map(|worker| {
+                let cfg =
+                    member_cfg(worker, SyncTopology::Tree, Mode::Unguided).with_sync_interval(0);
+                run_campaign(vkvm(), &cfg)
+            })
+            .collect();
+        let (map, file) = (&singles[0].map, singles[0].file);
+        let mut union = LineSet::for_map(map);
+        for single in &singles {
+            union.union_with(&single.lines);
+        }
         assert_eq!(
-            async_union, lockstep_union,
-            "{n}-worker async fleet knows a different union than lockstep"
+            async_union,
+            union.count_in(map, file),
+            "{n}-worker fleet knows a different union than its seeds run alone"
         );
         // Drain-to-quiescence: by the last observation every member
         // holds the whole fleet's knowledge.
@@ -110,18 +121,17 @@ fn async_union_matches_lockstep_union_on_same_seeds() {
             async_min, async_union,
             "{n}-worker async fleet left a member behind"
         );
-        // Async adopts by evidence merge, not replay: the exec budget
-        // is untouched, while lockstep replays every adopted entry.
+        // Unguided members run their lone twins' exec streams: sync
+        // moves knowledge, never what a member executes or finds.
+        for (worker, (member, single)) in gossip.iter().zip(&singles).enumerate() {
+            assert_eq!(member.execs, single.execs, "{n} workers, worker {worker}");
+            assert_eq!(member.finds, single.finds, "{n} workers, worker {worker}");
+        }
+        // Adoption merges evidence instead of replaying: the exec
+        // budget is untouched.
         let budget = u64::from(n) * u64::from(HOURS) * u64::from(EXECS_PER_HOUR);
         let async_execs: u64 = gossip.iter().map(|r| r.execs).sum();
-        let lockstep_execs: u64 = lockstep.iter().map(|r| r.execs).sum();
-        let lockstep_adopted: u64 = lockstep.iter().map(|r| r.adopted).sum();
         assert_eq!(async_execs, budget, "async adoption must not replay");
-        assert_eq!(
-            lockstep_execs,
-            budget + lockstep_adopted,
-            "lockstep adoption replays each adopted entry exactly once"
-        );
         // The fleets actually exchanged something.
         assert!(gossip.iter().all(|r| r.sync.deltas_published > 0));
         assert!(gossip.iter().all(|r| r.sync.deltas_applied > 0));
@@ -130,20 +140,17 @@ fn async_union_matches_lockstep_union_on_same_seeds() {
 
 #[test]
 fn ring_and_tree_converge_to_the_same_union() {
-    let (_, tree_union, tree_min) =
-        run_group(8, SyncMode::Async, SyncTopology::Tree, Mode::Unguided);
-    let (_, ring_union, ring_min) =
-        run_group(8, SyncMode::Async, SyncTopology::Ring, Mode::Unguided);
+    let (_, tree_union, tree_min) = run_group(8, SyncTopology::Tree, Mode::Unguided);
+    let (_, ring_union, ring_min) = run_group(8, SyncTopology::Ring, Mode::Unguided);
     assert_eq!(tree_union, ring_union, "gossip graph changed the union");
     assert_eq!(tree_min, tree_union);
     assert_eq!(ring_min, ring_union);
 }
 
-fn async_plan(mode: SyncMode, topology: SyncTopology) -> CampaignPlan {
+fn async_plan(sync_interval: u32, topology: SyncTopology) -> CampaignPlan {
     let base = CampaignConfig::necofuzz(CpuVendor::Intel, HOURS, 0)
         .with_execs_per_hour(EXECS_PER_HOUR)
-        .with_sync_interval(1)
-        .with_sync_mode(mode)
+        .with_sync_interval(sync_interval)
         .with_sync_topology(topology);
     CampaignPlan::new(base)
         .backend(Backend::new("vkvm", |c| Box::new(Vkvm::new(c))))
@@ -152,7 +159,7 @@ fn async_plan(mode: SyncMode, topology: SyncTopology) -> CampaignPlan {
 
 #[test]
 fn orchestrated_async_grid_is_identical_serial_and_parallel() {
-    let plan = async_plan(SyncMode::Async, SyncTopology::Tree);
+    let plan = async_plan(1, SyncTopology::Tree);
     let serial = CampaignExecutor::new().jobs(1).run(&plan);
     let parallel = CampaignExecutor::new().jobs(8).run(&plan);
     assert_eq!(serial.len(), parallel.len());
@@ -172,7 +179,7 @@ fn async_cells_are_labeled_with_their_topology() {
         (SyncTopology::Tree, "async-tree"),
         (SyncTopology::Ring, "async-ring"),
     ] {
-        let jobs = async_plan(SyncMode::Async, topology).jobs();
+        let jobs = async_plan(1, topology).jobs();
         assert_eq!(jobs.len(), 4);
         for job in &jobs {
             let label = job.label();
@@ -182,12 +189,14 @@ fn async_cells_are_labeled_with_their_topology() {
             );
         }
     }
-    // Lockstep labels are unchanged — the mode is the unlabeled default.
-    for job in async_plan(SyncMode::Lockstep, SyncTopology::Tree).jobs() {
-        let label = job.label();
-        assert!(
-            !label.contains("async"),
-            "lockstep label {label:?} grew a sync tag"
-        );
+    // An unsynced cell carries no sync tag, whatever its topology.
+    for topology in [SyncTopology::Tree, SyncTopology::Ring] {
+        for job in async_plan(0, topology).jobs() {
+            let label = job.label();
+            assert!(
+                !label.contains("async"),
+                "unsynced label {label:?} grew a sync tag"
+            );
+        }
     }
 }

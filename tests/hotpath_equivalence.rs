@@ -21,7 +21,7 @@ use necofuzz::campaign::{
     run_campaign, run_campaign_group, CampaignConfig, CampaignResult, GroupMember,
 };
 use necofuzz::Agent;
-use nf_fuzz::{Fuzzer, Mode, MutationStrategy, SharedCorpus};
+use nf_fuzz::{DeltaBus, Fuzzer, GossipNode, Mode, MutationStrategy, SyncStats};
 use nf_x86::CpuVendor;
 
 fn factory() -> necofuzz::campaign::HvFactory {
@@ -30,13 +30,17 @@ fn factory() -> necofuzz::campaign::HvFactory {
 
 /// A campaign driven entirely on the compat allocating path: the exact
 /// loop `Campaign::run_hours` ships, with every scratch-reusing call
-/// replaced by its allocating twin.
+/// replaced by its allocating twin, and a sync group's gossip turn
+/// spelled out on the corpus and bus calls.
 struct AllocCampaign {
     agent: Agent,
     fuzzer: Fuzzer,
     cfg: CampaignConfig,
     hourly: Vec<f64>,
+    hour_execs: u32,
     adopted: u64,
+    /// What the corpus sync calls record (diagnostic, never compared).
+    sync: SyncStats,
 }
 
 impl AllocCampaign {
@@ -49,30 +53,59 @@ impl AllocCampaign {
             fuzzer,
             cfg: cfg.clone(),
             hourly: Vec::new(),
+            hour_execs: 0,
             adopted: 0,
+            sync: SyncStats::default(),
         }
     }
 
     fn run_hours(&mut self, n: u32) {
-        for _ in 0..n {
-            for _ in 0..self.cfg.execs_per_hour {
-                let input = self.fuzzer.next_input();
-                let result = self.agent.run_iteration_alloc(&input);
-                self.fuzzer
-                    .report_observed(&input, &result.bitmap, &result.lines, result.feedback);
-            }
+        for _ in 0..n * self.cfg.execs_per_hour {
+            self.run_exec();
+        }
+    }
+
+    /// One execution, sampling coverage when it completes an hour.
+    fn run_exec(&mut self) {
+        let input = self.fuzzer.next_input();
+        let result = self.agent.run_iteration_alloc(&input);
+        self.fuzzer
+            .report_observed(&input, &result.bitmap, &result.lines, result.feedback);
+        self.hour_execs += 1;
+        if self.hour_execs == self.cfg.execs_per_hour {
+            self.hour_execs = 0;
             self.hourly.push(self.agent.coverage_fraction());
         }
     }
 
-    fn adopt(&mut self, shared: &SharedCorpus) {
-        let inputs = shared.adopt_into(self.fuzzer.corpus_mut());
-        for input in &inputs {
-            let result = self.agent.run_iteration_alloc(input);
-            self.fuzzer
-                .report_observed(input, &result.bitmap, &result.lines, result.feedback);
+    /// One gossip turn of worker `w`: publish unpublished novelty,
+    /// then drain the peers' fresh records, evidence-merge each one
+    /// (folding the adopted entries' lines into the coverage) and
+    /// relay it. Returns how many records moved.
+    fn gossip(&mut self, node: &mut GossipNode, bus: &mut DeltaBus, w: u32) -> usize {
+        let mut moved = 0;
+        let corpus = self.fuzzer.corpus_mut();
+        if corpus.has_unpublished() {
+            let delta = corpus.take_delta_async(&mut self.sync);
+            if !delta.is_empty() {
+                node.note_published(&bus.publish_own(delta));
+                moved += 1;
+            }
         }
-        self.adopted += inputs.len() as u64;
+        for rec in node.drain(bus) {
+            let before = self.fuzzer.corpus().len();
+            let adopted = self
+                .fuzzer
+                .corpus_mut()
+                .apply_delta(&rec.delta, &mut self.sync);
+            for entry in self.fuzzer.corpus().entries().skip(before) {
+                self.agent.cumulative.union_with(&entry.lines);
+            }
+            self.adopted += adopted as u64;
+            bus.relay(w, rec);
+            moved += 1;
+        }
+        moved
     }
 
     /// Asserts this alloc-path campaign landed exactly where the
@@ -110,7 +143,7 @@ impl AllocCampaign {
 }
 
 /// The seeded grid: both strategies, plus the product-default unguided
-/// mode, each as a lone campaign and as a 2-worker hourly-synced group.
+/// mode, each as a lone campaign and as a 2-worker synced group.
 fn grid() -> Vec<(&'static str, CampaignConfig)> {
     let base = |seed| CampaignConfig::necofuzz(CpuVendor::Intel, 5, seed).with_execs_per_hour(40);
     vec![
@@ -153,9 +186,12 @@ fn synced_groups_match_the_allocating_path() {
             .collect();
         let product = run_campaign_group(members);
 
-        // Replay the exact group protocol (lockstep hours, publish →
-        // commit → adopt at interior boundaries) on the alloc path.
-        let mut campaigns: Vec<AllocCampaign> = (0..2u32)
+        // Replay the group protocol on the alloc path: members step
+        // one exec at a time in worker-id order, each followed by its
+        // gossip turn, and after the last hour the group keeps
+        // draining until no record moves.
+        let n = 2u32;
+        let mut campaigns: Vec<AllocCampaign> = (0..n)
             .map(|w| {
                 let mut m = cfg.clone();
                 m.seed = cfg.seed + u64::from(w);
@@ -164,20 +200,23 @@ fn synced_groups_match_the_allocating_path() {
                 c
             })
             .collect();
-        let shared = SharedCorpus::new();
-        for done in 1..=cfg.hours {
-            for c in &mut campaigns {
-                c.run_hours(1);
+        let mut bus = DeltaBus::new(n as usize);
+        let mut nodes: Vec<GossipNode> = (0..n)
+            .map(|w| GossipNode::new(w, n, cfg.sync_topology))
+            .collect();
+        for _ in 0..cfg.hours * cfg.execs_per_hour {
+            for (w, c) in campaigns.iter_mut().enumerate() {
+                c.run_exec();
+                c.gossip(&mut nodes[w], &mut bus, w as u32);
             }
-            if done < cfg.hours && done % cfg.sync_interval == 0 {
-                for c in &mut campaigns {
-                    let delta = c.fuzzer.corpus_mut().take_delta();
-                    shared.publish(delta);
-                }
-                shared.commit_epoch();
-                for c in &mut campaigns {
-                    c.adopt(&shared);
-                }
+        }
+        loop {
+            let mut moved = 0;
+            for (w, c) in campaigns.iter_mut().enumerate() {
+                moved += c.gossip(&mut nodes[w], &mut bus, w as u32);
+            }
+            if moved == 0 {
+                break;
             }
         }
         for (worker, (alloc, result)) in campaigns.iter().zip(&product).enumerate() {
