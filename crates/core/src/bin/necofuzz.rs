@@ -21,9 +21,11 @@
 //! Runs one campaign — or, with `--runs N`, a whole grid of campaigns
 //! (seeds `seed..seed+N`) fanned out over the orchestrator's worker
 //! pool (`--jobs`, default = all cores) — against the chosen hypervisor
-//! model. Like the paper's agent (§4.5), every unique crashing input is
-//! saved to a timestamped file under `--out` for later reproduction.
-//! Parallelism never changes results: output is reduced in seed order.
+//! model. A campaign with `--oracle differential` replays on one extra
+//! thread, so `--jobs N` then runs up to `2N` threads. Like the paper's
+//! agent (§4.5), every unique crashing input is saved to a timestamped
+//! file under `--out` for later reproduction. Parallelism never changes
+//! results: output is reduced in seed order.
 //!
 //! `--sync-interval N` (any `N > 0`) makes the runs an AFL++-style
 //! sync group that gossips corpus deltas (novel queue entries +
@@ -59,7 +61,9 @@
 //! on top of the sanitizers: every executed input is replayed across
 //! `--diff-backends` (comma-separated; default `<target>,golden`) and
 //! the canonical L1-visible observations are diffed pairwise, turning
-//! silent misvirtualizations into `divergence` findings. Divergence
+//! silent misvirtualizations into `divergence` findings. The replays run
+//! on a thread of the campaign's own, one batch of inputs behind the
+//! fuzzing agent, and every virtual hour waits for them. Divergence
 //! crash files embed their backend pair in the bug id, and `corpus
 //! repro` detects them automatically: the input is replayed across the
 //! recorded pair and the first divergent exit is printed (with
@@ -117,7 +121,8 @@ fn usage() -> ! {
          \x20      necofuzz corpus stat DIR\n\
          \x20      necofuzz corpus minimize DIR [--out DIR]\n\
          \x20      necofuzz corpus repro FILE [--target T] [--vendor V]\n\
-         \x20               [--minimize] [--out FILE]"
+         \x20               [--minimize] [--out FILE]\n\
+         a campaign with --oracle differential replays on one extra thread"
     );
     std::process::exit(2);
 }

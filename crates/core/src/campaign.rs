@@ -13,6 +13,13 @@
 //! [`run_campaign_group`] is that loop, and the orchestrator's
 //! `SyncGroup` seam feeds it whole grid cells.
 //!
+//! A campaign that arms the differential oracle replays its inputs on a
+//! thread of its own, one batch behind the primary agent (the oracle
+//! lane of [`crate::differential`]): [`Campaign::run_execs`] pushes
+//! every executed input to the lane, each virtual hour drains it, and
+//! [`Campaign::into_result`] finishes it. Such a campaign keeps two
+//! cores busy; its result is what replaying inline produced.
+//!
 //! [`CorpusDelta`]: nf_fuzz::CorpusDelta
 
 use nf_fuzz::{
@@ -23,7 +30,7 @@ use nf_hv::{FaultPlan, HvConfig, L0Hypervisor, DEFAULT_WATCHDOG_FUEL};
 use nf_x86::CpuVendor;
 
 use crate::agent::{Agent, BugFind, ComponentMask};
-use crate::differential::{DifferentialRunner, DivergenceStats, OracleMode};
+use crate::differential::{DivergenceStats, OracleLane, OracleMode};
 use crate::engine::{EngineMode, EngineStats};
 
 /// Executions one virtual hour stands for. The paper's harness reaches
@@ -394,11 +401,12 @@ pub struct Campaign {
     /// every iteration's input is generated into this scratch in place
     /// (`Fuzzer::next_input_into`) instead of allocating per exec.
     input: FuzzInput,
-    /// The differential oracle's replay engine (`--oracle
-    /// differential` only). It owns its own agents — including one for
-    /// the primary backend's name — so the primary agent's stream, and
-    /// with it exploration, stays bit-identical either way.
-    diff: Option<DifferentialRunner>,
+    /// The differential oracle's lane (`--oracle differential` only):
+    /// the thread that replays every executed input on the oracle's
+    /// own agents — including one for the primary backend's name — so
+    /// the primary agent's stream, and with it exploration, stays
+    /// bit-identical either way.
+    diff: Option<OracleLane>,
     /// Periodic checkpointing: `(directory, interval-in-hours)`.
     /// Runtime state, not configuration — set via
     /// [`Campaign::set_checkpoint`], never part of [`CampaignConfig`]
@@ -447,7 +455,7 @@ impl Campaign {
         Campaign {
             agent,
             fuzzer,
-            diff: Campaign::make_diff(cfg),
+            diff: OracleLane::of_campaign(cfg),
             cfg: cfg.clone(),
             hourly: clock.hourly,
             hour: clock.hour,
@@ -475,19 +483,6 @@ impl Campaign {
                 .with_watchdog_fuel(cfg.watchdog_fuel);
         }
         agent
-    }
-
-    /// Builds the campaign's differential runner (`None` unless the
-    /// config arms the differential oracle).
-    pub(crate) fn make_diff(cfg: &CampaignConfig) -> Option<DifferentialRunner> {
-        (cfg.oracle == OracleMode::Differential).then(|| {
-            DifferentialRunner::new(
-                &cfg.diff_backends,
-                cfg.vendor,
-                cfg.mask,
-                EngineMode::Snapshot,
-            )
-        })
     }
 
     /// Virtual hours completed so far.
@@ -575,8 +570,8 @@ impl Campaign {
                 result.lines,
                 result.feedback,
             );
-            if let Some(diff) = &mut self.diff {
-                diff.observe_exec(&self.input, self.agent.execs());
+            if let Some(lane) = &mut self.diff {
+                lane.push(&self.input, self.agent.execs());
             }
             self.hour_execs += 1;
             if self.hour_execs >= self.cfg.execs_per_hour {
@@ -586,10 +581,14 @@ impl Campaign {
         }
     }
 
-    /// Ticks the virtual clock one hour: samples coverage, marks the
-    /// corpus size (the yield-degradation series), and writes a
-    /// checkpoint when one is due.
+    /// Ticks the virtual clock one hour: waits for the oracle lane to
+    /// replay the hour's inputs, samples coverage, marks the corpus
+    /// size (the yield-degradation series), and writes a checkpoint
+    /// when one is due.
     fn sample_hour(&mut self) {
+        if let Some(lane) = &mut self.diff {
+            lane.drain();
+        }
         self.hour += 1;
         self.hourly.push(HourSample {
             hour: self.hour,
@@ -800,17 +799,12 @@ impl Campaign {
             let rest = self.cfg.hours - self.hour;
             self.run_hours(rest);
         }
+        let oracle = self.diff.take().map(OracleLane::finish).unwrap_or_default();
         let (map, file) = self.coverage_geometry();
         let agent = &self.agent;
         let final_coverage = agent.coverage_fraction();
         let mut finds = agent.triage().finds().to_vec();
-        let (divergence, diff_execs) = match &self.diff {
-            Some(diff) => {
-                finds.extend(diff.triage().finds().iter().cloned());
-                (diff.stats(), diff.backend_execs())
-            }
-            None => (DivergenceStats::default(), 0),
-        };
+        finds.extend(oracle.finds);
         let engine_stats = agent.engine_stats();
         let (hangs, deaths) = agent.faults_fired();
         let alarms = compute_alarms(&self.hourly, &self.corpus_marks);
@@ -828,8 +822,8 @@ impl Campaign {
             mutation: self.fuzzer.mutation_stats(),
             corpus: std::mem::take(self.fuzzer.corpus_mut()),
             adopted: self.adopted,
-            divergence,
-            diff_execs,
+            divergence: oracle.stats,
+            diff_execs: oracle.backend_execs,
             engine_stats,
             sync: self.sync_stats,
         }

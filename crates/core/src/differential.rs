@@ -53,6 +53,36 @@
 //! exactly as a recording host but never touches its trace, and the
 //! runner never collects one.
 //!
+//! # The oracle lane
+//!
+//! A differential [`crate::Campaign`] does not replay inline: every
+//! campaign that arms the oracle owns an oracle lane, a thread that
+//! owns the campaign's [`DifferentialRunner`] and runs
+//! [`DifferentialRunner::observe_exec`] on each `(input, exec index)`,
+//! in execution order, while the primary agent runs ahead. The primary
+//! copies each executed input into a recycled slot of a batch of 16
+//! inputs and hands full batches over a channel that holds at most one
+//! waiting batch, so the lane trails the primary by one or two batches
+//! and one campaign keeps two cores busy. A divergence find keeps the
+//! slot's buffer instead of a copy of it (the primary gives the slot a
+//! new one), so the finds' inputs live in the primary thread's heap.
+//!
+//! - The runner is not `Send`: the lane's thread builds it from the
+//!   config's backend names when the first batch arrives, so a campaign
+//!   that never executes never starts a thread.
+//! - Every virtual hour the campaign *drains* the lane (hands over the
+//!   partial batch and waits until every batch has come home), so an
+//!   hour's oracle work is done when the hour returns; finishing drains
+//!   too, then joins the thread for the runner's finds, counters and
+//!   backend execs.
+//! - Dropping a campaign closes its lane and joins it. A panic on the
+//!   lane is raised again on the campaign's thread with its payload,
+//!   so a supervisor that restarts panicked campaigns restarts this one.
+//!
+//! The replays are the calls the inline loop made, in the same order,
+//! on the same inputs, so results do not change; only where and when
+//! they run does.
+//!
 //! [`crate::triage::ReplayOracle`] is the replay/minimization half:
 //! built from a differential campaign's config, it re-runs divergence
 //! findings on fresh runners (cold then converged validators), and its
@@ -62,14 +92,17 @@
 
 use std::collections::HashSet;
 use std::fmt::{self, Write as _};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use nf_fuzz::FuzzInput;
 use nf_hv::{CrashKind, GuestObservation, L1Result, L2Result, SiliconGolden, Vkvm, Vvbox, Vxen};
 use nf_x86::CpuVendor;
 
 use crate::agent::{Agent, BugFind, ComponentMask};
-use crate::campaign::HvFactory;
+use crate::campaign::{CampaignConfig, HvFactory};
 use crate::engine::EngineMode;
 use crate::harness::ExecObserver;
 use crate::triage::CrashTriage;
@@ -584,6 +617,21 @@ impl DifferentialRunner {
         }
     }
 
+    /// The runner a campaign config arms (`None` unless its oracle is
+    /// [`OracleMode::Differential`]): the one a differential campaign's
+    /// lane builds, and the one [`crate::triage::ReplayOracle`]
+    /// replays a divergence on.
+    pub(crate) fn of_campaign(cfg: &CampaignConfig) -> Option<Self> {
+        (cfg.oracle == OracleMode::Differential).then(|| {
+            DifferentialRunner::new(
+                &cfg.diff_backends,
+                cfg.vendor,
+                cfg.mask,
+                EngineMode::Snapshot,
+            )
+        })
+    }
+
     /// No-op, kept only because perfbench calls it; the product never
     /// does.
     pub fn with_prefix_cache(self, _enabled: bool) -> Self {
@@ -639,6 +687,12 @@ impl DifferentialRunner {
         }
     }
 
+    /// The replay agent of backend `name`, for inspection in tests.
+    pub fn agent(&self, name: &str) -> Option<&Agent> {
+        let i = self.names.iter().position(|n| n == name)?;
+        Some(&self.agents[i])
+    }
+
     /// The last recorded observation of backend `name`, for
     /// inspection in tests and `corpus repro` reporting.
     pub fn observation(&self, name: &str) -> Option<&ExecObservation> {
@@ -658,6 +712,13 @@ impl DifferentialRunner {
     /// and its reports reduce to a crash flag, so each backend costs one
     /// model execution and nothing more.
     pub fn observe_exec(&mut self, input: &FuzzInput, exec: u64) {
+        self.observe(input, exec, || Arc::new(input.clone()));
+    }
+
+    /// [`observe_exec`](Self::observe_exec), with the buffer the
+    /// exec's new finds share coming from `share` (called at most once
+    /// per exec).
+    fn observe(&mut self, input: &FuzzInput, exec: u64, share: impl Fn() -> Arc<FuzzInput>) {
         self.stats.execs_compared += 1;
         let (first, others) = self
             .agents
@@ -696,9 +757,7 @@ impl DifferentialRunner {
                 if self.triage.contains(&bug_id) {
                     continue;
                 }
-                let input = shared
-                    .get_or_insert_with(|| Arc::new(input.clone()))
-                    .clone();
+                let input = Arc::clone(shared.get_or_insert_with(&share));
                 self.triage.record(BugFind {
                     bug_id,
                     kind: CrashKind::Divergence,
@@ -709,6 +768,249 @@ impl DifferentialRunner {
             }
         }
     }
+}
+
+/// Inputs the primary hands an [`OracleLane`] at a time.
+const LANE_BATCH: usize = 16;
+
+/// What an oracle lane's replays found: the divergence finds (unique by
+/// signature, discovery order), the oracle's counters, and the backend
+/// executions the replays took.
+#[derive(Debug, Default)]
+pub(crate) struct OracleOutcome {
+    pub(crate) finds: Vec<BugFind>,
+    pub(crate) stats: DivergenceStats,
+    pub(crate) backend_execs: u64,
+}
+
+/// What an [`OracleLane`] runs on its thread: a replayer of executed
+/// inputs that reports an [`OracleOutcome`] once the lane finishes.
+pub(crate) trait Replayer {
+    /// Replays the input the campaign executed as its `exec`-th. A find
+    /// keeps the buffer by cloning the `Arc`.
+    fn replay(&mut self, input: &Arc<FuzzInput>, exec: u64);
+    /// What the replays found.
+    fn into_outcome(self) -> OracleOutcome;
+}
+
+impl Replayer for DifferentialRunner {
+    fn replay(&mut self, input: &Arc<FuzzInput>, exec: u64) {
+        self.observe(input, exec, || Arc::clone(input));
+    }
+
+    fn into_outcome(self) -> OracleOutcome {
+        OracleOutcome {
+            backend_execs: self.backend_execs(),
+            stats: self.stats,
+            finds: self.triage.into_finds(),
+        }
+    }
+}
+
+/// A batch of executed inputs with their exec indices. Its slots are
+/// recycled: a batch that comes home from the lane is refilled in
+/// place, except for a slot whose buffer a divergence find kept, which
+/// the primary replaces. The buffers are allocated by the primary's
+/// thread, so the finds' inputs outlive the lane without keeping its
+/// allocator arena resident.
+struct Batch {
+    slots: Vec<(Arc<FuzzInput>, u64)>,
+    len: usize,
+}
+
+impl Batch {
+    /// An empty batch; its slots are allocated as it fills.
+    fn new() -> Batch {
+        Batch {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, input: &FuzzInput, exec: u64) {
+        match self.slots.get_mut(self.len) {
+            Some((slot, at)) => {
+                match Arc::get_mut(slot) {
+                    Some(buffer) => buffer.bytes.clone_from(&input.bytes),
+                    None => *slot = Arc::new(input.clone()),
+                }
+                *at = exec;
+            }
+            None => self.slots.push((Arc::new(input.clone()), exec)),
+        }
+        self.len += 1;
+    }
+}
+
+/// A running lane: the channel batches go out on (holding at most one
+/// waiting batch), the one they come home on, and the thread.
+struct Running {
+    out: SyncSender<Batch>,
+    home: Receiver<Batch>,
+    thread: JoinHandle<OracleOutcome>,
+}
+
+/// A differential campaign's oracle lane (see the module docs): replays
+/// every pushed input on a thread of its own, one batch behind the
+/// primary, through the [`Replayer`] its builder makes there.
+pub(crate) struct OracleLane<R: Replayer = DifferentialRunner> {
+    /// Builds the replayer on the lane's thread; taken when it starts.
+    build: Option<Box<dyn FnOnce() -> R + Send>>,
+    /// The batch the primary is filling.
+    filling: Batch,
+    /// Batches that came home during a drain, ready to refill.
+    spare: Vec<Batch>,
+    /// Batches handed over and not yet home.
+    in_flight: usize,
+    running: Option<Running>,
+}
+
+impl OracleLane {
+    /// The lane of a campaign config (`None` unless its oracle is
+    /// [`OracleMode::Differential`]). Starts no thread: the first batch
+    /// does.
+    pub(crate) fn of_campaign(cfg: &CampaignConfig) -> Option<Self> {
+        (cfg.oracle == OracleMode::Differential).then(|| {
+            let cfg = cfg.clone();
+            OracleLane::new(move || {
+                DifferentialRunner::of_campaign(&cfg).expect("the config arms the oracle")
+            })
+        })
+    }
+}
+
+impl<R: Replayer + 'static> OracleLane<R> {
+    /// A lane whose thread replays through what `build` makes there.
+    pub(crate) fn new(build: impl FnOnce() -> R + Send + 'static) -> Self {
+        OracleLane {
+            build: Some(Box::new(build)),
+            filling: Batch::new(),
+            spare: Vec::new(),
+            in_flight: 0,
+            running: None,
+        }
+    }
+
+    /// Queues the campaign's `exec`-th input for replay, handing the
+    /// batch over once it is full (blocking while the lane still has a
+    /// full batch waiting).
+    pub(crate) fn push(&mut self, input: &FuzzInput, exec: u64) {
+        self.filling.push(input, exec);
+        if self.filling.len == LANE_BATCH {
+            self.hand_over();
+        }
+    }
+
+    /// Replays everything pushed so far before returning: hands over
+    /// the partial batch and waits until every batch is home.
+    pub(crate) fn drain(&mut self) {
+        if self.filling.len > 0 {
+            self.hand_over();
+        }
+        while self.in_flight > 0 {
+            match self.running.as_ref().map(|running| running.home.recv()) {
+                Some(Ok(batch)) => {
+                    self.in_flight -= 1;
+                    self.spare.push(batch);
+                }
+                _ => self.raise(),
+            }
+        }
+    }
+
+    /// Drains the lane, closes it, and joins its thread for the
+    /// replayer's outcome. A lane that never started replayed nothing
+    /// and found nothing.
+    pub(crate) fn finish(mut self) -> OracleOutcome {
+        self.drain();
+        match self.running.take() {
+            Some(running) => join(running).unwrap_or_else(|payload| resume_unwind(payload)),
+            None => OracleOutcome::default(),
+        }
+    }
+
+    /// Sends the filling batch to the lane, starting the lane first if
+    /// this is its first batch, and takes up an empty one: a spare, the
+    /// batch the lane finished while the send waited, or a new one.
+    fn hand_over(&mut self) {
+        let batch = std::mem::replace(&mut self.filling, Batch::new());
+        let running = self.running.get_or_insert_with(|| start(&mut self.build));
+        if running.out.send(batch).is_err() {
+            self.raise();
+        }
+        self.in_flight += 1;
+        if let Some(spare) = self.spare.pop() {
+            self.filling = spare;
+        } else if let Ok(home) = running.home.try_recv() {
+            self.in_flight -= 1;
+            self.filling = home;
+        }
+    }
+
+    /// The lane hung up: its thread panicked. Raises the panic again
+    /// here, with the lane's payload.
+    fn raise(&mut self) -> ! {
+        let running = self.running.take().expect("only a running lane hangs up");
+        let Err(payload) = join(running) else {
+            unreachable!("a lane hangs up only by panicking")
+        };
+        resume_unwind(payload)
+    }
+}
+
+impl<R: Replayer> Drop for OracleLane<R> {
+    /// Closes the lane and joins its thread, which stops after the
+    /// batch it is replaying. A panic on the lane is raised again here
+    /// unless this thread is already unwinding.
+    fn drop(&mut self) {
+        if let Some(running) = self.running.take() {
+            if let Err(payload) = join(running) {
+                if !std::thread::panicking() {
+                    resume_unwind(payload);
+                }
+            }
+        }
+    }
+}
+
+/// Starts a lane's thread on the replayer `build` makes there.
+fn start<R: Replayer + 'static>(build: &mut Option<Box<dyn FnOnce() -> R + Send>>) -> Running {
+    let build = build.take().expect("a lane starts once");
+    let (out, inbox) = mpsc::sync_channel::<Batch>(1);
+    let (home_tx, home) = mpsc::channel();
+    let thread = std::thread::Builder::new()
+        .name("oracle-lane".into())
+        .spawn(move || replay_batches(build(), inbox, home_tx))
+        .expect("spawn the oracle lane");
+    Running { out, home, thread }
+}
+
+/// The lane's thread: replays each batch in order and sends it home,
+/// until the campaign closes the lane or stops taking batches back.
+fn replay_batches<R: Replayer>(
+    mut replayer: R,
+    inbox: Receiver<Batch>,
+    home: Sender<Batch>,
+) -> OracleOutcome {
+    for mut batch in inbox {
+        for (input, exec) in &batch.slots[..batch.len] {
+            replayer.replay(input, *exec);
+        }
+        batch.len = 0;
+        if home.send(batch).is_err() {
+            break;
+        }
+    }
+    replayer.into_outcome()
+}
+
+/// Closes a lane and joins its thread: the replayer's outcome, or the
+/// payload of the panic that ended the lane.
+fn join(running: Running) -> std::thread::Result<OracleOutcome> {
+    let Running { out, home, thread } = running;
+    drop(out);
+    drop(home);
+    thread.join()
 }
 
 /// Wraps a backend factory so every instance it builds has coverage
@@ -926,6 +1228,114 @@ mod tests {
                 "{name}: the inputs must flip and keep the config: {stats:?}"
             );
         }
+    }
+
+    /// A lane consumer that panics on the exec index `at`.
+    struct PanicsAt {
+        at: u64,
+    }
+
+    impl Replayer for PanicsAt {
+        fn replay(&mut self, _input: &Arc<FuzzInput>, exec: u64) {
+            if exec == self.at {
+                panic!("replay of exec {exec} exploded");
+            }
+        }
+
+        fn into_outcome(self) -> OracleOutcome {
+            OracleOutcome::default()
+        }
+    }
+
+    /// The message of a caught `panic!` with a formatted message.
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_panic_on_the_lane_is_raised_on_the_pushing_thread() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let input = FuzzInput::zeroed();
+        let expected = |at| format!("replay of exec {at} exploded");
+        // Whichever call meets the dead lane first raises its panic:
+        // a push whose hand-over finds the lane gone, or the drain.
+        let pushed = catch_unwind(AssertUnwindSafe(|| {
+            let mut lane = OracleLane::new(|| PanicsAt { at: 3 });
+            for exec in 1..=50 * LANE_BATCH as u64 {
+                lane.push(&input, exec);
+            }
+            lane.drain();
+        }));
+        assert_eq!(message(pushed.expect_err("the lane panicked")), expected(3));
+
+        // Finishing raises it too, and so does dropping the lane.
+        let finished = catch_unwind(AssertUnwindSafe(|| {
+            let mut lane = OracleLane::new(|| PanicsAt { at: 5 });
+            for exec in 1..=5 {
+                lane.push(&input, exec);
+            }
+            lane.finish()
+        }));
+        assert_eq!(
+            message(finished.expect_err("the lane panicked")),
+            expected(5)
+        );
+        let dropped = catch_unwind(AssertUnwindSafe(|| {
+            let mut lane = OracleLane::new(|| PanicsAt { at: 7 });
+            for exec in 1..=LANE_BATCH as u64 {
+                lane.push(&input, exec);
+            }
+            drop(lane);
+        }));
+        assert_eq!(
+            message(dropped.expect_err("the lane panicked")),
+            expected(7)
+        );
+    }
+
+    #[test]
+    fn a_lane_replays_in_order_and_starts_with_its_first_batch() {
+        use std::sync::Mutex;
+
+        /// Logs every `(exec, first input byte)` it replays.
+        struct Log(Arc<Mutex<Vec<(u64, u8)>>>);
+        impl Replayer for Log {
+            fn replay(&mut self, input: &Arc<FuzzInput>, exec: u64) {
+                self.0.lock().unwrap().push((exec, input.bytes[0]));
+            }
+            fn into_outcome(self) -> OracleOutcome {
+                OracleOutcome::default()
+            }
+        }
+
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let logger = || {
+            let log = Arc::clone(&log);
+            move || Log(log)
+        };
+        let unstarted = OracleLane::new(logger());
+        assert!(unstarted.running.is_none(), "a new lane starts no thread");
+        unstarted.finish();
+
+        // 100 inputs: full batches, a partial batch drained in the
+        // middle, and a partial batch the finish hands over.
+        let mut lane = OracleLane::new(logger());
+        let mut input = FuzzInput::zeroed();
+        for exec in 1..=100u64 {
+            input.bytes[0] = exec as u8;
+            lane.push(&input, exec);
+            if exec == 41 {
+                lane.drain();
+                assert_eq!(lane.in_flight, 0);
+                assert_eq!(log.lock().unwrap().len(), 41, "a drain replays all");
+            }
+        }
+        lane.finish();
+        let want: Vec<(u64, u8)> = (1..=100u64).map(|e| (e, e as u8)).collect();
+        assert_eq!(*log.lock().unwrap(), want, "every exec once, in order");
     }
 
     #[test]

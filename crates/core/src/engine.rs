@@ -31,10 +31,20 @@
 //!   empty, so a replay never calls
 //!   [`collect_coverage`](ExecutionEngine::collect_coverage) and leaves
 //!   nothing behind for the next exec.
+//! - **Only what is read is built.** The scratch (a 64 KiB bitmap) is
+//!   built with the engine when its host records coverage, and on first
+//!   use otherwise; a capability-changing flip rebuilds the validator on
+//!   its next [`validator_mut`](ExecutionEngine::validator_mut), not in
+//!   [`prepare`](ExecutionEngine::prepare). An engine that stages and
+//!   collects every exec sees no difference; a differential replay
+//!   agent, which only runs VMs another agent staged on a host that
+//!   records nothing, never allocates the one nor rebuilds the other.
 //!
 //! `crates/hv/tests/reset_equivalence.rs` checks the reset: after a
 //! random prefix, a reset instance runs a random probe exactly like a
 //! fresh one.
+
+use std::cell::OnceCell;
 
 use nf_coverage::ExecScratch;
 use nf_fuzz::MAP_SIZE;
@@ -67,8 +77,9 @@ pub struct EngineStats {
     /// Config flips where the validator was kept because the feature
     /// set was unchanged.
     pub validator_reuses: u64,
-    /// Config flips where the validator was rebuilt (new capabilities,
-    /// corrections carried over).
+    /// Validator rebuilds (new capabilities, corrections carried
+    /// over): one per capability-changing flip that a
+    /// [`validator_mut`](ExecutionEngine::validator_mut) call followed.
     pub validator_rebuilds: u64,
 }
 
@@ -78,12 +89,19 @@ pub struct ExecutionEngine {
     factory: Box<dyn Fn(HvConfig) -> Box<dyn L0Hypervisor>>,
     hv: Box<dyn L0Hypervisor>,
     validator: VmStateValidator,
-    /// Feature set the active validator was derived from (`None` when
-    /// the initial capabilities were not derived from the initial
-    /// config's features — the first flip then always rebuilds).
+    /// Feature set the validator is derived from, or is due to be
+    /// rebuilt for (`None` when the initial capabilities were not
+    /// derived from the initial config's features — the first flip
+    /// then always rebuilds).
     validator_features: Option<FeatureSet>,
-    /// The reusable per-execution buffers (trace, AFL bitmap, lines).
-    scratch: ExecScratch,
+    /// Set by a capability-changing flip: the feature set the next
+    /// [`validator_mut`](Self::validator_mut) rebuilds the validator
+    /// for.
+    rebuild_for: Option<FeatureSet>,
+    /// The reusable per-execution buffers (trace, AFL bitmap, lines):
+    /// built with the engine when its host records coverage, on first
+    /// use otherwise.
+    scratch: OnceCell<ExecScratch>,
     /// The shared fault injector, when a plan is installed; handed to
     /// the active instance and every instance the factory builds later.
     faults: Option<SharedFaults>,
@@ -103,12 +121,16 @@ impl ExecutionEngine {
         let hv = factory(config);
         let validator_features =
             (VmxCapabilities::from_features(features) == validator_caps).then_some(features);
-        let scratch = ExecScratch::new(hv.coverage_map(), MAP_SIZE);
+        let scratch = OnceCell::new();
+        if hv.core().recording() {
+            scratch.get_or_init(|| ExecScratch::new(hv.coverage_map(), MAP_SIZE));
+        }
         ExecutionEngine {
             factory,
             hv,
             validator: VmStateValidator::new(validator_caps),
             validator_features,
+            rebuild_for: None,
             scratch,
             faults: None,
             stats: EngineStats {
@@ -156,13 +178,25 @@ impl ExecutionEngine {
         self.hv.as_mut()
     }
 
-    /// The validator (exposes the oracle-correction state).
+    /// The validator as last built (exposes the oracle-correction
+    /// state). After a capability-changing flip its rebuild waits for
+    /// the next [`validator_mut`](Self::validator_mut); the corrections
+    /// it carries over are the ones shown here.
     pub fn validator(&self) -> &VmStateValidator {
         &self.validator
     }
 
     /// Mutable validator access (the generation pipeline learns).
+    /// Rebuilds the validator first when a flip changed the
+    /// capabilities since the last call.
     pub fn validator_mut(&mut self) -> &mut VmStateValidator {
+        if let Some(features) = self.rebuild_for.take() {
+            self.validator = VmStateValidator::with_corrections_of(
+                VmxCapabilities::from_features(features),
+                &self.validator,
+            );
+            self.stats.validator_rebuilds += 1;
+        }
         &mut self.validator
     }
 
@@ -171,13 +205,17 @@ impl ExecutionEngine {
     /// `scratch.lines`, and `scratch.trace` describe the latest
     /// execution; they stay valid until the next collection.
     pub fn scratch(&self) -> &ExecScratch {
-        &self.scratch
+        self.scratch
+            .get_or_init(|| ExecScratch::new(self.hv.coverage_map(), MAP_SIZE))
     }
 
     /// Mutable scratch access (benches and tests that drive the
     /// collection protocol by hand).
     pub fn scratch_mut(&mut self) -> &mut ExecScratch {
-        &mut self.scratch
+        self.scratch();
+        self.scratch
+            .get_mut()
+            .expect("scratch() builds the scratch")
     }
 
     /// Collects the just-finished execution's coverage into the
@@ -186,9 +224,14 @@ impl ExecutionEngine {
     /// trace out (handing the cleared one back in), and projects it
     /// onto the scratch bitmap and line set.
     pub fn collect_coverage(&mut self) {
-        self.scratch.begin_exec();
-        self.hv.swap_trace(&mut self.scratch.trace);
-        self.scratch.project(self.hv.coverage_map());
+        self.scratch();
+        let scratch = self
+            .scratch
+            .get_mut()
+            .expect("scratch() builds the scratch");
+        scratch.begin_exec();
+        self.hv.swap_trace(&mut scratch.trace);
+        scratch.project(self.hv.coverage_map());
     }
 
     /// Watchdog slow path: fully reboots the active host, clearing its
@@ -199,8 +242,9 @@ impl ExecutionEngine {
 
     /// Iteration fast path: makes the active instance run `config` in
     /// freshly-booted guest state. A changed config builds a fresh
-    /// instance through the factory and switches the validator; an
-    /// unchanged one resets the guest of the active instance.
+    /// instance through the factory and, when its feature set changed,
+    /// marks the validator for a rebuild on its next use; an unchanged
+    /// one resets the guest of the active instance.
     pub fn prepare(&mut self, config: &HvConfig) {
         if self.hv.config() == config {
             self.hv.reset_guest();
@@ -215,12 +259,12 @@ impl ExecutionEngine {
         if self.validator_features == Some(config.features) {
             self.stats.validator_reuses += 1;
         } else {
-            self.validator = VmStateValidator::with_corrections_of(
-                VmxCapabilities::from_features(config.features),
-                &self.validator,
-            );
+            // A validator is a pure function of its capabilities and
+            // corrections, and corrections only change through
+            // `validator_mut`: rebuilding there, once, for the latest
+            // features, equals rebuilding at every flip before it.
+            self.rebuild_for = Some(config.features);
             self.validator_features = Some(config.features);
-            self.stats.validator_rebuilds += 1;
         }
     }
 }
@@ -322,9 +366,71 @@ mod tests {
             corrections_ptr,
             "same caps must share the validator, not clone it"
         );
-        // A capability-changing flip still rebuilds.
+        // A capability-changing flip still rebuilds, on the next use.
         e.prepare(&flipped_config());
+        e.validator_mut();
         assert_eq!(e.stats().validator_rebuilds, 1);
+    }
+
+    #[test]
+    fn flips_rebuild_the_validator_once_on_first_use() {
+        // An engine whose validator never generates — a differential
+        // replay agent's — rebuilds nothing however often the config
+        // flips; the first use rebuilds once, for the latest features,
+        // with every correction carried over.
+        let mut e = engine();
+        e.validator_mut().apply_known_quirk();
+        e.validator_mut()
+            .corrections
+            .push(crate::validator::Correction {
+                rule: "cr4_pae_quirk",
+                detail: "learned".into(),
+            });
+        let base = HvConfig::default_for(CpuVendor::Intel);
+        for _ in 0..3 {
+            e.prepare(&flipped_config());
+            e.prepare(&base);
+        }
+        e.prepare(&flipped_config());
+        assert_eq!(e.stats().validator_rebuilds, 0, "{:?}", e.stats());
+        assert_eq!(e.validator().corrections.len(), 1);
+        let eager = VmStateValidator::with_corrections_of(
+            VmxCapabilities::from_features(flipped_config().features),
+            e.validator(),
+        );
+        let rebuilt = e.validator_mut();
+        assert_eq!(format!("{rebuilt:?}"), format!("{eager:?}"));
+        assert_eq!(e.stats().validator_rebuilds, 1);
+        e.validator_mut();
+        assert_eq!(e.stats().validator_rebuilds, 1, "one rebuild per flip");
+    }
+
+    #[test]
+    fn a_non_recording_engine_builds_its_scratch_on_first_use() {
+        assert!(
+            engine().scratch.get().is_some(),
+            "a recording host's engine"
+        );
+        let config = HvConfig::default_for(CpuVendor::Intel);
+        let caps = VmxCapabilities::from_features(config.features);
+        let mut e = ExecutionEngine::new(
+            Box::new(|c| {
+                let mut hv: Box<dyn L0Hypervisor> = Box::new(Vkvm::new(c));
+                hv.core_mut().set_recording(false);
+                hv
+            }),
+            config.clone(),
+            caps,
+            EngineMode::Snapshot,
+        );
+        for _ in 0..3 {
+            e.prepare(&flipped_config());
+            e.prepare(&config);
+        }
+        assert!(e.scratch.get().is_none(), "nothing asked for the scratch");
+        e.collect_coverage();
+        assert_eq!(e.scratch().bitmap.len(), MAP_SIZE);
+        assert!(e.scratch().lines.count() == 0 && e.scratch().edges().is_empty());
     }
 
     #[test]

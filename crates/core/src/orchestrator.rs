@@ -101,8 +101,16 @@ impl CampaignJob {
     }
 
     /// The label's seed-independent prefix (`vkvm/Intel/unguided`) —
-    /// the display form of the job's grid cell.
+    /// the display form of the job's grid cell. A cell with a non-zero
+    /// `sync_interval` carries its `/async-<topology>` tag here; the
+    /// label a run prints is [`SyncGroup::label`], which drops the tag
+    /// when the cell's group has one member and so never syncs.
     pub fn label_without_seed(&self) -> String {
+        self.cell_label(self.cfg.sync_interval > 0)
+    }
+
+    /// The cell label, with the sync tag when `synced`.
+    fn cell_label(&self, synced: bool) -> String {
         let mode = match self.cfg.mode {
             Mode::Guided => "guided",
             Mode::Unguided => "unguided",
@@ -131,7 +139,7 @@ impl CampaignJob {
         // Unsynced cells stay unlabeled; synced cells carry their
         // gossip topology, which also keys them into distinct sync
         // groups via `cell_key`.
-        let sync = if self.cfg.sync_interval > 0 {
+        let sync = if synced {
             format!("/async-{}", self.cfg.sync_topology)
         } else {
             String::new()
@@ -328,17 +336,20 @@ impl SyncGroup {
         self.jobs.len() > 1 && self.jobs[0].1.cfg.sync_interval > 0
     }
 
-    /// Display label: the single job's label, or the cell with a
-    /// member count.
+    /// Display label: the cell with a member count for a synced group,
+    /// else the single job's label. Only a synced group's label carries
+    /// the `/async-<topology>` tag: a one-member group runs alone
+    /// whatever its interval.
     pub fn label(&self) -> String {
-        if self.jobs.len() == 1 {
-            self.jobs[0].1.label()
-        } else {
+        let job = &self.jobs[0].1;
+        if self.is_synced() {
             format!(
                 "sync[{} x{} seeds]",
-                self.jobs[0].1.label_without_seed(),
+                job.label_without_seed(),
                 self.jobs.len()
             )
+        } else {
+            format!("{}/seed{}", job.cell_label(false), job.cfg.seed)
         }
     }
 

@@ -15,7 +15,7 @@ use nf_hv::{CrashKind, FaultPlan, HvConfig, L0Hypervisor};
 
 use crate::agent::BugFind;
 use crate::campaign::{Campaign, CampaignConfig};
-use crate::differential::OracleMode;
+use crate::differential::{DifferentialRunner, OracleMode};
 
 /// The deduplicating crash index. Replaces the agent's linear-scan
 /// `Vec<BugFind>`: membership is a hash lookup, discovery order is
@@ -52,6 +52,11 @@ impl CrashTriage {
     /// The finds in discovery order.
     pub fn finds(&self) -> &[BugFind] {
         &self.finds
+    }
+
+    /// The finds in discovery order, by value.
+    pub fn into_finds(self) -> Vec<BugFind> {
+        self.finds
     }
 
     /// Iterates the finds in discovery order.
@@ -231,7 +236,7 @@ impl ReplayOracle {
     /// campaign builds them; returns the findings it recorded.
     fn run(&self, input: &FuzzInput, converged: bool, divergence: bool) -> CrashTriage {
         if divergence {
-            let Some(mut runner) = Campaign::make_diff(&self.cfg) else {
+            let Some(mut runner) = DifferentialRunner::of_campaign(&self.cfg) else {
                 return CrashTriage::new();
             };
             if converged {

@@ -13,14 +13,15 @@
 //! 3. **Topology-independence**: ring and tree fleets converge to the
 //!    same union (the gossip graph is a transport, not an oracle).
 //! 4. **Orchestrator**: synced grids keep serial == parallel, carry the
-//!    `/async-<topology>` cell label (unsynced cells carry none), and
-//!    record sync work in the result counters.
+//!    `/async-<topology>` cell label (unsynced cells, and one-seed cells
+//!    that run alone, carry none), and record sync work in the result
+//!    counters.
 
 use necofuzz::campaign::{
     run_campaign, run_campaign_group_observed, CampaignConfig, CampaignResult, GroupMember,
     HvFactory,
 };
-use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan};
+use necofuzz::orchestrator::{Backend, CampaignExecutor, CampaignPlan, SyncGroup};
 use nf_coverage::LineSet;
 use nf_fuzz::{Mode, SyncTopology};
 use nf_hv::Vkvm;
@@ -198,5 +199,20 @@ fn async_cells_are_labeled_with_their_topology() {
                 "unsynced label {label:?} grew a sync tag"
             );
         }
+    }
+    // What a run prints is its sync group's label: a synced cell's
+    // names the topology, and a one-seed cell, which runs alone
+    // whatever its interval, names none.
+    for (topology, tag) in [
+        (SyncTopology::Tree, "async-tree"),
+        (SyncTopology::Ring, "async-ring"),
+    ] {
+        let fleet = SyncGroup::partition(async_plan(1, topology).jobs());
+        assert_eq!(fleet.len(), 1);
+        assert!(fleet[0].is_synced() && fleet[0].label().contains(tag));
+        let lone = SyncGroup::partition(async_plan(1, topology).seeds(0..1).jobs());
+        assert_eq!(lone.len(), 1);
+        assert!(!lone[0].is_synced());
+        assert_eq!(lone[0].label(), "vkvm/Intel/unguided/seed0");
     }
 }

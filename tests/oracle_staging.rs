@@ -9,7 +9,8 @@
 //! diff. Both sides see the same inputs; every backend's observation
 //! and crash flag, the divergence counters, the backend exec count, and
 //! the divergence finds must agree after every input — across both
-//! shipped backend sets and both vendors.
+//! shipped backend sets and both vendors. The agents that only run the
+//! staged VM never rebuild a validator.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -162,6 +163,18 @@ fn assert_staged_replay_matches_reference(
         &reference.triage,
         "{what}: divergence finds"
     );
+    // Only the first agent stages: the others flip configs with it (the
+    // configurator's inputs do) but never generate, so they never
+    // rebuild a validator.
+    for name in &backends[1..] {
+        let stats = runner
+            .agent(name)
+            .expect("configured backend")
+            .engine_stats();
+        let flipped = stats.factory_builds > 1;
+        assert_eq!(flipped, mask.configurator, "{what}: {name}: {stats:?}");
+        assert_eq!(stats.validator_rebuilds, 0, "{what}: {name}: {stats:?}");
+    }
     runner.stats()
 }
 
